@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / feasible, 1 configuration error, 2 solver hit the
-iteration budget, 3 reproduction mismatch, 4 certificate violations.
+iteration budget, 3 solver reached a non-finite iterate (``solve``) or
+reproduction mismatch (``reproduce``), 4 certificate violations.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .engine import solve, write_trace_csv
 from .errors import FeasikError
 
 SEED_ENV = "FEASIK_SEED"
+SOLVE_EXIT = {"feasible": 0, "max_iter": 2, "nonfinite": 3}
 
 
 def _seed_override(args) -> int | None:
@@ -40,12 +42,12 @@ def cmd_solve(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             write_trace_csv(result.trace, run.problem.dim, fh)
-    k = result.k_feasible if result.feasible else "MAX"
+    k = {"feasible": result.k_feasible, "max_iter": "MAX"}.get(result.status)
     print(f"status={result.status} k_feasible={k} corrections={result.corrections}")
     if args.verbose:
         x = ", ".join(repr(float(v)) for v in result.final)
         print(f"final=[{x}]")
-    return 0 if result.feasible else 2
+    return SOLVE_EXIT[result.status]
 
 
 def cmd_certify(args) -> int:

@@ -58,10 +58,25 @@ def emit_document(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _object(doc, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"field '{where}' must be an object, "
+                          f"not {type(doc).__name__}")
+    return doc
+
+
 def _need(doc: dict, key: str, where: str):
-    if key not in doc:
+    if key not in _object(doc, where):
         raise ConfigError(f"field '{where}.{key}' is missing")
     return doc[key]
+
+
+def _need_list(doc: dict, key: str, where: str) -> list:
+    items = _need(doc, key, where)
+    if not isinstance(items, list):
+        raise ConfigError(f"field '{where}.{key}' must be a list, "
+                          f"not {type(items).__name__}")
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +92,7 @@ def build_function(doc: dict, where: str):
     if kind == "quad_coord":
         return QuadCoordMinusC(int(_need(doc, "axis", where)), float(_need(doc, "c", where)))
     if kind == "max_affine":
-        pieces = _need(doc, "pieces", where)
+        pieces = _need_list(doc, "pieces", where)
         return MaxAffine(tuple((_need(p, "a", f"{where}.pieces[{n}]"),
                                 _need(p, "b", f"{where}.pieces[{n}]"))
                                for n, p in enumerate(pieces)))
@@ -131,13 +146,13 @@ def body_doc(body) -> dict:
 
 def build_problem(doc: dict, where: str = "problem") -> Problem:
     dim = int(_need(doc, "dim", where))
-    outer_doc = doc.get("outer", {"type": "whole_space"})
+    outer_doc = _object(doc.get("outer", {"type": "whole_space"}), where + ".outer")
     if outer_doc.get("type") == "whole_space":
         outer = OuterSet.whole_space()
     else:
         outer = OuterSet(build_body(outer_doc, where + ".outer"))
     constraints = []
-    for pos, cdoc in enumerate(_need(doc, "constraints", where)):
+    for pos, cdoc in enumerate(_need_list(doc, "constraints", where)):
         body = build_body(cdoc, f"{where}.constraints[{pos}]")
         constraints.append(Constraint(pos, body, cdoc.get("cutter", "")))
     interior = None
@@ -189,10 +204,27 @@ def build_control(doc: dict, where: str = "control", seed_override: Optional[int
     if kind == "random_sets":
         atoms = [(_need(a, "indices", f"{where}.atoms[{n}]"),
                   _need(a, "p", f"{where}.atoms[{n}]"))
-                 for n, a in enumerate(_need(doc, "atoms", where))]
+                 for n, a in enumerate(_need_list(doc, "atoms", where))]
         seed = seed_override if seed_override is not None else _need(doc, "seed", where)
         return ctl.RandomSets(atoms, int(seed))
     raise ConfigError(f"field '{where}.kind': unknown control kind {kind!r}")
+
+
+def _listed_indices(control, where: str) -> list:
+    """(field path, index) for every pool index a listed control names."""
+    if isinstance(control, ctl.Cyclic):
+        return [(f"{where}.order[{n}]", i) for n, i in enumerate(control.order)]
+    if isinstance(control, ctl.Intermittent):
+        groups = [(f"{where}.blocks[{n}]", b) for n, b in enumerate(control.blocks)]
+    elif isinstance(control, ctl.Explicit):
+        groups = [(f"{where}.sets[{n}]", s) for n, s in enumerate(control.sets)]
+    elif isinstance(control, ctl.RandomSets):
+        groups = [(f"{where}.atoms[{n}].indices", s)
+                  for n, (s, _) in enumerate(control.atoms)]
+    else:
+        return []
+    return [(f"{path}[{j}]", i) for path, group in groups
+            for j, i in enumerate(group)]
 
 
 def control_doc(control) -> dict:
@@ -262,6 +294,10 @@ def build_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfi
     """Validate and build a full run from a parsed document."""
     problem = build_problem(_need(doc, "problem", "run"))
     control = build_control(_need(doc, "control", "run"), "control", seed_override)
+    for path, i in _listed_indices(control, "control"):
+        if not 0 <= i < problem.m:
+            raise ConfigError(f"field '{path}': index {i} is outside the pool "
+                              f"of {problem.m} constraints")
     return RunConfig(
         problem=problem,
         control=control,

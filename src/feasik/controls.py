@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, ControlError
-from .model import Problem, Vector, violated_indices
+from .model import Problem, RowPass, Vector, violated_indices
 from .operators import evaluate_cutter
 
 
@@ -33,11 +33,15 @@ class Control:
     def max_card(self) -> int:
         raise NotImplementedError
 
-    def _select(self, k: int, x: Vector, problem: Problem) -> tuple:
+    def _select(self, k: int, x: Vector, problem: Problem,
+                stacked: Optional[RowPass] = None) -> tuple:
         raise NotImplementedError
 
-    def indices(self, k: int, x: Vector, problem: Problem) -> tuple:
-        out = _index_tuple(self._select(k, x, problem))
+    def indices(self, k: int, x: Vector, problem: Problem,
+                stacked: Optional[RowPass] = None) -> tuple:
+        """``stacked`` is a residual pass already taken at x, which
+        adaptive controls use to score the stacked rows at once."""
+        out = _index_tuple(self._select(k, x, problem, stacked))
         if len(out) > self.max_card:
             raise ControlError(
                 f"control emitted {len(out)} indices, above max_card {self.max_card}")
@@ -65,7 +69,7 @@ class Cyclic(Control):
     def max_card(self):
         return 1
 
-    def _select(self, k, x, problem):
+    def _select(self, k, x, problem, stacked=None):
         return (self.order[k % len(self.order)],)
 
 
@@ -88,7 +92,7 @@ class Intermittent(Control):
     def max_card(self):
         return max(len(b) for b in self.blocks)
 
-    def _select(self, k, x, problem):
+    def _select(self, k, x, problem, stacked=None):
         return self.blocks[k % len(self.blocks)]
 
 
@@ -109,7 +113,7 @@ class Repetitive(Control):
     def max_card(self):
         return self._max_card
 
-    def _select(self, k, x, problem):
+    def _select(self, k, x, problem, stacked=None):
         return self.schedule(k)
 
 
@@ -127,7 +131,7 @@ class Explicit(Control):
     def max_card(self):
         return max(len(s) for s in self.sets)
 
-    def _select(self, k, x, problem):
+    def _select(self, k, x, problem, stacked=None):
         if k >= len(self.sets):
             raise ControlError(f"explicit control exhausted at step {k}")
         return self.sets[k]
@@ -143,11 +147,23 @@ class _Maximal(Control):
     def _score(self, constraint, x) -> float:
         raise NotImplementedError
 
-    def _select(self, k, x, problem):
+    def _stacked_score(self, stacked: RowPass):
+        """(score, spread): the stacked rows' scores and a bound on how far
+        each scalar score lies from its stacked one; None where the scalar
+        score has no stacked form."""
+        return None
+
+    def _select(self, k, x, problem, stacked=None):
         if not problem.is_finite:
             raise ControlError("maximal control requires finite pool")
+        indices = None
+        if stacked is not None:
+            score = self._stacked_score(stacked)
+            if score is not None:
+                # Only rows that may attain the maximum are scored again.
+                indices = stacked.candidates(*score)
         best_i, best = 0, -math.inf
-        for i in problem.indices():
+        for i in problem.indices() if indices is None else indices:
             s = self._score(problem.constraint(i), x)
             if s > best:  # ties break to the lowest index
                 best_i, best = i, s
@@ -166,6 +182,10 @@ class RemotestSet(_Maximal):
                 f"remotest control needs an exact distance for constraint {constraint.index}")
         return d
 
+    def _stacked_score(self, stacked):
+        norms = stacked.rows.norms
+        return np.maximum(stacked.v, 0.0) / norms, stacked.margin / norms
+
 
 class MaxDisplacement(_Maximal):
     """argmax_i ||T_i(x) - x||."""
@@ -183,6 +203,9 @@ class MaxViolation(_Maximal):
 
     def _score(self, constraint, x):
         return max(0.0, constraint.violation(x))
+
+    def _stacked_score(self, stacked):
+        return np.maximum(stacked.v, 0.0), stacked.margin
 
 
 class RandomSets(Control):
@@ -215,7 +238,7 @@ class RandomSets(Control):
         bg = np.random.Philox(key=self.seed, counter=k)
         return float(np.random.Generator(bg).random())
 
-    def _select(self, k, x, problem):
+    def _select(self, k, x, problem, stacked=None):
         u = self.draw_uniform(k)
         j = int(np.searchsorted(self._cum, u, side="right"))
         j = min(j, len(self.atoms) - 1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .model import Problem, Vector, as_vector, feasible
+from .model import Problem, RowPass, Vector, as_vector, feasible
 from .operators import evaluate_cutter
 from .schedules import CorrectionCounter, PhiCustom, beta, counter_update
 
@@ -99,7 +100,7 @@ class TraceRecord:
 
 @dataclass
 class RunResult:
-    status: str  # "feasible" | "max_iter"
+    status: str  # "feasible" | "max_iter" | "nonfinite"
     k_feasible: Optional[int]
     final: Vector
     trace: list
@@ -112,17 +113,17 @@ class RunResult:
         return self.status == "feasible"
 
 
-def _apply_update(problem, x, entries, weights, alpha, dim):
+def _apply_update(problem, x, moved, weights, alpha, dim):
     """Combine weighted overshoot terms and project onto Q.
 
-    ``entries`` is a list of (index, CutterEval, beta) triples.  Returns
-    (x_next, step_vec)."""
+    ``moved`` is a list of (index, image, beta) triples with beta != 0.
+    Returns (x_next, step_vec)."""
     terms = []
-    for i, ce, b in entries:
+    for i, image, b in moved:
         w = weights[i]
-        if b == 0.0 or w == 0.0:
+        if w == 0.0:
             continue
-        terms.append((w * b) * (ce.image - x))
+        terms.append((w * b) * (image - x))
     if not terms:
         return np.array(x, dtype=np.float64), np.zeros(dim)
     step_vec = alpha * compensated_sum(terms, dim)
@@ -130,47 +131,57 @@ def _apply_update(problem, x, entries, weights, alpha, dim):
 
 
 def step(cfg: RunConfig, x: Vector, k: int, counter: CorrectionCounter,
-         feasible_flag: Optional[bool] = None):
+         feasible_flag: Optional[bool] = None,
+         stacked: Optional[RowPass] = None):
     """One iteration of the main method.
 
     Returns (x_next, corrected, record).  ``corrected`` is true when some
     active constraint was violated and the combined step vector is nonzero;
-    that is the event the bracketed counter counts.
+    that is the event the bracketed counter counts.  ``stacked`` is the
+    residual pass at x when the caller has taken it; the control scores
+    with it, and active metric halfspaces it certifies as satisfied skip
+    their cutter, whose image is x.
     """
     problem = cfg.problem
+    if stacked is None:
+        stacked = problem.residual_pass(x)
     j = counter.count if cfg.counter_mode == "bracketed" else k
-    active = cfg.control.indices(k, x, problem)
+    active = cfg.control.indices(k, x, problem, stacked)
     alpha = cfg.relaxation.alpha(j)
     r = cfg.overrelaxation.r(j)
+    settled = stacked.settled(active) if stacked is not None else ()
 
-    entries = []
+    per_index = []
+    moved = []
     violated = []
     for i in active:
+        if i in settled:
+            per_index.append((i, 0.0, 0.0, 0.0, 0.0))
+            continue
         ce = evaluate_cutter(problem.constraint(i), x)
         if ce.displacement_norm > 0.0:
             violated.append(i)
             phi_val = cfg.phi.value(problem.constraint(i), x)
             b = beta(r, phi_val, ce.displacement_norm)
             rho = r / phi_val
+            if b != 0.0:
+                moved.append((i, ce.image, b))
         else:
             b = 0.0
             rho = 0.0
-        entries.append((i, ce, b, rho))
+        per_index.append((i, ce.residual, ce.displacement_norm, b, rho))
 
     violated = tuple(violated)
     weights = cfg.weights.weights(active, violated)
-    x_next, step_vec = _apply_update(
-        problem, x, [(i, ce, b) for i, ce, b, _ in entries], weights, alpha,
-        problem.dim)
+    x_next, step_vec = _apply_update(problem, x, moved, weights, alpha,
+                                     problem.dim)
     corrected = bool(violated) and bool(np.any(step_vec != 0.0))
 
     if feasible_flag is None:
         feasible_flag = feasible(problem, x, cfg.feas_window, cfg.feas_tol)
     record = TraceRecord(
         k=k, bracket_k=counter.count, x=np.array(x), active=active,
-        violated=violated,
-        per_index=tuple((i, ce.residual, ce.displacement_norm, b, rho)
-                        for i, ce, b, rho in entries),
+        violated=violated, per_index=tuple(per_index),
         alpha_used=alpha, r_used=r,
         step_norm=float(np.linalg.norm(x_next - x)),
         corrected=corrected, feasible_flag=bool(feasible_flag))
@@ -178,7 +189,8 @@ def step(cfg: RunConfig, x: Vector, k: int, counter: CorrectionCounter,
 
 
 def step_subgradient(cfg: RunConfig, x: Vector, k: int, counter: CorrectionCounter,
-                     feasible_flag: Optional[bool] = None):
+                     feasible_flag: Optional[bool] = None,
+                     stacked: Optional[RowPass] = None):
     """The subgradient specialization: for sublevel constraints with
     phi = ||g||, the update collapses to
 
@@ -190,8 +202,10 @@ def step_subgradient(cfg: RunConfig, x: Vector, k: int, counter: CorrectionCount
     from .model import Sublevel
 
     problem = cfg.problem
+    if stacked is None:
+        stacked = problem.residual_pass(x)
     j = counter.count if cfg.counter_mode == "bracketed" else k
-    active = cfg.control.indices(k, x, problem)
+    active = cfg.control.indices(k, x, problem, stacked)
     alpha = cfg.relaxation.alpha(j)
     r = cfg.overrelaxation.r(j)
 
@@ -242,14 +256,24 @@ def step_subgradient(cfg: RunConfig, x: Vector, k: int, counter: CorrectionCount
 
 
 def solve(cfg: RunConfig) -> RunResult:
-    """Iterate until the window feasibility test passes or max_iter steps ran.
+    """Iterate until the window feasibility test passes, max_iter steps ran
+    or a step produced a non-finite iterate.
 
     The run never claims divergence; exceeding the budget reports
-    ``max_iter``.  The trace carries one record per executed step plus a
-    terminal record for the final iterate.
+    ``max_iter``, and an iterate with a NaN or infinite coordinate stops the
+    run as ``nonfinite``.  The trace carries one record per executed step
+    plus a terminal record for the final iterate.
+
+    For a pool with stacked affine rows, each iterate gets one residual
+    pass, shared by the feasibility test, the control and the cutters.
     """
     problem = cfg.problem
     stepper = step_subgradient if cfg.use_subgradient_form else step
+    rows = problem.affine_rows
+    # The stacked feasibility test covers the whole pool only.
+    window = cfg.feas_window
+    if rows is not None and window == tuple(problem.indices()):
+        window = None
     x = np.array(cfg.x0, dtype=np.float64)
     counter = CorrectionCounter(cfg.counter_mode)
     trace = []
@@ -259,22 +283,31 @@ def solve(cfg: RunConfig) -> RunResult:
     watch_norm = isinstance(cfg.phi, PhiCustom)
 
     k = 0
+    nonfinite = False
     while True:
-        feas = feasible(problem, x, cfg.feas_window, cfg.feas_tol)
-        if feas or k >= cfg.max_iter:
+        stacked = rows.at(x) if rows is not None else None
+        feas = not nonfinite and feasible(problem, x, window, cfg.feas_tol,
+                                          stacked=stacked)
+        if feas or nonfinite or k >= cfg.max_iter:
             trace.append(TraceRecord(
                 k=k, bracket_k=counter.count, x=np.array(x), active=(),
                 violated=(), per_index=(), alpha_used=None, r_used=None,
                 step_norm=0.0, corrected=False, feasible_flag=feas))
-            status = "feasible" if feas else "max_iter"
+            status = ("feasible" if feas else
+                      "nonfinite" if nonfinite else "max_iter")
             return RunResult(status, k if feas else None, x, trace,
                              corrections, counter, norm_flag)
-        x, corrected, record = stepper(cfg, x, k, counter, feasible_flag=feas)
+        x, corrected, record = stepper(cfg, x, k, counter, feasible_flag=feas,
+                                       stacked=stacked)
         trace.append(record)
         corrections += corrected
         counter = counter_update(counter, corrected)
         if watch_norm and not norm_flag and float(np.linalg.norm(x)) > norm_cap:
             norm_flag = True
+        # A finite step norm implies a finite iterate; the norm of a finite
+        # but huge step can overflow, so only then are the coordinates read.
+        if not math.isfinite(record.step_norm):
+            nonfinite = not np.isfinite(x).all()
         k += 1
 
 

@@ -7,6 +7,7 @@ Points are plain 1-D ``numpy.float64`` arrays.  Constraint indices are
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -417,6 +418,21 @@ class Problem:
     def is_finite(self) -> bool:
         return self.m != math.inf
 
+    @functools.cached_property
+    def affine_rows(self) -> Optional["AffineRows"]:
+        """The stacked affine rows of a finite listed pool, built on first
+        use; None for lazy pools and for pools with fewer than
+        ``STACKED_MIN_ROWS`` such rows, which keep the per-constraint loop."""
+        if self._constraints is None:
+            return None
+        return AffineRows.build(self)
+
+    def residual_pass(self, x: Vector) -> Optional["RowPass"]:
+        """The stacked residual pass at x; None without stacked rows, or
+        where ``AffineRows.at`` leaves x to the scalar tests."""
+        rows = self.affine_rows
+        return rows.at(x) if rows is not None else None
+
     def constraint(self, i: int) -> Constraint:
         if i < 0 or (self.is_finite and i >= self.m):
             raise PoolIndexError(f"index out of pool: {i}")
@@ -456,9 +472,216 @@ class Problem:
                         f"interior ball violates constraint {i} at a sampled direction")
 
 
-def violated_indices(problem: Problem, x: Vector, window=None) -> tuple:
-    """I_+(x) restricted to a finite window: indices whose set x is outside of."""
+# ---------------------------------------------------------------------------
+# Stacked affine rows: one residual pass per iterate
+# ---------------------------------------------------------------------------
+
+# Fewest affine rows for which a pool is evaluated as one stacked matvec,
+# a measured crossover (README, "Performance"): below it cyclic runs are
+# faster with the per-constraint loop, since a pass costs a fixed few
+# microseconds of numpy calls, a scalar sign test about 1.5 us per row, and
+# a scan often stops at its first violated row.
+STACKED_MIN_ROWS = 16
+
+_U = 2.0 ** -53             # unit roundoff of binary64
+_SUBNORMAL = 2.0 ** -1074   # smallest positive binary64
+# Above this bound on sum |a_j x_j| + |b| a dot product could overflow.
+_SAFE = 2.0 ** 1000
+
+
+def _affine_row(body: Body):
+    """(a, b) when the body's violation is float(a @ x) - b, else None."""
+    if isinstance(body, Halfspace):
+        return body.a, body.b
+    if isinstance(body, Sublevel) and isinstance(body.f, Affine):
+        return body.f.a, body.f.b
+    return None
+
+
+class AffineRows:
+    """The rows of a finite pool whose violation is ``float(a @ x) - b``
+    (halfspaces and affine sublevel sets), stacked as (A, b, ||a_i||).
+
+    ``at(x)`` evaluates every row with one matvec.  BLAS may sum ``A @ x``
+    in another order than the scalar ``a @ x``, so the stacked residual
+    only filters: it settles a row's sign where a proven error bound
+    allows, and every other row, and every other body, is decided by its
+    own scalar test.  The constraints must not change once stacked.
+    """
+
+    def __init__(self, m: int, positions, rows, b, metric):
+        self.m = m
+        self.positions = np.asarray(positions, dtype=np.intp)
+        self._rows = rows
+        self.A = A = np.array(rows)
+        self.b = b
+        # Rows whose cutter is the metric projection onto a halfspace: the
+        # identity, with zero distance, wherever the row holds.
+        self.metric = np.asarray(metric, dtype=bool)
+        stacked = self.positions.tolist()
+        self.others = tuple(sorted(set(range(m)).difference(stacked)))
+        self.row_of = [-1] * m
+        for r, i in enumerate(stacked):
+            self.row_of[i] = r
+        # margin_i = 2 gamma_{d+1} (||a_i||_1 ||x||_inf + |b_i|) bounds
+        # |scalar - stacked| (see ``at``), with gamma_n = n u / (1 - n u).
+        # The factor 1 + 2^-20 absorbs the rounding of the margin itself
+        # (the sum for ||a_i||_1 is within gamma_d of it, below 2^-21 for
+        # d < 2^31) and the floor the gradual underflow of products.
+        d = A.shape[1]
+        two_gamma = 2.0 * (d + 1) * _U / (1.0 - (d + 1) * _U) * (1.0 + 2.0 ** -20)
+        l1 = np.abs(A).sum(axis=1)
+        self.scale = two_gamma * l1
+        self.offset = two_gamma * np.abs(b) + (2 * d + 8) * _SUBNORMAL
+        self.l1_max = float(l1.max())
+        self.b_max = float(np.abs(b).max())
+
+    @functools.cached_property
+    def norms(self):
+        """||a_i||, as Halfspace.distance computes it from the same array."""
+        return np.array([float(np.linalg.norm(a)) for a in self._rows])
+
+    @classmethod
+    def build(cls, problem: Problem) -> Optional["AffineRows"]:
+        """None when the pool has fewer than ``STACKED_MIN_ROWS`` affine
+        rows.  A row with ||a||_1 below 2^-900, whose margin scale could
+        underflow, is left to its scalar test."""
+        positions, rows, rhs, metric = [], [], [], []
+        for i, c in enumerate(problem._constraints):
+            row = _affine_row(c.body)
+            if row is not None and row[0].shape == (problem.dim,):
+                positions.append(i)
+                rows.append(row[0])
+                rhs.append(row[1])
+                metric.append(isinstance(c.body, Halfspace))
+        if rows:
+            keep = (np.abs(np.array(rows)).sum(axis=1) >= 2.0 ** -900).tolist()
+            if not all(keep):
+                positions, rows, rhs, metric = (
+                    [v for v, k in zip(col, keep) if k]
+                    for col in (positions, rows, rhs, metric))
+        if len(rows) < STACKED_MIN_ROWS:
+            return None
+        return cls(int(problem.m), positions, rows, np.array(rhs), metric)
+
+    def at(self, x: Vector) -> Optional["RowPass"]:
+        """The residual pass at x, or None when x is not finite or so large
+        that a dot product could overflow; the scalar tests then decide.
+
+        The scalar violation s_i and the stacked v_i both sum the d + 1
+        terms a_ij x_j and -b_i in some order, each within
+        gamma_{d+1} * (sum_j |a_ij x_j| + |b_i|) of the exact value for any
+        order, with or without FMA (Higham, Accuracy and Stability of
+        Numerical Algorithms, 2nd ed., section 3.1).  Hoelder's
+        sum_j |a_ij x_j| <= ||a_i||_1 ||x||_inf gives |s_i - v_i| <= margin_i.
+        """
+        xinf = float(np.abs(x).max())
+        if not xinf * self.l1_max + self.b_max < _SAFE:
+            return None
+        v = self.A @ x
+        v -= self.b
+        margin = self.scale * xinf
+        margin += self.offset
+        return RowPass(self, x, v, margin)
+
+
+class RowPass:
+    """One residual pass v = A @ x - b at an iterate x, with the certified
+    bound |v_i - s_i| <= margin_i on the scalar violations s_i."""
+
+    def __init__(self, rows: AffineRows, x: Vector, v, margin):
+        self.rows = rows
+        self.x = x
+        self.v = v
+        self.margin = margin
+        self._split = {}
+
+    def split(self, tol: float):
+        """Boolean masks over the rows: the violation certainly exceeds tol,
+        and it is certainly at most tol.  A row in neither is undecided."""
+        got = self._split.get(tol)
+        if got is None:
+            margin = self.margin
+            if tol:
+                # tol +- margin rounds; 2u|tol| more keeps the bound proven.
+                margin = margin + 2.0 * _U * abs(tol)
+                got = (self.v > tol + margin, self.v < tol - margin)
+            else:
+                got = (self.v > margin, self.v < -margin)
+            self._split[tol] = got
+        return got
+
+    def _undecided(self, violated, satisfied) -> list:
+        """Pool positions left to the scalar test, ascending: the rows
+        outside the stack and the undecided stacked rows."""
+        rows = self.rows
+        unsure = ~(violated | satisfied)
+        if not unsure.any():
+            return list(rows.others)
+        return sorted(rows.others + tuple(rows.positions[unsure].tolist()))
+
+    def feasible(self, problem: Problem, tol: float) -> bool:
+        """Every constraint of the pool holds at x, to tolerance tol."""
+        violated, satisfied = self.split(tol)
+        if violated.any():
+            # The answer is False.  The loop would first test, and may raise
+            # on, the bodies outside the stack that precede the row.
+            stop = int(self.rows.positions[violated.argmax()])
+            for i in self.rows.others:
+                if i >= stop or not problem.constraint(i).member(self.x, tol):
+                    break
+            return False
+        return all(problem.constraint(i).member(self.x, tol)
+                   for i in self._undecided(violated, satisfied))
+
+    def violated(self, problem: Problem) -> tuple:
+        """I_+(x) over the whole pool, ascending."""
+        violated, satisfied = self.split(0.0)
+        out = self.rows.positions[violated].tolist()
+        out += [i for i in self._undecided(violated, satisfied)
+                if not problem.constraint(i).member(self.x)]
+        return tuple(sorted(out))
+
+    def settled(self, indices) -> set:
+        """The indices whose constraint is a metric halfspace that x
+        certainly satisfies: there the cutter is the identity, with
+        residual, displacement, beta and rho all 0.0."""
+        rows = self.rows
+        if 8 * len(indices) < rows.m:
+            v, margin, metric, row_of = self.v, self.margin, rows.metric, rows.row_of
+            return {i for i in indices
+                    if (r := row_of[i]) >= 0 and metric[r] and v[r] < -margin[r]}
+        satisfied = self.split(0.0)[1]
+        return set(rows.positions[satisfied & rows.metric].tolist())
+
+    def candidates(self, score, spread) -> Optional[list]:
+        """Pool positions, ascending, whose scalar score may be the largest,
+        given stacked scores with |scalar - stacked| <= spread per row up to
+        one rounding each; the rows outside the stack are always included.
+        None when the scores are not finite."""
+        # 16u (score + spread) covers the roundings of score, lo and hi,
+        # 2^-1060 their underflow.
+        band = spread + 16.0 * _U * (score + spread) + 2.0 ** -1060
+        lo = score - band
+        top = float(lo.max())
+        if not math.isfinite(top):
+            return None
+        near = self.rows.positions[score + band >= top].tolist()
+        return sorted(self.rows.others + tuple(near)) if self.rows.others else near
+
+
+def violated_indices(problem: Problem, x: Vector, window=None,
+                     stacked: Optional[RowPass] = None) -> tuple:
+    """I_+(x) restricted to a finite window: indices whose set x is outside of.
+
+    Over the whole pool the stacked affine rows settle what they can;
+    ``stacked`` is a residual pass already taken at x.
+    """
     if window is None:
+        if stacked is None:
+            stacked = problem.residual_pass(x)
+        if stacked is not None:
+            return stacked.violated(problem)
         window = problem.indices()
     out = []
     for i in window:
@@ -467,18 +690,28 @@ def violated_indices(problem: Problem, x: Vector, window=None) -> tuple:
     return tuple(out)
 
 
-def feasible(problem: Problem, x: Vector, window=None, tol: float = 0.0) -> bool:
+def feasible(problem: Problem, x: Vector, window=None, tol: float = 0.0,
+             stacked: Optional[RowPass] = None) -> bool:
     """True iff x satisfies every constraint in the window and x is in Q.
 
     Membership is the sign test violation(x) <= tol with tol = 0 by default.
     For infinite pools the caller must supply a finite witness window.
+    Over the whole pool the stacked affine rows settle what they can;
+    ``stacked`` is a residual pass already taken at x.
     """
     if window is None:
         if not problem.is_finite:
             raise ConfigError("feasibility over an infinite pool needs a finite window")
-        window = problem.indices()
+        if stacked is None:
+            stacked = problem.residual_pass(x)
+        if stacked is None:
+            window = problem.indices()
+    else:
+        stacked = None
     if not problem.outer.member(x, tol):
         return False
+    if stacked is not None:
+        return stacked.feasible(problem, tol)
     for i in window:
         if not problem.constraint(i).member(x, tol):
             return False

@@ -99,6 +99,16 @@ def test_malformed_json_diagnostic():
                        (no_b, "problem.constraints[0].f.pieces[0].b")]:
         with pytest.raises(ConfigError, match=re.escape(f"'{field}' is missing")):
             build_run_config(doc)
+    # A member of the wrong type names its field, not a field inside it.
+    int_constraint = two_halfspace_doc()
+    int_constraint["problem"]["constraints"] = [1]
+    list_interior = two_halfspace_doc()
+    list_interior["problem"]["interior"] = [[-3.0, -3.0], 1.0]
+    for doc, field in [(int_constraint, "problem.constraints[0]"),
+                       (list_interior, "problem.interior")]:
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"'{field}' must be an object")):
+            build_run_config(doc)
 
 
 def test_cli_main_does_not_mask_key_errors(monkeypatch):
@@ -150,6 +160,20 @@ def test_cli_solve_a1_raw_hits_budget(tmp_path):
     assert "status=max_iter" in out.stdout
 
 
+def test_cli_solve_nonfinite_exits_three(tmp_path):
+    # alpha = 2 doubles an overshoot of 1e308 past the largest double.
+    doc = two_halfspace_doc(
+        problem={"dim": 1, "constraints": [{"type": "halfspace", "a": [1.0], "b": 0.0}]},
+        control={"kind": "cyclic", "order": [0]},
+        relaxation={"kind": "constant", "alpha": 2.0},
+        overrelaxation={"kind": "constant", "r": 1e308}, x0=[1e300])
+    path = write_doc(tmp_path, doc)
+    out = run_cli(["solve", "--config", path, "--output", "t.csv"], tmp_path)
+    assert out.returncode == 3
+    assert "status=nonfinite k_feasible=None" in out.stdout
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 3
+
+
 def test_cli_bad_relaxation_exits_one(tmp_path):
     doc = two_halfspace_doc(relaxation={"kind": "constant", "alpha": 2.5})
     path = write_doc(tmp_path, doc)
@@ -172,6 +196,19 @@ def test_cli_validate(tmp_path):
     out = run_cli(["validate", "--config", no_z], tmp_path)
     assert out.returncode == 1
     assert out.stderr.startswith("error:") and "'problem.interior.z'" in out.stderr
+    # An index outside the pool fails validation, as it would fail solve.
+    for control, field in [({"kind": "cyclic", "order": [5]}, "control.order[0]"),
+                           ({"kind": "intermittent", "blocks": [[0], [1, 2]]},
+                            "control.blocks[1][1]"),
+                           ({"kind": "explicit", "sets": [[0, -1]]}, "control.sets[0][1]"),
+                           ({"kind": "random_sets", "seed": 1,
+                             "atoms": [{"indices": [0], "p": 0.5},
+                                       {"indices": [2], "p": 0.5}]},
+                            "control.atoms[1].indices[0]")]:
+        path = write_doc(tmp_path, two_halfspace_doc(control=control), "out.json")
+        out = run_cli(["validate", "--config", path], tmp_path)
+        assert out.returncode == 1
+        assert out.stderr.startswith("error:") and f"'{field}'" in out.stderr
 
 
 def test_cli_certify(tmp_path):

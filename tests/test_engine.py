@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from feasik import (AbsCoordMinusC, Affine, Box, ConfigError, ConstantRelaxation,
+from feasik import (AbsCoordMinusC, Affine, Box, ConfigError,
+                    ConstantOverrelaxation, ConstantRelaxation,
                     Constraint, CorrectionCounter, Cyclic, Explicit,
                     FromFunction, Halfspace, Harmonic, Intermittent, OuterSet,
                     PhiCustom, PhiOne, PhiSubgradNorm, Problem,
@@ -207,6 +208,35 @@ def test_norm_monitor_flags_custom_phi():
     assert result.norm_flag
     cfg2 = make_cfg(p, [2.0, 0.0], control=Cyclic([0]))
     assert not solve(cfg2).norm_flag
+
+
+def test_nonfinite_iterate_stops_the_run():
+    # r/phi = 1e10/1e-308 overflows, and the step's compensated sum turns
+    # inf - inf into NaN: the run stops at once instead of spinning.
+    p = Problem(1, [Constraint(0, Halfspace([1.0], 0.0))])
+    phi = PhiCustom(lambda c, x: 1e-308, delta=1e-308, big_delta=1.0)
+    cfg = make_cfg(p, [1.0], control=Cyclic([0]), phi=phi,
+                   over=ConstantOverrelaxation(1e10))
+    with np.errstate(all="ignore"):
+        result = solve(cfg)
+    assert result.status == "nonfinite" and not result.feasible
+    assert result.k_feasible is None
+    assert len(result.trace) == 2 and math.isnan(result.trace[0].step_norm)
+    assert np.isnan(result.final).all() and not result.trace[-1].feasible_flag
+
+
+def test_overflowing_step_norm_of_a_finite_iterate_continues():
+    # From 1e100 the overshoot r = 1e200 lands near -1e200: the square of
+    # the step's length overflows, so the step norm reads inf although the
+    # iterate is finite.
+    p = Problem(1, [Constraint(0, Halfspace([1.0], 0.0))])
+    cfg = make_cfg(p, [1e100], control=Cyclic([0]),
+                   over=ConstantOverrelaxation(1e200))
+    with np.errstate(over="ignore"):
+        result = solve(cfg)
+    assert math.isinf(result.trace[0].step_norm)
+    assert result.status == "feasible" and result.k_feasible == 1
+    assert -math.inf < result.final[0] <= -1e200
 
 
 def test_nondivergent_schedule_warns(axis_halfspaces):
