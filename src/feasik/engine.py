@@ -143,19 +143,18 @@ def step(cfg: RunConfig, x: Vector, k: int, counter: CorrectionCounter,
     their cutter, whose image is x.
     """
     problem = cfg.problem
-    if stacked is None:
-        stacked = problem.residual_pass(x)
     j = counter.count if cfg.counter_mode == "bracketed" else k
     active = cfg.control.indices(k, x, problem, stacked)
     alpha = cfg.relaxation.alpha(j)
     r = cfg.overrelaxation.r(j)
-    settled = stacked.settled(active) if stacked is not None else ()
+    if stacked is not None:
+        row_of, settled = stacked.rows.row_of, stacked.settled
 
     per_index = []
     moved = []
     violated = []
     for i in active:
-        if i in settled:
+        if stacked is not None and (q := row_of[i]) >= 0 and settled[q]:
             per_index.append((i, 0.0, 0.0, 0.0, 0.0))
             continue
         ce = evaluate_cutter(problem.constraint(i), x)
@@ -202,8 +201,6 @@ def step_subgradient(cfg: RunConfig, x: Vector, k: int, counter: CorrectionCount
     from .model import Sublevel
 
     problem = cfg.problem
-    if stacked is None:
-        stacked = problem.residual_pass(x)
     j = counter.count if cfg.counter_mode == "bracketed" else k
     active = cfg.control.indices(k, x, problem, stacked)
     alpha = cfg.relaxation.alpha(j)

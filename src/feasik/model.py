@@ -611,48 +611,42 @@ class RowPass:
             self._split[tol] = got
         return got
 
-    def _undecided(self, violated, satisfied) -> list:
-        """Pool positions left to the scalar test, ascending: the rows
-        outside the stack and the undecided stacked rows."""
+    def _open(self, satisfied) -> list:
+        """Pool positions, ascending, that x does not certainly satisfy:
+        the stacked rows outside ``satisfied`` and the rows outside the
+        stack."""
         rows = self.rows
-        unsure = ~(violated | satisfied)
-        if not unsure.any():
-            return list(rows.others)
-        return sorted(rows.others + tuple(rows.positions[unsure].tolist()))
+        out = rows.positions[~satisfied].tolist()
+        return sorted(out + list(rows.others)) if rows.others else out
 
     def feasible(self, problem: Problem, tol: float) -> bool:
-        """Every constraint of the pool holds at x, to tolerance tol."""
+        """Every constraint of the pool holds at x, to tolerance tol.
+
+        The scalar loop's order: a certainly violated row ends the scan, any
+        other open position is decided, and may raise, in its member test.
+        """
         violated, satisfied = self.split(tol)
-        if violated.any():
-            # The answer is False.  The loop would first test, and may raise
-            # on, the bodies outside the stack that precede the row.
-            stop = int(self.rows.positions[violated.argmax()])
-            for i in self.rows.others:
-                if i >= stop or not problem.constraint(i).member(self.x, tol):
-                    break
-            return False
-        return all(problem.constraint(i).member(self.x, tol)
-                   for i in self._undecided(violated, satisfied))
+        row_of = self.rows.row_of
+        for i in self._open(satisfied):
+            r = row_of[i]
+            if (r >= 0 and violated[r]) or not problem.constraint(i).member(self.x, tol):
+                return False
+        return True
 
     def violated(self, problem: Problem) -> tuple:
         """I_+(x) over the whole pool, ascending."""
         violated, satisfied = self.split(0.0)
-        out = self.rows.positions[violated].tolist()
-        out += [i for i in self._undecided(violated, satisfied)
-                if not problem.constraint(i).member(self.x)]
-        return tuple(sorted(out))
+        row_of = self.rows.row_of
+        return tuple(i for i in self._open(satisfied)
+                     if ((r := row_of[i]) >= 0 and violated[r])
+                     or not problem.constraint(i).member(self.x))
 
-    def settled(self, indices) -> set:
-        """The indices whose constraint is a metric halfspace that x
-        certainly satisfies: there the cutter is the identity, with
+    @functools.cached_property
+    def settled(self):
+        """Mask over the stacked rows: the metric halfspaces that x
+        certainly satisfies.  There the cutter is the identity, with
         residual, displacement, beta and rho all 0.0."""
-        rows = self.rows
-        if 8 * len(indices) < rows.m:
-            v, margin, metric, row_of = self.v, self.margin, rows.metric, rows.row_of
-            return {i for i in indices
-                    if (r := row_of[i]) >= 0 and metric[r] and v[r] < -margin[r]}
-        satisfied = self.split(0.0)[1]
-        return set(rows.positions[satisfied & rows.metric].tolist())
+        return self.split(0.0)[1] & self.rows.metric
 
     def candidates(self, score, spread) -> Optional[list]:
         """Pool positions, ascending, whose scalar score may be the largest,

@@ -148,8 +148,26 @@ def test_decisions_hold_for_any_rounding_within_the_margin(case, duplicate, seed
     every = tuple(problem.indices())
     held = [i for i in every if isinstance(problem.constraint(i).body, Halfspace)
             and problem.constraint(i).member(x)]
-    assert p.settled(every) <= set(held)
-    assert p.settled(every[:1]) <= set(held)
+    assert set(p.rows.positions[p.settled].tolist()) <= set(held)
+
+
+def test_feasible_keeps_the_scalar_scan_order():
+    # Row 0 is violated by 2^-52, within its margin, so its own test
+    # decides it; row 1 lies outside the stack (its normal has the wrong
+    # length) and raises in its member test; row 2 is certainly violated.
+    # The scalar loop stops at row 0 and never reaches row 1.
+    x = np.array([1.0, -1.0 + 2.0 ** -52])
+    bodies = [Halfspace([1.0, 1.0], 0.0), Halfspace([1.0, 1.0, 1.0], 0.0),
+              Halfspace([1.0, 0.0], -5.0)]
+    bodies += [Halfspace([1.0, 0.0], 10.0)] * STACKED_MIN_ROWS
+    problem = Problem(2, [Constraint(i, b) for i, b in enumerate(bodies)])
+    p = problem.residual_pass(x)
+    violated, satisfied = p.split(0.0)
+    assert not violated[0] and not satisfied[0] and violated[1]
+    assert problem.affine_rows.others == (1,)
+    with pytest.raises(ValueError):
+        problem.constraint(1).member(x)
+    assert feasible(problem, x) is feasible(lazy_twin(problem), x) is False
 
 
 def test_margin_survives_cancellation():
