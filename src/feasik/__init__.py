@@ -6,12 +6,11 @@ from .model import (Affine, AbsCoordMinusC, Ball, Box, Constraint, Halfspace,
                     MaxAffine, OuterSet, Problem, QuadCoordMinusC,
                     SquaredDistToBall, Sublevel, as_vector, feasible,
                     violated_indices)
-from .operators import (CutterEval, check_cutter_property, cutter_map,
-                        evaluate_cutter, project_metric, project_subgradient)
+from .operators import (CutterEval, check_cutter_property, evaluate_cutter,
+                        project_metric, project_subgradient)
 from .controls import (Cyclic, Explicit, Intermittent, MaxDisplacement,
                        MaxViolation, RandomSets, RemotestSet, Repetitive,
-                       empirical_well_matched, next_indices,
-                       positivity_diagnostic)
+                       empirical_well_matched, positivity_diagnostic)
 from .schedules import (ConstantOverrelaxation, ConstantRelaxation,
                         CorrectionCounter, ExplicitTable, FromFunction,
                         Geometric, Harmonic, MergedDecreasing,

@@ -94,8 +94,9 @@ def _sweep_one(payload):
     result = solve(run)
     dt = time.perf_counter() - t0
     over = run_doc["overrelaxation"]["kind"]
-    row = [row_id, control_doc["kind"], phi_kind, over,
-           str(result.k_feasible) if result.feasible else "MAX",
+    k_feasible = {"feasible": str(result.k_feasible), "max_iter": "MAX",
+                  "nonfinite": "NONFINITE"}[result.status]
+    row = [row_id, control_doc["kind"], phi_kind, over, k_feasible,
            str(result.corrections)]
     row.append(f"{dt:.6f}" if timing else "")
     return row

@@ -3,6 +3,7 @@ selection, plus well-matchedness and positivity diagnostics."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -15,10 +16,10 @@ from .operators import evaluate_cutter
 
 
 def _index_tuple(indices) -> tuple:
-    out = tuple(int(i) for i in indices)
+    out = tuple(map(int, indices))
     if not out:
         raise ControlError("control emitted an empty index set")
-    if len(set(out)) != len(out):
+    if len(out) > 1 and len(set(out)) != len(out):
         raise ControlError(f"control emitted duplicate indices {out}")
     return out
 
@@ -37,25 +38,49 @@ class Control:
                 stacked: Optional[RowPass] = None) -> tuple:
         raise NotImplementedError
 
-    def indices(self, k: int, x: Vector, problem: Problem,
-                stacked: Optional[RowPass] = None) -> tuple:
-        """``stacked`` is a residual pass already taken at x, which
-        adaptive controls use to score the stacked rows at once."""
+    def _emit(self, k: int, x: Vector, problem: Problem,
+              stacked: Optional[RowPass]) -> tuple:
+        """(I_k, lo, hi) with lo <= min I_k and max I_k <= hi, and I_k
+        checked against max_card."""
         out = _index_tuple(self._select(k, x, problem, stacked))
         if len(out) > self.max_card:
             raise ControlError(
                 f"control emitted {len(out)} indices, above max_card {self.max_card}")
-        for i in out:
-            problem.constraint(i)  # raises "index out of pool" on bad indices
+        return out, min(out), max(out)
+
+    def indices(self, k: int, x: Vector, problem: Problem,
+                stacked: Optional[RowPass] = None) -> tuple:
+        """``stacked`` is a residual pass already taken at x, which
+        adaptive controls use to score the stacked rows at once."""
+        out, lo, hi = self._emit(k, x, problem, stacked)
+        if problem.is_lazy or lo < 0 or hi >= problem.m:
+            # Materializes a lazy pool's constraints, and raises "index out
+            # of pool" at the first emitted index outside the pool, if any.
+            for i in out:
+                problem.constraint(i)
         return out
 
 
-def next_indices(control: Control, k: int, x: Vector, problem: Problem) -> tuple:
-    """The index set I_k(x) for iteration k."""
-    return control.indices(k, x, problem)
+class _FixedSets(Control):
+    """A control whose index sets come from a fixed family, validated at
+    construction.  The smallest and the largest index of the whole family
+    are taken once, at the first emission: a pool that holds that range
+    holds every emission."""
+
+    def _family(self) -> list:
+        """Index sets that together hold every index the control emits."""
+        raise NotImplementedError
+
+    @functools.cached_property
+    def _range(self) -> tuple:
+        family = self._family()
+        return min(map(min, family)), max(map(max, family))
+
+    def _emit(self, k, x, problem, stacked):
+        return (self._select(k, x, problem, stacked), *self._range)
 
 
-class Cyclic(Control):
+class Cyclic(_FixedSets):
     """Singleton control order[k mod s]."""
 
     kind = "cyclic"
@@ -65,6 +90,9 @@ class Cyclic(Control):
         if not self.order:
             raise ConfigError("cyclic order is empty")
 
+    def _family(self):
+        return [self.order]
+
     @property
     def max_card(self):
         return 1
@@ -73,7 +101,7 @@ class Cyclic(Control):
         return (self.order[k % len(self.order)],)
 
 
-class Intermittent(Control):
+class Intermittent(_FixedSets):
     """Cycles through the given blocks; with span s = number of blocks, every
     window of s consecutive steps emits every block once."""
 
@@ -83,6 +111,9 @@ class Intermittent(Control):
         self.blocks = [_index_tuple(b) for b in blocks]
         if not self.blocks:
             raise ConfigError("intermittent control needs at least one block")
+
+    def _family(self):
+        return self.blocks
 
     @property
     def span(self):
@@ -117,7 +148,7 @@ class Repetitive(Control):
         return self.schedule(k)
 
 
-class Explicit(Control):
+class Explicit(_FixedSets):
     """A finite, explicitly listed sequence of index sets."""
 
     kind = "explicit"
@@ -126,6 +157,9 @@ class Explicit(Control):
         self.sets = [_index_tuple(s) for s in sets]
         if not self.sets:
             raise ConfigError("explicit control has no sets")
+
+    def _family(self):
+        return self.sets
 
     @property
     def max_card(self):
@@ -208,7 +242,7 @@ class MaxViolation(_Maximal):
         return np.maximum(stacked.v, 0.0), stacked.margin
 
 
-class RandomSets(Control):
+class RandomSets(_FixedSets):
     """I.i.d. draws from a finite distribution over index sets.
 
     The draw at iteration k uses a counter-based generator keyed by
@@ -233,6 +267,9 @@ class RandomSets(Control):
     @property
     def max_card(self):
         return max(len(s) for s, _ in self.atoms)
+
+    def _family(self):
+        return [s for s, _ in self.atoms]
 
     def draw_uniform(self, k: int) -> float:
         bg = np.random.Philox(key=self.seed, counter=k)

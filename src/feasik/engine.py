@@ -22,24 +22,39 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .model import Problem, RowPass, Vector, as_vector, feasible
+from .model import Problem, RowPass, Vector, as_vector, feasible, norm
 from .operators import evaluate_cutter
 from .schedules import CorrectionCounter, PhiCustom, beta, counter_update
 
 
 def compensated_sum(vectors, dim: int) -> Vector:
     """Neumaier-compensated vector sum; keeps certificate slacks meaningful
-    when many small terms combine."""
-    s = np.zeros(dim)
-    c = np.zeros(dim)
-    for v in vectors:
-        t = s + v
-        swap = np.abs(s) >= np.abs(v)
-        big = np.where(swap, s, v)
-        small = np.where(swap, v, s)
-        c += (big - t) + small
-        s = t
-    return s + c
+    when many small terms combine.
+
+    Term by term, from s = c = 0: t = s + v, c += (big - t) + small, where
+    big and small are s and v ordered by magnitude (s first on ties), and
+    s = t; the result is s + c.  The first term gives s = v + 0.0 and
+    c = v - v exactly, signed zeros, infinities and NaN included.  The
+    later partial sums of s and of c are left folds, which
+    ``np.add.accumulate`` computes in the same order, so the stacked terms
+    take a fixed number of numpy calls and the result is bit-identical.
+    """
+    if len(vectors) == 0:
+        return np.zeros(dim)
+    if len(vectors) == 1:
+        v = np.asarray(vectors[0], dtype=np.float64)
+        return (v + 0.0) + (v - v)
+    v = np.array(vectors, dtype=np.float64)
+    s = v.copy()
+    s[0] += 0.0
+    s = np.add.accumulate(s, axis=0)
+    prev, t, w = s[:-1], s[1:], v[1:]
+    swap = np.abs(prev) >= np.abs(w)
+    c = np.empty_like(v)
+    c[0] = v[0] - v[0]
+    np.subtract(np.where(swap, prev, w), t, out=c[1:])
+    c[1:] += np.where(swap, w, prev)
+    return s[-1] + np.add.accumulate(c, axis=0)[-1]
 
 
 @dataclass
@@ -149,18 +164,20 @@ def step(cfg: RunConfig, x: Vector, k: int, counter: CorrectionCounter,
     r = cfg.overrelaxation.r(j)
     if stacked is not None:
         row_of, settled = stacked.rows.row_of, stacked.settled
+        zero_entries = stacked.rows.zero_entries
 
     per_index = []
     moved = []
     violated = []
     for i in active:
         if stacked is not None and (q := row_of[i]) >= 0 and settled[q]:
-            per_index.append((i, 0.0, 0.0, 0.0, 0.0))
+            per_index.append(zero_entries[q])
             continue
-        ce = evaluate_cutter(problem.constraint(i), x)
+        constraint = problem.constraint(i)
+        ce = evaluate_cutter(constraint, x)
         if ce.displacement_norm > 0.0:
             violated.append(i)
-            phi_val = cfg.phi.value(problem.constraint(i), x)
+            phi_val = cfg.phi.value(constraint, x)
             b = beta(r, phi_val, ce.displacement_norm)
             rho = r / phi_val
             if b != 0.0:
@@ -182,7 +199,7 @@ def step(cfg: RunConfig, x: Vector, k: int, counter: CorrectionCounter,
         k=k, bracket_k=counter.count, x=np.array(x), active=active,
         violated=violated, per_index=tuple(per_index),
         alpha_used=alpha, r_used=r,
-        step_norm=float(np.linalg.norm(x_next - x)),
+        step_norm=norm(x_next - x),
         corrected=corrected, feasible_flag=bool(feasible_flag))
     return x_next, corrected, record
 
@@ -247,7 +264,7 @@ def step_subgradient(cfg: RunConfig, x: Vector, k: int, counter: CorrectionCount
         per_index=tuple((i, ce.residual, ce.displacement_norm, b, rho)
                         for i, ce, b, rho in entries),
         alpha_used=alpha, r_used=r,
-        step_norm=float(np.linalg.norm(x_next - x)),
+        step_norm=norm(x_next - x),
         corrected=corrected, feasible_flag=bool(feasible_flag))
     return x_next, corrected, record
 

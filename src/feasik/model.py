@@ -31,6 +31,14 @@ def as_vector(coords, dim: Optional[int] = None) -> Vector:
     return x
 
 
+def norm(v: Vector) -> float:
+    """``float(np.linalg.norm(v))`` for a 1-D float64 array, without the
+    dispatch: numpy's 2-norm of a vector is ``sqrt(v.dot(v))`` over
+    ``v.ravel()``, and so is this, bit for bit."""
+    v = v.ravel()
+    return math.sqrt(v.dot(v))
+
+
 # ---------------------------------------------------------------------------
 # Convex functions with deterministic subgradient selection
 # ---------------------------------------------------------------------------
@@ -175,6 +183,10 @@ class Body:
     def project(self, x: Vector) -> Vector:
         raise ConfigError(f"{type(self).__name__} has no closed-form projection")
 
+    def cut(self, x: Vector) -> tuple:
+        """(project(x), distance(x)): the metric cutter's image and residual."""
+        return self.project(x), self.distance(x)
+
 
 @dataclass(frozen=True)
 class Halfspace(Body):
@@ -194,13 +206,20 @@ class Halfspace(Body):
         return float(self.a @ x) - self.b
 
     def distance(self, x):
-        v = self.violation(x)
-        if v <= 0.0:
-            return 0.0
-        return v / float(np.linalg.norm(self.a))
+        return self._distance(self.violation(x))
 
     def project(self, x):
+        return self._project(x, self.violation(x))
+
+    def cut(self, x):
+        # One violation serves the image and the distance.
         v = self.violation(x)
+        return self._project(x, v), self._distance(v)
+
+    def _distance(self, v):
+        return 0.0 if v <= 0.0 else v / norm(self.a)
+
+    def _project(self, x, v):
         if v <= 0.0:
             return np.array(x, dtype=np.float64)
         return x - (v / float(self.a @ self.a)) * self.a
@@ -418,12 +437,17 @@ class Problem:
     def is_finite(self) -> bool:
         return self.m != math.inf
 
+    @property
+    def is_lazy(self) -> bool:
+        """The pool is an ``index -> Constraint`` function, not a list."""
+        return self._constraints is None
+
     @functools.cached_property
     def affine_rows(self) -> Optional["AffineRows"]:
         """The stacked affine rows of a finite listed pool, built on first
         use; None for lazy pools and for pools with fewer than
         ``STACKED_MIN_ROWS`` such rows, which keep the per-constraint loop."""
-        if self._constraints is None:
+        if self.is_lazy:
             return None
         return AffineRows.build(self)
 
@@ -509,20 +533,19 @@ class AffineRows:
     own scalar test.  The constraints must not change once stacked.
     """
 
-    def __init__(self, m: int, positions, rows, b, metric):
+    def __init__(self, m: int, positions, rows, A, l1, b, metric):
         self.m = m
-        self.positions = np.asarray(positions, dtype=np.intp)
+        self.positions = positions
         self._rows = rows
-        self.A = A = np.array(rows)
+        self.A = A
         self.b = b
         # Rows whose cutter is the metric projection onto a halfspace: the
         # identity, with zero distance, wherever the row holds.
-        self.metric = np.asarray(metric, dtype=bool)
-        stacked = self.positions.tolist()
-        self.others = tuple(sorted(set(range(m)).difference(stacked)))
-        self.row_of = [-1] * m
-        for r, i in enumerate(stacked):
-            self.row_of[i] = r
+        self.metric = metric
+        row_of = np.full(m, -1, dtype=np.intp)
+        row_of[positions] = np.arange(len(positions))
+        self.others = tuple(np.flatnonzero(row_of < 0).tolist())
+        self.row_of = row_of.tolist()
         # margin_i = 2 gamma_{d+1} (||a_i||_1 ||x||_inf + |b_i|) bounds
         # |scalar - stacked| (see ``at``), with gamma_n = n u / (1 - n u).
         # The factor 1 + 2^-20 absorbs the rounding of the margin itself
@@ -530,7 +553,6 @@ class AffineRows:
         # d < 2^31) and the floor the gradual underflow of products.
         d = A.shape[1]
         two_gamma = 2.0 * (d + 1) * _U / (1.0 - (d + 1) * _U) * (1.0 + 2.0 ** -20)
-        l1 = np.abs(A).sum(axis=1)
         self.scale = two_gamma * l1
         self.offset = two_gamma * np.abs(b) + (2 * d + 8) * _SUBNORMAL
         self.l1_max = float(l1.max())
@@ -539,7 +561,13 @@ class AffineRows:
     @functools.cached_property
     def norms(self):
         """||a_i||, as Halfspace.distance computes it from the same array."""
-        return np.array([float(np.linalg.norm(a)) for a in self._rows])
+        return np.array([norm(a) for a in self._rows])
+
+    @functools.cached_property
+    def zero_entries(self) -> list:
+        """Per stacked row, the trace entry (i, 0.0, 0.0, 0.0, 0.0) of a
+        settled metric halfspace: one tuple, shared by every step."""
+        return [(i, 0.0, 0.0, 0.0, 0.0) for i in self.positions.tolist()]
 
     @classmethod
     def build(cls, problem: Problem) -> Optional["AffineRows"]:
@@ -554,15 +582,20 @@ class AffineRows:
                 rows.append(row[0])
                 rhs.append(row[1])
                 metric.append(isinstance(c.body, Halfspace))
-        if rows:
-            keep = (np.abs(np.array(rows)).sum(axis=1) >= 2.0 ** -900).tolist()
-            if not all(keep):
-                positions, rows, rhs, metric = (
-                    [v for v, k in zip(col, keep) if k]
-                    for col in (positions, rows, rhs, metric))
         if len(rows) < STACKED_MIN_ROWS:
             return None
-        return cls(int(problem.m), positions, rows, np.array(rhs), metric)
+        A = np.array(rows)
+        l1 = np.abs(A).sum(axis=1)
+        cols = [np.array(positions, dtype=np.intp), A, l1, np.array(rhs),
+                np.array(metric, dtype=bool)]
+        keep = l1 >= 2.0 ** -900
+        if not keep.all():
+            cols = [col[keep] for col in cols]
+            rows = [a for a, k in zip(rows, keep.tolist()) if k]
+            if len(rows) < STACKED_MIN_ROWS:
+                return None
+        positions, A, l1, b, metric = cols
+        return cls(int(problem.m), positions, rows, A, l1, b, metric)
 
     def at(self, x: Vector) -> Optional["RowPass"]:
         """The residual pass at x, or None when x is not finite or so large

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InconsistentConstraintError
-from .model import (Body, Constraint, METRIC_BODIES, Sublevel, Vector)
+from .model import Body, Constraint, METRIC_BODIES, Sublevel, Vector, norm
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,8 @@ def project_metric(body: Body, x: Vector) -> CutterEval:
     """Nearest-point projection onto a halfspace, ball or box."""
     if not isinstance(body, METRIC_BODIES):
         raise ConfigError(f"no metric projection for {type(body).__name__}")
-    image = body.project(x)
-    disp = float(np.linalg.norm(image - x))
-    return CutterEval(image, disp, body.distance(x))
+    image, distance = body.cut(x)
+    return CutterEval(image, norm(image - x), distance)
 
 
 def project_subgradient(f, x: Vector) -> CutterEval:
@@ -50,7 +49,7 @@ def project_subgradient(f, x: Vector) -> CutterEval:
         raise InconsistentConstraintError(
             "inconsistent constraint: positive value with zero subgradient")
     image = x - (val / gg) * g
-    return CutterEval(image, float(np.linalg.norm(image - x)), val)
+    return CutterEval(image, norm(image - x), val)
 
 
 def evaluate_cutter(constraint: Constraint, x: Vector) -> CutterEval:
@@ -61,13 +60,8 @@ def evaluate_cutter(constraint: Constraint, x: Vector) -> CutterEval:
     if isinstance(body, Sublevel):
         # metric override: project onto the sublevel set's known geometry
         image = body.project(x)
-        return CutterEval(image, float(np.linalg.norm(image - x)), body.violation(x))
+        return CutterEval(image, norm(image - x), body.violation(x))
     return project_metric(body, x)
-
-
-def cutter_map(constraint: Constraint):
-    """The cutter as a plain point map x -> T_i(x)."""
-    return lambda x: evaluate_cutter(constraint, x).image
 
 
 def check_cutter_property(T, x: Vector, z: Vector, rtol: float = 1e-10):

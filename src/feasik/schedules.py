@@ -279,6 +279,7 @@ class UniformOverViolated(WeightRule):
     def weights(self, active, violated):
         if violated:
             w = 1.0 / len(violated)
+            violated = set(violated)
             return {i: (w if i in violated else 0.0) for i in active}
         w = 1.0 / len(active)
         return {i: w for i in active}

@@ -286,6 +286,25 @@ def test_cli_sweep_parallel_matches_serial(tmp_path):
     assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
 
 
+def test_cli_sweep_reports_nonfinite_runs(tmp_path):
+    # The run of test_cli_solve_nonfinite_exits_three: it stops nonfinite
+    # and does not read like one that ran out of budget ("MAX").
+    doc = {
+        "base": {"problem": {"dim": 1, "constraints": [
+                     {"type": "halfspace", "a": [1.0], "b": 0.0}]},
+                 "relaxation": {"kind": "constant", "alpha": 2.0},
+                 "overrelaxation": {"kind": "constant", "r": 1e308},
+                 "weights": {"kind": "uniform_active"}, "max_iter": 1000},
+        "instances": [{"x0": [1e300]}],
+        "controls": [{"kind": "cyclic", "order": [0]}],
+        "phis": ["one"],
+    }
+    path = write_doc(tmp_path, doc, "grid.json")
+    out = run_cli(["sweep", "--config", path], tmp_path)
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[1:] == ["instance0,cyclic,one,constant,NONFINITE,1,"]
+
+
 def test_cli_sweep_empty_grid(tmp_path):
     doc = sweep_doc()
     doc["instances"] = []

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from feasik import (AbsCoordMinusC, ConfigError, Constraint, ControlError,
-                    Cyclic, Explicit, Halfspace, Intermittent, MaxDisplacement,
-                    MaxViolation, Problem, QuadCoordMinusC, RandomSets,
-                    RemotestSet, Repetitive, Sublevel, empirical_well_matched,
-                    next_indices, positivity_diagnostic)
+from feasik import (AbsCoordMinusC, ConfigError, ConstantRelaxation,
+                    Constraint, ControlError, Cyclic, Explicit, Halfspace,
+                    Harmonic, Intermittent, MaxDisplacement, MaxViolation,
+                    PhiOne, PoolIndexError, Problem, QuadCoordMinusC,
+                    RandomSets, RemotestSet, Repetitive, RunConfig, Sublevel,
+                    UniformOverActive, empirical_well_matched,
+                    positivity_diagnostic, solve)
 from feasik.controls import covers_every_window
 
 
@@ -19,57 +21,128 @@ def a2_problem():
 def test_cyclic_order(axis_halfspaces):
     c = Cyclic([0, 1])
     x = np.zeros(2)
-    assert next_indices(c, 0, x, axis_halfspaces) == (0,)
-    assert next_indices(c, 1, x, axis_halfspaces) == (1,)
-    assert next_indices(c, 2, x, axis_halfspaces) == (0,)
+    assert c.indices(0, x, axis_halfspaces) == (0,)
+    assert c.indices(1, x, axis_halfspaces) == (1,)
+    assert c.indices(2, x, axis_halfspaces) == (0,)
 
 
 def test_remotest_picks_largest_distance(axis_halfspaces):
     c = RemotestSet()
-    assert next_indices(c, 0, np.array([2.0, 1.0]), axis_halfspaces) == (0,)
-    assert next_indices(c, 0, np.array([1.0, 2.0]), axis_halfspaces) == (1,)
+    assert c.indices(0, np.array([2.0, 1.0]), axis_halfspaces) == (0,)
+    assert c.indices(0, np.array([1.0, 2.0]), axis_halfspaces) == (1,)
 
 
 def test_max_violation_on_a2():
     p = a2_problem()
     # f1(2,2) = 1, f2(2,2) = 3
-    assert next_indices(MaxViolation(), 0, np.array([2.0, 2.0]), p) == (1,)
+    assert MaxViolation().indices(0, np.array([2.0, 2.0]), p) == (1,)
 
 
 def test_max_displacement(axis_halfspaces):
     c = MaxDisplacement()
-    assert next_indices(c, 0, np.array([0.5, 3.0]), axis_halfspaces) == (1,)
+    assert c.indices(0, np.array([0.5, 3.0]), axis_halfspaces) == (1,)
 
 
 def test_maximal_requires_finite_pool():
     p = Problem(1, pool=lambda i: Constraint(i, Halfspace([1.0], float(i))),
                 m=math.inf)
     with pytest.raises(ControlError, match="maximal control requires finite pool"):
-        next_indices(RemotestSet(), 0, np.array([0.0]), p)
+        RemotestSet().indices(0, np.array([0.0]), p)
 
 
 def test_out_of_pool_index_raises(axis_halfspaces):
-    from feasik import PoolIndexError
     with pytest.raises(PoolIndexError):
-        next_indices(Cyclic([5]), 0, np.zeros(2), axis_halfspaces)
+        Cyclic([5]).indices(0, np.zeros(2), axis_halfspaces)
+
+
+def test_out_of_pool_index_raises_at_the_step_that_emits_it(axis_halfspaces):
+    c = Explicit([(0,), (1,), (5,)])
+    x = np.zeros(2)
+    assert c.indices(0, x, axis_halfspaces) == (0,)
+    assert c.indices(1, x, axis_halfspaces) == (1,)
+    with pytest.raises(PoolIndexError, match=r"^index out of pool: 5$"):
+        c.indices(2, x, axis_halfspaces)
+    # The first index outside the pool in emission order, not the largest.
+    c = Intermittent([(0, 1), (1, 5, 7, 0)])
+    assert c.indices(0, x, axis_halfspaces) == (0, 1)
+    with pytest.raises(PoolIndexError, match=r"^index out of pool: 5$"):
+        c.indices(1, x, axis_halfspaces)
+    with pytest.raises(PoolIndexError, match=r"^index out of pool: -1$"):
+        Cyclic([1, -1]).indices(1, x, axis_halfspaces)
+    c = RandomSets([((0,), 0.5), ((1, 2), 0.5)], seed=3)
+    wide = Problem(2, [Constraint(i, Halfspace([1.0, 0.0], 0.0)) for i in range(3)])
+    draws = [c.indices(k, x, wide) for k in range(20)]
+    assert set(draws) == {(0,), (1, 2)}
+    for k, drawn in enumerate(draws):
+        if drawn == (1, 2):
+            with pytest.raises(PoolIndexError, match=r"^index out of pool: 2$"):
+                c.indices(k, x, axis_halfspaces)
+        else:
+            assert c.indices(k, x, axis_halfspaces) == (0,)
+    c = Repetitive(lambda k: (0,) if k < 3 else (1, 3), max_card=2)
+    assert [c.indices(k, x, axis_halfspaces) for k in range(3)] == [(0,)] * 3
+    with pytest.raises(PoolIndexError, match=r"^index out of pool: 3$"):
+        c.indices(3, x, axis_halfspaces)
+
+
+def explicit_run(problem, sets, x0):
+    return RunConfig(problem=problem, control=Explicit(sets),
+                     relaxation=ConstantRelaxation(1.0), overrelaxation=Harmonic(),
+                     phi=PhiOne(), weights=UniformOverActive(), x0=x0)
+
+
+def test_a_run_meets_a_bad_set_only_when_it_gets_there(axis_halfspaces):
+    # From (1, 1) the steps on C_0 and C_1 reach the feasible set at k = 2,
+    # whose test comes before the control is asked for I_2.
+    result = solve(explicit_run(axis_halfspaces, [(0,), (1,), (5,)], [1.0, 1.0]))
+    assert result.status == "feasible" and result.k_feasible == 2
+    # Two steps on C_1 leave C_0 violated: the run asks for I_2, which
+    # holds the index outside the pool; without it the run gets as far as
+    # the end of the list.
+    with pytest.raises(PoolIndexError, match=r"^index out of pool: 5$"):
+        solve(explicit_run(axis_halfspaces, [(1,), (1,), (5,)], [1.0, 1.0]))
+    with pytest.raises(ControlError, match="exhausted at step 2"):
+        solve(explicit_run(axis_halfspaces, [(1,), (1,)], [1.0, 1.0]))
+
+
+def test_lazy_pools_materialize_every_emitted_index():
+    made = []
+
+    def pool(i):
+        made.append(i)
+        return Constraint(i, Halfspace([1.0], float(i)))
+
+    p = Problem(1, pool=pool, m=10)
+    x = np.zeros(1)
+    assert Intermittent([(4, 2, 7)]).indices(0, x, p) == (4, 2, 7)
+    assert made == [4, 2, 7]
+    with pytest.raises(PoolIndexError, match=r"^index out of pool: 10$"):
+        Cyclic([3, 10]).indices(1, x, p)
+    assert made == [4, 2, 7]
+    infinite = Problem(1, pool=pool, m=math.inf)
+    assert Cyclic([123456]).indices(0, x, infinite) == (123456,)
+    assert made[-1] == 123456
+    wrong = Problem(1, pool=lambda i: Constraint(0, Halfspace([1.0], 0.0)), m=3)
+    with pytest.raises(ConfigError, match="pool returned constraint with index 0 for 2"):
+        Cyclic([2]).indices(0, x, wrong)
 
 
 def test_emission_validation(axis_halfspaces):
     with pytest.raises(ControlError):
-        next_indices(Repetitive(lambda k: ()), 0, np.zeros(2), axis_halfspaces)
+        Repetitive(lambda k: ()).indices(0, np.zeros(2), axis_halfspaces)
     with pytest.raises(ControlError):
-        next_indices(Repetitive(lambda k: (0, 0)), 0, np.zeros(2), axis_halfspaces)
+        Repetitive(lambda k: (0, 0)).indices(0, np.zeros(2), axis_halfspaces)
     with pytest.raises(ControlError):
         # emits two indices with declared max_card 1
-        next_indices(Repetitive(lambda k: (0, 1), max_card=1), 0,
-                     np.zeros(2), axis_halfspaces)
+        Repetitive(lambda k: (0, 1), max_card=1).indices(
+            0, np.zeros(2), axis_halfspaces)
 
 
 def test_explicit_exhausted(axis_halfspaces):
     c = Explicit([(0,), (1,)])
-    assert next_indices(c, 1, np.zeros(2), axis_halfspaces) == (1,)
+    assert c.indices(1, np.zeros(2), axis_halfspaces) == (1,)
     with pytest.raises(ControlError, match="exhausted"):
-        next_indices(c, 2, np.zeros(2), axis_halfspaces)
+        c.indices(2, np.zeros(2), axis_halfspaces)
 
 
 def test_well_matched_cyclic_hits(axis_halfspaces):

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feasik import (AbsCoordMinusC, Affine, Box, ConfigError,
                     ConstantOverrelaxation, ConstantRelaxation,
@@ -253,6 +255,42 @@ def test_compensated_sum_matches_fsum():
         got = compensated_sum(vecs, 4)
         want = np.array([math.fsum(v[i] for v in vecs) for i in range(4)])
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-300)
+
+
+def neumaier_loop(vectors, dim):
+    """The term-by-term loop compensated_sum replaces, kept as its reference."""
+    s = np.zeros(dim)
+    c = np.zeros(dim)
+    for v in vectors:
+        t = s + v
+        swap = np.abs(s) >= np.abs(v)
+        big = np.where(swap, s, v)
+        small = np.where(swap, v, s)
+        c += (big - t) + small
+        s = t
+    return s + c
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                  5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                  1e308, -1e308, 1.7976931348623157e308]
+TERM_ENTRIES = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS), st.floats(),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0),
+              st.integers(-300, 300)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+    st.lists(TERM_ENTRIES, min_size=dim, max_size=dim), min_size=1, max_size=8)))
+def test_compensated_sum_is_the_neumaier_loop_bit_for_bit(rows):
+    vectors = [np.array(r, dtype=np.float64) for r in rows]
+    dim = len(rows[0])
+    with np.errstate(all="ignore"):
+        got = compensated_sum(vectors, dim)
+        want = neumaier_loop(vectors, dim)
+    assert got.shape == want.shape == (dim,)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_trace_csv_round_trip(axis_halfspaces):

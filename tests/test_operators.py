@@ -1,10 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feasik import (AbsCoordMinusC, Affine, Ball, Box, ConfigError, Constraint,
                     Halfspace, InconsistentConstraintError, QuadCoordMinusC,
-                    Sublevel, check_cutter_property, cutter_map,
-                    evaluate_cutter, project_metric, project_subgradient)
+                    Sublevel, check_cutter_property, evaluate_cutter,
+                    project_metric, project_subgradient)
+
+from feasik.model import norm
 
 from conftest import interior_point_with_margin, outside_point, random_metric_body
 
@@ -150,3 +156,68 @@ def test_zero_displacement_iff_member():
             x = rng.uniform(-3, 3, 2)
             ce = evaluate_cutter(con, x)
             assert (ce.displacement_norm == 0.0) == con.member(x)
+
+
+def float_bytes(*values):
+    return struct.pack(f"{len(values)}d", *values)
+
+
+@st.composite
+def halfspaces_and_points(draw):
+    """A halfspace and a point: on the facet exactly (integer data with
+    b = a @ x), projected onto it (rounding noise either side), or at
+    random scales."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["facet", "projected", "random"]))
+    if kind == "facet":
+        a = rng.integers(-5, 6, dim).astype(float)
+        a[0] = a[0] or 1.0
+        x = rng.integers(-9, 10, dim).astype(float)
+        return Halfspace(a, float(a @ x)), x
+    a = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+    x = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+    b = float(rng.standard_normal()) * 10.0 ** rng.integers(-3, 4)
+    if kind == "projected":
+        x = x - ((float(a @ x) - b) / float(a @ a)) * a
+    return Halfspace(a, b), x
+
+
+def halfspace_reference(body, x):
+    """The halfspace's metric cutter as three separate evaluations with
+    numpy's own norm, each taking its own violation: the projection, the
+    displacement and the distance."""
+    a, b = body.a, body.b
+    v = float(a @ x) - b
+    image = np.array(x, dtype=np.float64) if v <= 0.0 else x - (v / float(a @ a)) * a
+    v = float(a @ x) - b
+    distance = 0.0 if v <= 0.0 else v / float(np.linalg.norm(a))
+    return image, float(np.linalg.norm(image - x)), distance
+
+
+@settings(max_examples=300, deadline=None)
+@given(halfspaces_and_points())
+def test_halfspace_cutter_matches_separate_evaluations(case):
+    body, x = case
+    ce = project_metric(body, x)
+    image = body.project(x)
+    separate = (image, float(np.linalg.norm(image - x)), body.distance(x))
+    via_constraint = evaluate_cutter(Constraint(0, body), x)
+    for want in (separate, halfspace_reference(body, x),
+                 (via_constraint.image, via_constraint.displacement_norm,
+                  via_constraint.residual)):
+        assert ce.image.tobytes() == want[0].tobytes()
+        assert float_bytes(ce.displacement_norm, ce.residual) == float_bytes(*want[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 64), st.integers(1, 3))
+def test_norm_is_numpy_norm_bit_for_bit(seed, n, stride):
+    # Strided views too: numpy ravels them to a contiguous copy first.
+    rng = np.random.default_rng(seed)
+    big = rng.standard_normal(n * stride) * 10.0 ** rng.integers(-300, 300)
+    if seed % 2:
+        big *= 10.0 ** rng.integers(-5, 6, n * stride)
+    with np.errstate(all="ignore"):
+        for v in (big, big[::stride], big[::-stride]):
+            assert float_bytes(norm(v)) == float_bytes(float(np.linalg.norm(v)))

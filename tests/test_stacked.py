@@ -8,6 +8,7 @@ problem with the same constraints never stacks, and a control's
 
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -269,6 +270,21 @@ def test_solve_stacked_matches_lazy_pool(seed, control_kind):
     assert stacked.corrections == scalar.corrections
     assert [r.per_index for r in stacked.trace] == [r.per_index for r in scalar.trace]
     assert csv_stacked == csv_scalar
+    if control_kind == "block":
+        # Every entry to the bit, signed zeros included, and the CSV bytes.
+        assert [entry_bytes(r) for r in stacked.trace] == \
+            [entry_bytes(r) for r in scalar.trace]
+        assert csv_stacked.encode() == csv_scalar.encode()
+        # A settled halfspace's entry is its row's one shared tuple.
+        rows = problem.affine_rows
+        shared = [e for r in stacked.trace for e in r.per_index
+                  if e is rows.zero_entries[rows.row_of[e[0]]]]
+        assert shared
+        assert all(e == (e[0], 0.0, 0.0, 0.0, 0.0) for e in shared)
+
+
+def entry_bytes(record):
+    return [(e[0], struct.pack("4d", *e[1:])) for e in record.per_index]
 
 
 def test_settled_cutters_record_zero_entries():
