@@ -18,7 +18,7 @@ from .schedules import (ConstantOverrelaxation, ConstantRelaxation,
                         PhiSubgradNorm, RelaxationList, UniformOverActive,
                         UniformOverViolated, beta, counter_update)
 from .engine import (RunConfig, RunResult, TraceRecord, solve, step,
-                     step_subgradient, trace_csv_text, write_trace_csv)
+                     trace_csv_text, write_trace_csv)
 from .certificates import (check_descent, check_fixed_point_consistency,
                            check_single_operator, oracle_a1, oracle_a2,
                            reproduce_a1, reproduce_a1_bracketed,

@@ -209,13 +209,18 @@ def build_a1_config(counter_mode: str = "raw", max_iter: int = 10_000) -> RunCon
 
 @dataclass
 class ReproduceReport:
+    """A reproduction passes when none of its checks left a note."""
+
     name: str
-    ok: bool
     status: str
     k_feasible: Optional[int]
     max_rel_err: float
     table: list  # printable (label, engine, oracle) rows
     notes: list
+
+    @property
+    def ok(self) -> bool:
+        return not self.notes
 
     def lines(self) -> list:
         out = [f"{self.name}: {'PASS' if self.ok else 'FAIL'} "
@@ -237,7 +242,6 @@ def reproduce_a1(max_iter: int = 10_000, oracle_up_to: int = 100) -> ReproduceRe
     y_{2k} = 2^(-2k) to 1e-12 relative (exact zero once 2^(-2k) underflows)."""
     cfg = build_a1_config("raw", max_iter)
     result = solve(cfg)
-    ok = result.status == "max_iter"
     notes = []
     if result.status != "max_iter":
         notes.append(f"unexpectedly feasible at k={result.k_feasible}")
@@ -247,7 +251,6 @@ def reproduce_a1(max_iter: int = 10_000, oracle_up_to: int = 100) -> ReproduceRe
         pos = 2 * k
         if pos >= len(result.trace):
             notes.append(f"trace shorter than position {pos}")
-            ok = False
             break
         rec = result.trace[pos]
         wx, wy = oracle_a1(pos)
@@ -259,26 +262,28 @@ def reproduce_a1(max_iter: int = 10_000, oracle_up_to: int = 100) -> ReproduceRe
             table.append((str(k), repr(float(rec.x[1])), repr(wy)))
     if any(rec.feasible_flag for rec in result.trace):
         notes.append("an iterate tested feasible")
-        ok = False
     if max_err > 1e-12:
         notes.append(f"max relative error {max_err:.3e} above 1e-12")
-        ok = False
-    return ReproduceReport("a1", ok, result.status, result.k_feasible,
-                           max_err, table, notes)
+    return ReproduceReport("a1", result.status, result.k_feasible, max_err,
+                           table, notes)
 
 
-def reproduce_a1_bracketed(max_iter: int = 1000) -> ReproduceReport:
-    """Same geometry with the correction counter and a monotone harmonic
-    schedule: finite convergence returns."""
-    cfg = build_a1_config("bracketed", max_iter)
+def _reproduce_bracketed(name: str, cfg: RunConfig) -> ReproduceReport:
+    """A counterexample's geometry with the correction counter and a
+    monotone schedule: finite convergence returns."""
     result = solve(cfg)
-    ok = result.status == "feasible"
     table = [("status", result.status, ""),
              ("k_feasible", str(result.k_feasible), ""),
              ("corrections", str(result.corrections), "")]
-    notes = [] if ok else ["expected finite convergence in bracketed mode"]
-    return ReproduceReport("a1-bracketed", ok, result.status,
-                           result.k_feasible, 0.0, table, notes)
+    notes = ([] if result.status == "feasible"
+             else ["expected finite convergence in bracketed mode"])
+    return ReproduceReport(name, result.status, result.k_feasible, 0.0, table,
+                           notes)
+
+
+def reproduce_a1_bracketed(max_iter: int = 1000) -> ReproduceReport:
+    return _reproduce_bracketed("a1-bracketed",
+                                build_a1_config("bracketed", max_iter))
 
 
 # ---------------------------------------------------------------------------
@@ -364,20 +369,16 @@ def reproduce_a2(max_iter: int = 100_000, oracle_up_to: int = 30) -> ReproduceRe
     cfg, sched = build_a2_config("raw", max_iter)
     problem = cfg.problem
     result = solve(cfg)
-    ok = result.status == "max_iter"
     notes = []
     if result.status != "max_iter":
         notes.append(f"unexpectedly feasible at k={result.k_feasible}")
     if any(rec.feasible_flag for rec in result.trace):
         notes.append("an iterate tested feasible")
-        ok = False
     ys = [float(rec.x[1]) for rec in result.trace]
     if any(y != 0.0 for y in ys[1:]):
         notes.append("y did not pin to 0 after the first step")
-        ok = False
     if any(float(rec.x[0]) <= 1.0 for rec in result.trace):
         notes.append("x fell to 1 or below inside the run")
-        ok = False
 
     max_err = 0.0
     table = [("k", "b_k", "engine x@n_k / oracle 1+sqrt(2 b_k)")]
@@ -404,7 +405,6 @@ def reproduce_a2(max_iter: int = 100_000, oracle_up_to: int = 30) -> ReproduceRe
     x_val = np.array(result.trace[honest[k0]].x)
     if not problem.constraint(0).violation(x_val) < 0.0:
         notes.append("fast-forward precondition failed: constraint 0 not interior")
-        ok = False
     for k in range(k0, oracle_up_to):
         x_val = _a2_single_update(problem, x_val, sched.b_fn(k))
         got = float(x_val[0])
@@ -416,25 +416,15 @@ def reproduce_a2(max_iter: int = 100_000, oracle_up_to: int = 30) -> ReproduceRe
 
     if a2_b(1) != 1.0 / 128.0:
         notes.append("b_1 is not exactly 1/128")
-        ok = False
     if max_err > 1e-12:
         notes.append(f"max relative error {max_err:.3e} above 1e-12")
-        ok = False
-    return ReproduceReport("a2", ok, result.status, result.k_feasible,
-                           max_err, table, notes)
+    return ReproduceReport("a2", result.status, result.k_feasible, max_err,
+                           table, notes)
 
 
 def reproduce_a2_bracketed(max_iter: int = 10_000) -> ReproduceReport:
-    """Same setup with the correction counter: finite convergence returns."""
-    cfg, _ = build_a2_config("bracketed", max_iter)
-    result = solve(cfg)
-    ok = result.status == "feasible"
-    table = [("status", result.status, ""),
-             ("k_feasible", str(result.k_feasible), ""),
-             ("corrections", str(result.corrections), "")]
-    notes = [] if ok else ["expected finite convergence in bracketed mode"]
-    return ReproduceReport("a2-bracketed", ok, result.status,
-                           result.k_feasible, 0.0, table, notes)
+    return _reproduce_bracketed("a2-bracketed",
+                                build_a2_config("bracketed", max_iter)[0])
 
 
 REPRODUCTIONS = {

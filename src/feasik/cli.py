@@ -8,7 +8,6 @@ reproduction mismatch (``reproduce``), 4 certificate violations.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -23,21 +22,22 @@ SEED_ENV = "FEASIK_SEED"
 SOLVE_EXIT = {"feasible": 0, "max_iter": 2, "nonfinite": 3}
 
 
-def _seed_override(args) -> int | None:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    return int(env) if env else None
-
-
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return cfgmod.parse_document(fh.read())
 
 
+def _run_config(args):
+    """The run that ``--config`` describes; ``--seed``, else the
+    environment's FEASIK_SEED, overrides a random control's seed."""
+    seed, env = args.seed, os.environ.get(SEED_ENV)
+    if seed is None and env:
+        seed = int(env)
+    return cfgmod.build_run_config(_load(args.config), seed_override=seed)
+
+
 def cmd_solve(args) -> int:
-    doc = _load(args.config)
-    run = cfgmod.build_run_config(doc, seed_override=_seed_override(args))
+    run = _run_config(args)
     result = solve(run)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -51,8 +51,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    doc = _load(args.config)
-    run = cfgmod.build_run_config(doc, seed_override=_seed_override(args))
+    run = _run_config(args)
     if run.problem.interior is None:
         raise FeasikError("certify needs problem.interior = {z, R}")
     z, big_r = run.problem.interior
@@ -85,9 +84,9 @@ def cmd_reproduce(args) -> int:
 
 
 def _sweep_one(payload):
-    row_id, doc, control_doc, phi_kind, timing = payload
+    row_id, doc, control, phi_kind, timing = payload
     run_doc = dict(doc)
-    run_doc["control"] = control_doc
+    run_doc["control"] = control
     run_doc["phi"] = phi_kind
     run = cfgmod.build_run_config(run_doc)
     t0 = time.perf_counter()
@@ -96,7 +95,7 @@ def _sweep_one(payload):
     over = run_doc["overrelaxation"]["kind"]
     k_feasible = {"feasible": str(result.k_feasible), "max_iter": "MAX",
                   "nonfinite": "NONFINITE"}[result.status]
-    row = [row_id, control_doc["kind"], phi_kind, over, k_feasible,
+    row = [row_id, control["kind"], phi_kind, over, k_feasible,
            str(result.corrections)]
     row.append(f"{dt:.6f}" if timing else "")
     return row
@@ -135,10 +134,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    doc = _load(args.config)
-    run = cfgmod.build_run_config(doc, seed_override=_seed_override(args))
+    run = _run_config(args)
     print(f"OK dim={run.problem.dim} m={run.problem.m} "
-          f"control={doc['control']['kind']} counter={run.counter_mode}")
+          f"control={run.control.kind} counter={run.counter_mode}")
     return 0
 
 

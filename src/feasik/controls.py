@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -48,6 +48,12 @@ class Control:
                 f"control emitted {len(out)} indices, above max_card {self.max_card}")
         return out, min(out), max(out)
 
+    def _family(self) -> list:
+        """(field path, index set) pairs: the index sets the control lists,
+        which together hold every index it emits; empty for a control that
+        lists none."""
+        return []
+
     def indices(self, k: int, x: Vector, problem: Problem,
                 stacked: Optional[RowPass] = None) -> tuple:
         """``stacked`` is a residual pass already taken at x, which
@@ -67,14 +73,14 @@ class _FixedSets(Control):
     are taken once, at the first emission: a pool that holds that range
     holds every emission."""
 
-    def _family(self) -> list:
-        """Index sets that together hold every index the control emits."""
-        raise NotImplementedError
-
     @functools.cached_property
     def _range(self) -> tuple:
-        family = self._family()
+        family = [s for _, s in self._family()]
         return min(map(min, family)), max(map(max, family))
+
+    @functools.cached_property
+    def max_card(self) -> int:
+        return max(len(s) for _, s in self._family())
 
     def _emit(self, k, x, problem, stacked):
         return (self._select(k, x, problem, stacked), *self._range)
@@ -91,7 +97,7 @@ class Cyclic(_FixedSets):
             raise ConfigError("cyclic order is empty")
 
     def _family(self):
-        return [self.order]
+        return [("order", self.order)]
 
     @property
     def max_card(self):
@@ -113,15 +119,11 @@ class Intermittent(_FixedSets):
             raise ConfigError("intermittent control needs at least one block")
 
     def _family(self):
-        return self.blocks
+        return [(f"blocks[{n}]", b) for n, b in enumerate(self.blocks)]
 
     @property
     def span(self):
         return len(self.blocks)
-
-    @property
-    def max_card(self):
-        return max(len(b) for b in self.blocks)
 
     def _select(self, k, x, problem, stacked=None):
         return self.blocks[k % len(self.blocks)]
@@ -159,11 +161,7 @@ class Explicit(_FixedSets):
             raise ConfigError("explicit control has no sets")
 
     def _family(self):
-        return self.sets
-
-    @property
-    def max_card(self):
-        return max(len(s) for s in self.sets)
+        return [(f"sets[{n}]", s) for n, s in enumerate(self.sets)]
 
     def _select(self, k, x, problem, stacked=None):
         if k >= len(self.sets):
@@ -264,12 +262,9 @@ class RandomSets(_FixedSets):
         self.seed = int(seed) & (2 ** 64 - 1)
         self._cum = np.cumsum([p for _, p in self.atoms])
 
-    @property
-    def max_card(self):
-        return max(len(s) for s, _ in self.atoms)
-
     def _family(self):
-        return [s for s, _ in self.atoms]
+        return [(f"atoms[{n}].indices", s)
+                for n, (s, _) in enumerate(self.atoms)]
 
     def draw_uniform(self, k: int) -> float:
         bg = np.random.Philox(key=self.seed, counter=k)
@@ -366,16 +361,3 @@ def positivity_diagnostic(control: RandomSets, problem: Problem,
         p = sum(prob for s, prob in control.atoms if viol.intersection(s))
         out.append((tuple(sorted(viol)), p))
     return PositivityReport(out)
-
-
-def covers_every_window(control: Control, universe: Sequence[int], span: int,
-                        starts: int) -> bool:
-    """Structural repetitiveness check for nonadaptive controls: the union of
-    each window of ``span`` consecutive emissions covers the universe."""
-    want = set(int(i) for i in universe)
-    emitted = [set(control._select(k, None, None)) for k in range(starts + span)]
-    for n in range(starts):
-        got = set().union(*emitted[n:n + span])
-        if not want <= got:
-            return False
-    return True

@@ -16,7 +16,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,7 +59,9 @@ def compensated_sum(vectors, dim: int) -> Vector:
 
 @dataclass
 class RunConfig:
-    """Everything one solver run needs.  x0 must lie in Q."""
+    """Everything one solver run needs.  x0 must lie in Q.  The
+    feasibility test checks the indices in ``feas_window``, or the whole
+    pool when it is None, which only a finite pool allows."""
 
     problem: Problem
     control: object
@@ -72,7 +74,6 @@ class RunConfig:
     max_iter: int = 1_000_000
     feas_window: Optional[tuple] = None
     feas_tol: float = 0.0
-    use_subgradient_form: bool = False
 
     def __post_init__(self):
         self.x0 = as_vector(self.x0, dim=self.problem.dim)
@@ -80,12 +81,10 @@ class RunConfig:
             raise ConfigError(f"unknown counter mode {self.counter_mode!r}")
         if not self.problem.outer.member(self.x0):
             raise ConfigError("x0 is not in the outer set Q")
-        if self.feas_window is None:
-            if not self.problem.is_finite:
-                raise ConfigError("infinite pools need an explicit feas_window")
-            self.feas_window = tuple(self.problem.indices())
-        else:
+        if self.feas_window is not None:
             self.feas_window = tuple(int(i) for i in self.feas_window)
+        elif not self.problem.is_finite:
+            raise ConfigError("infinite pools need an explicit feas_window")
         if self.max_iter < 0:
             raise ConfigError("max_iter must be nonnegative")
         if not getattr(self.overrelaxation, "divergent_sum", False):
@@ -120,29 +119,11 @@ class RunResult:
     final: Vector
     trace: list
     corrections: int
-    counter: CorrectionCounter
     norm_flag: bool = False
 
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
-
-
-def _apply_update(problem, x, moved, weights, alpha, dim):
-    """Combine weighted overshoot terms and project onto Q.
-
-    ``moved`` is a list of (index, image, beta) triples with beta != 0.
-    Returns (x_next, step_vec)."""
-    terms = []
-    for i, image, b in moved:
-        w = weights[i]
-        if w == 0.0:
-            continue
-        terms.append((w * b) * (image - x))
-    if not terms:
-        return np.array(x, dtype=np.float64), np.zeros(dim)
-    step_vec = alpha * compensated_sum(terms, dim)
-    return problem.outer.project(x + step_vec), step_vec
 
 
 def step(cfg: RunConfig, x: Vector, k: int, counter: CorrectionCounter,
@@ -189,80 +170,22 @@ def step(cfg: RunConfig, x: Vector, k: int, counter: CorrectionCounter,
 
     violated = tuple(violated)
     weights = cfg.weights.weights(active, violated)
-    x_next, step_vec = _apply_update(problem, x, moved, weights, alpha,
-                                     problem.dim)
-    corrected = bool(violated) and bool(np.any(step_vec != 0.0))
+    # The weighted overshoot terms of the moved indices, projected onto Q.
+    terms = [(weights[i] * b) * (image - x) for i, image, b in moved
+             if weights[i] != 0.0]
+    if terms:
+        step_vec = alpha * compensated_sum(terms, problem.dim)
+        x_next = problem.outer.project(x + step_vec)
+        corrected = bool(np.any(step_vec != 0.0))
+    else:
+        x_next, corrected = np.array(x, dtype=np.float64), False
 
     if feasible_flag is None:
-        feasible_flag = feasible(problem, x, cfg.feas_window, cfg.feas_tol)
+        feasible_flag = feasible(problem, x, cfg.feas_window, cfg.feas_tol,
+                                 stacked=stacked)
     record = TraceRecord(
         k=k, bracket_k=counter.count, x=np.array(x), active=active,
         violated=violated, per_index=tuple(per_index),
-        alpha_used=alpha, r_used=r,
-        step_norm=norm(x_next - x),
-        corrected=corrected, feasible_flag=bool(feasible_flag))
-    return x_next, corrected, record
-
-
-def step_subgradient(cfg: RunConfig, x: Vector, k: int, counter: CorrectionCounter,
-                     feasible_flag: Optional[bool] = None,
-                     stacked: Optional[RowPass] = None):
-    """The subgradient specialization: for sublevel constraints with
-    phi = ||g||, the update collapses to
-
-        x_{k+1} = P_Q( x_k - alpha_j * sum_{i violated} lambda_i *
-                       (r_j + f_i(x_k)) / ||g_i(x_k)||^2 * g_i(x_k) ).
-
-    Same contract as ``step``; agrees with it to rounding on shared inputs.
-    """
-    from .model import Sublevel
-
-    problem = cfg.problem
-    j = counter.count if cfg.counter_mode == "bracketed" else k
-    active = cfg.control.indices(k, x, problem, stacked)
-    alpha = cfg.relaxation.alpha(j)
-    r = cfg.overrelaxation.r(j)
-
-    entries = []
-    violated = []
-    terms = {}
-    for i in active:
-        body = problem.constraint(i).body
-        ce = evaluate_cutter(problem.constraint(i), x)
-        if ce.displacement_norm > 0.0:
-            if not isinstance(body, Sublevel):
-                raise ConfigError(
-                    "subgradient form needs sublevel bodies on violated indices")
-            violated.append(i)
-            fval = body.f.value(x)
-            g = body.f.subgradient(x)
-            gg = float(g @ g)
-            terms[i] = (-(r + fval) / gg) * g
-            rho = r / float(np.sqrt(gg))
-            b = beta(r, float(np.sqrt(gg)), ce.displacement_norm)
-        else:
-            b = 0.0
-            rho = 0.0
-        entries.append((i, ce, b, rho))
-
-    violated = tuple(violated)
-    weights = cfg.weights.weights(active, violated)
-    scaled = [weights[i] * terms[i] for i in violated if weights[i] != 0.0]
-    if scaled:
-        step_vec = alpha * compensated_sum(scaled, problem.dim)
-        x_next = problem.outer.project(x + step_vec)
-    else:
-        step_vec = np.zeros(problem.dim)
-        x_next = np.array(x, dtype=np.float64)
-    corrected = bool(violated) and bool(np.any(step_vec != 0.0))
-
-    if feasible_flag is None:
-        feasible_flag = feasible(problem, x, cfg.feas_window, cfg.feas_tol)
-    record = TraceRecord(
-        k=k, bracket_k=counter.count, x=np.array(x), active=active,
-        violated=violated,
-        per_index=tuple((i, ce.residual, ce.displacement_norm, b, rho)
-                        for i, ce, b, rho in entries),
         alpha_used=alpha, r_used=r,
         step_norm=norm(x_next - x),
         corrected=corrected, feasible_flag=bool(feasible_flag))
@@ -282,12 +205,10 @@ def solve(cfg: RunConfig) -> RunResult:
     pass, shared by the feasibility test, the control and the cutters.
     """
     problem = cfg.problem
-    stepper = step_subgradient if cfg.use_subgradient_form else step
     rows = problem.affine_rows
-    # The stacked feasibility test covers the whole pool only.
     window = cfg.feas_window
-    if rows is not None and window == tuple(problem.indices()):
-        window = None
+    if window is None and rows is None:
+        window = problem.indices()  # no rows to stack: the scalar loop
     x = np.array(cfg.x0, dtype=np.float64)
     counter = CorrectionCounter(cfg.counter_mode)
     trace = []
@@ -310,9 +231,9 @@ def solve(cfg: RunConfig) -> RunResult:
             status = ("feasible" if feas else
                       "nonfinite" if nonfinite else "max_iter")
             return RunResult(status, k if feas else None, x, trace,
-                             corrections, counter, norm_flag)
-        x, corrected, record = stepper(cfg, x, k, counter, feasible_flag=feas,
-                                       stacked=stacked)
+                             corrections, norm_flag)
+        x, corrected, record = step(cfg, x, k, counter, feasible_flag=feas,
+                                    stacked=stacked)
         trace.append(record)
         corrections += corrected
         counter = counter_update(counter, corrected)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InconsistentConstraintError, PoolIndexError
+from .errors import ConfigError, PoolIndexError
 
 Vector = np.ndarray
 
@@ -48,7 +48,9 @@ class ConvexFunction:
 
     Subclasses implement ``value`` and ``subgradient``; the selection is
     deterministic (ties in piecewise definitions break toward the lowest
-    piece index).
+    piece index).  Where the sublevel set {f <= 0} has known geometry, they
+    also give the exact distance to it and the projection onto it; None
+    means no closed form.
     """
 
     def value(self, x: Vector) -> float:
@@ -56,6 +58,16 @@ class ConvexFunction:
 
     def subgradient(self, x: Vector) -> Vector:
         raise NotImplementedError
+
+    def sublevel_distance(self, x: Vector) -> Optional[float]:
+        return None
+
+    def sublevel_project(self, x: Vector) -> Optional[Vector]:
+        return None
+
+    def affine_row(self) -> Optional[tuple]:
+        """(a, b) when f(x) is float(a @ x) - b, else None."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -75,9 +87,41 @@ class Affine(ConvexFunction):
     def subgradient(self, x):
         return self.a
 
+    @functools.cached_property
+    def _halfspace(self) -> "Halfspace":
+        # Built at the first closed-form use, which a zero normal fails.
+        return Halfspace(self.a, self.b)
+
+    def sublevel_distance(self, x):
+        return self._halfspace.distance(x)
+
+    def sublevel_project(self, x):
+        return self._halfspace.project(x)
+
+    def affine_row(self):
+        return self.a, self.b
+
+
+class _CoordSlab(ConvexFunction):
+    """A function of x[axis] whose sublevel set, for c >= 0, is the slab
+    |x[axis]| <= h with h = ``_half_width()``; empty for c < 0."""
+
+    def sublevel_distance(self, x):
+        if not self.c >= 0.0:
+            return None
+        return max(0.0, abs(float(x[self.axis])) - self._half_width())
+
+    def sublevel_project(self, x):
+        if not self.c >= 0.0:
+            return None
+        h = self._half_width()
+        y = np.array(x, dtype=np.float64)
+        y[self.axis] = min(max(y[self.axis], -h), h)
+        return y
+
 
 @dataclass(frozen=True)
-class AbsCoordMinusC(ConvexFunction):
+class AbsCoordMinusC(_CoordSlab):
     """f(x) = |x[axis]| - c."""
 
     axis: int
@@ -93,9 +137,12 @@ class AbsCoordMinusC(ConvexFunction):
         g[self.axis] = math.copysign(1.0, t) if t != 0.0 else 0.0
         return g
 
+    def _half_width(self):
+        return self.c
+
 
 @dataclass(frozen=True)
-class QuadCoordMinusC(ConvexFunction):
+class QuadCoordMinusC(_CoordSlab):
     """f(x) = x[axis]^2 - c."""
 
     axis: int
@@ -109,6 +156,9 @@ class QuadCoordMinusC(ConvexFunction):
         g = np.zeros_like(x)
         g[self.axis] = 2.0 * float(x[self.axis])
         return g
+
+    def _half_width(self):
+        return math.sqrt(self.c)
 
 
 @dataclass(frozen=True)
@@ -161,6 +211,16 @@ class SquaredDistToBall(ConvexFunction):
             return np.zeros_like(x)
         return (2.0 * (d - self.radius) / d) * diff
 
+    @functools.cached_property
+    def _ball(self) -> "Ball":
+        return Ball(self.center, self.radius)
+
+    def sublevel_distance(self, x):
+        return self._ball.distance(x)
+
+    def sublevel_project(self, x):
+        return self._ball.project(x)
+
 
 # ---------------------------------------------------------------------------
 # Constraint bodies
@@ -169,7 +229,10 @@ class SquaredDistToBall(ConvexFunction):
 class Body:
     """A closed convex set.  ``violation`` is a signed measure that is <= 0
     exactly on the set; ``distance`` is the exact Euclidean distance when a
-    closed form exists (else None)."""
+    closed form exists (else None).  A constraint on the body uses
+    ``default_cutter`` unless it names another."""
+
+    default_cutter = "metric"
 
     def violation(self, x: Vector) -> float:
         raise NotImplementedError
@@ -186,6 +249,10 @@ class Body:
     def cut(self, x: Vector) -> tuple:
         """(project(x), distance(x)): the metric cutter's image and residual."""
         return self.project(x), self.distance(x)
+
+    def affine_row(self) -> Optional[tuple]:
+        """(a, b) when the violation is float(a @ x) - b, else None."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -223,6 +290,9 @@ class Halfspace(Body):
         if v <= 0.0:
             return np.array(x, dtype=np.float64)
         return x - (v / float(self.a @ self.a)) * self.a
+
+    def affine_row(self):
+        return self.a, self.b
 
 
 @dataclass(frozen=True)
@@ -281,43 +351,28 @@ class Box(Body):
 class Sublevel(Body):
     """{x : f(x) <= 0} for a convex function f with a subgradient oracle."""
 
+    default_cutter = "subgradient"
     f: ConvexFunction
 
     def violation(self, x):
         return self.f.value(x)
 
     def distance(self, x):
-        # Closed forms where the sublevel set has known geometry.
-        f = self.f
-        if isinstance(f, Affine):
-            return Halfspace(f.a, f.b).distance(x)
-        if isinstance(f, AbsCoordMinusC) and f.c >= 0.0:
-            return max(0.0, abs(float(x[f.axis])) - f.c)
-        if isinstance(f, QuadCoordMinusC) and f.c >= 0.0:
-            return max(0.0, abs(float(x[f.axis])) - math.sqrt(f.c))
-        if isinstance(f, SquaredDistToBall):
-            return max(0.0, float(np.linalg.norm(x - f.center)) - f.radius)
-        return None
+        return self.f.sublevel_distance(x)
 
     def project(self, x):
-        # Exact projection exists only for function kinds whose sublevel set
-        # is a halfspace, slab or ball.
-        f = self.f
-        if isinstance(f, Affine):
-            return Halfspace(f.a, f.b).project(x)
-        if isinstance(f, AbsCoordMinusC) and f.c >= 0.0:
-            y = np.array(x, dtype=np.float64)
-            y[f.axis] = min(max(y[f.axis], -f.c), f.c)
-            return y
-        if isinstance(f, QuadCoordMinusC) and f.c >= 0.0:
-            r = math.sqrt(f.c)
-            y = np.array(x, dtype=np.float64)
-            y[f.axis] = min(max(y[f.axis], -r), r)
-            return y
-        if isinstance(f, SquaredDistToBall):
-            return Ball(f.center, f.radius).project(x)
-        raise ConfigError(
-            f"metric cutter unavailable for sublevel of {type(f).__name__}")
+        y = self.f.sublevel_project(x)
+        if y is None:
+            raise ConfigError(
+                f"metric cutter unavailable for sublevel of {type(self.f).__name__}")
+        return y
+
+    def cut(self, x):
+        # The image of the metric cutter; its residual is f(x).
+        return self.project(x), self.violation(x)
+
+    def affine_row(self):
+        return self.f.affine_row()
 
 
 METRIC_BODIES = (Halfspace, Ball, Box)
@@ -343,7 +398,7 @@ class Constraint:
     def __post_init__(self):
         kind = self.cutter
         if not kind:
-            kind = "subgradient" if isinstance(self.body, Sublevel) else "metric"
+            kind = self.body.default_cutter
             object.__setattr__(self, "cutter", kind)
         if kind not in ("metric", "subgradient"):
             raise ConfigError(f"unknown cutter kind {kind!r}")
@@ -360,13 +415,16 @@ class Constraint:
         return self.body.distance(x)
 
 
+@dataclass(frozen=True)
 class OuterSet:
-    """The outer set Q with an exact metric projection."""
+    """The outer set Q with an exact metric projection; the whole space
+    when ``body`` is None."""
 
-    def __init__(self, body: Optional[Body] = None):
-        if body is not None and not isinstance(body, METRIC_BODIES):
+    body: Optional[Body] = None
+
+    def __post_init__(self):
+        if self.body is not None and not isinstance(self.body, METRIC_BODIES):
             raise ConfigError("outer set must be whole space, halfspace, box or ball")
-        self.body = body
 
     @classmethod
     def whole_space(cls) -> "OuterSet":
@@ -381,12 +439,6 @@ class OuterSet:
 
     def project(self, x: Vector) -> Vector:
         return x if self.body is None else self.body.project(x)
-
-    def __eq__(self, other):
-        return isinstance(other, OuterSet) and self.body == other.body
-
-    def __repr__(self):
-        return f"OuterSet({self.body!r})"
 
 
 class Problem:
@@ -513,15 +565,6 @@ _SUBNORMAL = 2.0 ** -1074   # smallest positive binary64
 _SAFE = 2.0 ** 1000
 
 
-def _affine_row(body: Body):
-    """(a, b) when the body's violation is float(a @ x) - b, else None."""
-    if isinstance(body, Halfspace):
-        return body.a, body.b
-    if isinstance(body, Sublevel) and isinstance(body.f, Affine):
-        return body.f.a, body.f.b
-    return None
-
-
 class AffineRows:
     """The rows of a finite pool whose violation is ``float(a @ x) - b``
     (halfspaces and affine sublevel sets), stacked as (A, b, ||a_i||).
@@ -576,7 +619,7 @@ class AffineRows:
         underflow, is left to its scalar test."""
         positions, rows, rhs, metric = [], [], [], []
         for i, c in enumerate(problem._constraints):
-            row = _affine_row(c.body)
+            row = c.body.affine_row()
             if row is not None and row[0].shape == (problem.dim,):
                 positions.append(i)
                 rows.append(row[0])
@@ -652,27 +695,17 @@ class RowPass:
         out = rows.positions[~satisfied].tolist()
         return sorted(out + list(rows.others)) if rows.others else out
 
-    def feasible(self, problem: Problem, tol: float) -> bool:
-        """Every constraint of the pool holds at x, to tolerance tol.
-
-        The scalar loop's order: a certainly violated row ends the scan, any
-        other open position is decided, and may raise, in its member test.
-        """
+    def violations(self, problem: Problem, tol: float = 0.0):
+        """The pool positions, ascending, whose constraint x violates beyond
+        tol, generated lazily in the scalar loop's order: a certainly
+        violated row needs no test, any other open position is decided, and
+        may raise, in its member test."""
         violated, satisfied = self.split(tol)
         row_of = self.rows.row_of
         for i in self._open(satisfied):
             r = row_of[i]
             if (r >= 0 and violated[r]) or not problem.constraint(i).member(self.x, tol):
-                return False
-        return True
-
-    def violated(self, problem: Problem) -> tuple:
-        """I_+(x) over the whole pool, ascending."""
-        violated, satisfied = self.split(0.0)
-        row_of = self.rows.row_of
-        return tuple(i for i in self._open(satisfied)
-                     if ((r := row_of[i]) >= 0 and violated[r])
-                     or not problem.constraint(i).member(self.x))
+                yield i
 
     @functools.cached_property
     def settled(self):
@@ -708,13 +741,9 @@ def violated_indices(problem: Problem, x: Vector, window=None,
         if stacked is None:
             stacked = problem.residual_pass(x)
         if stacked is not None:
-            return stacked.violated(problem)
+            return tuple(stacked.violations(problem))
         window = problem.indices()
-    out = []
-    for i in window:
-        if not problem.constraint(i).member(x):
-            out.append(i)
-    return tuple(out)
+    return tuple(i for i in window if not problem.constraint(i).member(x))
 
 
 def feasible(problem: Problem, x: Vector, window=None, tol: float = 0.0,
@@ -738,7 +767,7 @@ def feasible(problem: Problem, x: Vector, window=None, tol: float = 0.0,
     if not problem.outer.member(x, tol):
         return False
     if stacked is not None:
-        return stacked.feasible(problem, tol)
+        return next(stacked.violations(problem, tol), None) is None
     for i in window:
         if not problem.constraint(i).member(x, tol):
             return False

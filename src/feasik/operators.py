@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InconsistentConstraintError
-from .model import Body, Constraint, METRIC_BODIES, Sublevel, Vector, norm
+from .model import Body, Constraint, METRIC_BODIES, Vector, norm
 
 
 @dataclass(frozen=True)
@@ -54,14 +54,10 @@ def project_subgradient(f, x: Vector) -> CutterEval:
 
 def evaluate_cutter(constraint: Constraint, x: Vector) -> CutterEval:
     """Apply the constraint's cutter (metric or subgradient) at x."""
-    body = constraint.body
     if constraint.cutter == "subgradient":
-        return project_subgradient(body.f, x)
-    if isinstance(body, Sublevel):
-        # metric override: project onto the sublevel set's known geometry
-        image = body.project(x)
-        return CutterEval(image, norm(image - x), body.violation(x))
-    return project_metric(body, x)
+        return project_subgradient(constraint.body.f, x)
+    image, residual = constraint.body.cut(x)
+    return CutterEval(image, norm(image - x), residual)
 
 
 def check_cutter_property(T, x: Vector, z: Vector, rtol: float = 1e-10):

@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import feasik
-from feasik import cli, solve
+from feasik import cli, config, solve
 from feasik.config import (build_problem, build_run_config, emit_document,
                            parse_document, problem_doc)
 from feasik.errors import ConfigError
@@ -109,6 +110,150 @@ def test_malformed_json_diagnostic():
         with pytest.raises(ConfigError,
                            match=re.escape(f"'{field}' must be an object")):
             build_run_config(doc)
+
+
+# One document per kind of every kind table.
+FUNCTION_DOCS = {
+    "affine": {"kind": "affine", "a": [1.0, 2.0], "b": 0.5},
+    "abs_coord": {"kind": "abs_coord", "axis": 1, "c": 1.0},
+    "quad_coord": {"kind": "quad_coord", "axis": 0, "c": 1.5},
+    "max_affine": {"kind": "max_affine", "pieces": [{"a": [1.0, 0.0], "b": 1.0},
+                                                    {"a": [0.0, -1.0], "b": 2.0}]},
+    "sqdist_ball": {"kind": "sqdist_ball", "center": [0.1, 0.2], "radius": 3.0},
+}
+BODY_DOCS = {
+    "halfspace": {"type": "halfspace", "a": [1.0, -1.0], "b": 0.25},
+    "ball": {"type": "ball", "center": [0.5, 0.25], "radius": 2.0},
+    "box": {"type": "box", "lo": [-1.0, -2.0], "hi": [1.0, 3.0]},
+    "sublevel": {"type": "sublevel", "f": FUNCTION_DOCS["affine"],
+                 "cutter": "metric"},
+}
+RUN_DOCS = {
+    config.CONTROLS: ("control", [
+        {"kind": "cyclic", "order": [1, 0]},
+        {"kind": "intermittent", "blocks": [[0], [0, 1]]},
+        {"kind": "explicit", "sets": [[1], [0, 1]]},
+        {"kind": "remotest"}, {"kind": "max_displacement"},
+        {"kind": "max_violation"},
+        {"kind": "random_sets", "seed": 3,
+         "atoms": [{"indices": [0], "p": 0.5}, {"indices": [0, 1], "p": 0.5}]}]),
+    config.RELAXATIONS: ("relaxation", [
+        {"kind": "constant", "alpha": 1.5}, {"kind": "list", "values": [1.0, 0.5]}]),
+    config.OVERRELAXATIONS: ("overrelaxation", [
+        {"kind": "constant", "r": 0.5}, {"kind": "harmonic"},
+        {"kind": "geometric", "r0": 1.0, "ratio": 0.5},
+        {"kind": "list", "values": [1.0, 0.5], "divergent_sum": True}]),
+    config.PHIS: ("phi", ["one", {"kind": "subgrad_norm"}]),
+    config.WEIGHTS: ("weights", [
+        {"kind": "uniform_active"}, {"kind": "uniform_violated"},
+        {"kind": "table", "table": {"0": 0.5, "1": 0.5}, "floor": 0.5}]),
+}
+
+
+def test_every_kind_builds_from_a_document():
+    for kinds, (member, docs) in RUN_DOCS.items():
+        names = [d if isinstance(d, str) else d["kind"] for d in docs]
+        assert sorted(names) == sorted(kinds.table), member
+        for name, doc in zip(names, docs):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # geometric is not divergent
+                run = build_run_config(two_halfspace_doc(**{member: doc}))
+            assert type(getattr(run, member)) is kinds.table[name][0]
+    assert sorted(FUNCTION_DOCS) == sorted(config.FUNCTIONS.table)
+    assert sorted(BODY_DOCS) == sorted(config.BODIES.table)
+
+
+def test_every_function_and_body_kind_round_trips():
+    constraints = list(BODY_DOCS.values()) + [
+        {"type": "sublevel", "f": f} for f in FUNCTION_DOCS.values()]
+    doc = {"dim": 2, "outer": BODY_DOCS["box"], "constraints": constraints,
+           "interior": {"z": [0.0, -0.5], "R": 0.1}}
+    problem = build_problem(doc)
+    assert [type(problem.constraint(i).body).__name__ for i in range(4)] == \
+        ["Halfspace", "Ball", "Box", "Sublevel"]
+    assert [type(problem.constraint(i).body.f) for i in range(4, 9)] == \
+        [cls for cls, _ in config.FUNCTIONS.table.values()]
+    assert problem_doc(problem) == doc
+    assert parse_document(emit_document(problem_doc(problem))) == doc
+
+
+def test_unknown_kind_names_its_field():
+    bad_function = two_halfspace_doc()
+    bad_function["problem"]["constraints"][0] = {
+        "type": "sublevel", "f": {"kind": "cubic"}}
+    bad_body = two_halfspace_doc()
+    bad_body["problem"]["constraints"][0] = {"type": "simplex"}
+    bad_outer = two_halfspace_doc()
+    bad_outer["problem"]["outer"] = {"type": "cone"}
+    cases = [
+        (bad_function, "problem.constraints[0].f.kind", "function kind"),
+        (bad_body, "problem.constraints[0].type", "body type"),
+        (bad_outer, "problem.outer.type", "body type"),
+        (two_halfspace_doc(control={"kind": "spiral"}), "control.kind", "control kind"),
+        (two_halfspace_doc(relaxation={"kind": "spiral"}), "relaxation.kind",
+         "relaxation kind"),
+        (two_halfspace_doc(overrelaxation={"kind": "spiral"}), "overrelaxation.kind",
+         "overrelaxation kind"),
+        (two_halfspace_doc(phi="spiral"), "phi", "phi kind"),
+        (two_halfspace_doc(phi={"kind": "spiral"}), "phi.kind", "phi kind"),
+        (two_halfspace_doc(weights={"kind": "spiral"}), "weights.kind", "weight kind"),
+        (two_halfspace_doc(control={"kind": ["cyclic"]}), "control.kind", "control kind"),
+    ]
+    for doc, field, noun in cases:
+        with pytest.raises(ConfigError, match=re.escape(f"'{field}': unknown {noun}")):
+            build_run_config(doc)
+
+
+def wrong_dimension_docs():
+    """(document, field path) pairs whose vector or axis does not fit dim 2."""
+    def with_constraint(c):
+        doc = two_halfspace_doc()
+        doc["problem"]["constraints"][0] = c
+        return doc
+    cases = [
+        (with_constraint({"type": "halfspace", "a": [1.0, 0.0, 0.0], "b": 0.0}),
+         "problem.constraints[0].a"),
+        (with_constraint({"type": "sublevel", "f": {"kind": "abs_coord", "axis": 5,
+                                                     "c": 1.0}}),
+         "problem.constraints[0].f.axis"),
+        (with_constraint({"type": "ball", "center": [0.0], "radius": 1.0}),
+         "problem.constraints[0].center"),
+        (with_constraint({"type": "box", "lo": [0.0, 0.0], "hi": 1.0}),
+         "problem.constraints[0].hi"),
+        (with_constraint({"type": "sublevel", "f": {"kind": "quad_coord", "axis": -1,
+                                                     "c": 1.0}}),
+         "problem.constraints[0].f.axis"),
+        (with_constraint({"type": "sublevel", "f": {
+            "kind": "max_affine", "pieces": [{"a": [1.0, 0.0], "b": 0.0},
+                                             {"a": [1.0], "b": 0.0}]}}),
+         "problem.constraints[0].f.pieces[1].a"),
+        (with_constraint({"type": "sublevel", "f": {"kind": "sqdist_ball",
+                                                     "center": [], "radius": 1.0}}),
+         "problem.constraints[0].f.center"),
+        (two_halfspace_doc(x0=[1.0]), "x0"),
+    ]
+    outer = two_halfspace_doc()
+    outer["problem"]["outer"] = {"type": "box", "lo": [-9.0], "hi": [9.0]}
+    interior = two_halfspace_doc()
+    interior["problem"]["interior"]["z"] = [-3.0, -3.0, -3.0]
+    return cases + [(outer, "problem.outer.lo"), (interior, "problem.interior.z")]
+
+
+def test_vectors_and_axes_must_fit_the_dimension():
+    for doc, field in wrong_dimension_docs():
+        with pytest.raises(ConfigError, match=re.escape(f"field '{field}'")):
+            build_run_config(doc)
+
+
+def test_cli_validate_rejects_vectors_and_axes_of_another_dimension(tmp_path):
+    # A wrong length used to validate OK and then fail, or answer wrongly,
+    # in solve: a raw matmul ValueError, a raw IndexError, or a ball center
+    # broadcast to "feasible".
+    for doc, field in wrong_dimension_docs()[:3]:
+        path = write_doc(tmp_path, doc)
+        out = run_cli(["validate", "--config", path], tmp_path)
+        assert out.returncode == 1, (field, out.stdout)
+        assert out.stderr.startswith("error:") and f"'{field}'" in out.stderr
 
 
 def test_cli_main_does_not_mask_key_errors(monkeypatch):

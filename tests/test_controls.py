@@ -10,7 +10,6 @@ from feasik import (AbsCoordMinusC, ConfigError, ConstantRelaxation,
                     RandomSets, RemotestSet, Repetitive, RunConfig, Sublevel,
                     UniformOverActive, empirical_well_matched,
                     positivity_diagnostic, solve)
-from feasik.controls import covers_every_window
 
 
 def a2_problem():
@@ -192,12 +191,23 @@ def test_positivity_worked_examples(axis_halfspaces):
     assert rep.probes[0][1] == 0.3 and rep.ok
 
 
+def covers_every_window(control, problem, span, starts):
+    """Structural repetitiveness of a nonadaptive control: the union of each
+    window of ``span`` consecutive emissions covers the whole pool."""
+    x = np.zeros(problem.dim)
+    emitted = [set(control.indices(k, x, problem)) for k in range(starts + span)]
+    return all(set(problem.indices()) <= set().union(*emitted[n:n + span])
+               for n in range(starts))
+
+
 def test_structural_repetitiveness_windows():
+    pool = lambda m: Problem(1, [Constraint(i, Halfspace([1.0], float(i)))
+                                 for i in range(m)])
     s = 3
-    assert covers_every_window(Cyclic([0, 1, 2]), (0, 1, 2), s, starts=3 * s)
+    assert covers_every_window(Cyclic([0, 1, 2]), pool(3), s, starts=3 * s)
     inter = Intermittent([(0, 1), (2,), (1, 3)])
-    assert covers_every_window(inter, (0, 1, 2, 3), inter.span, starts=3 * inter.span)
-    assert not covers_every_window(Cyclic([0, 1]), (0, 1, 2), 2, starts=6)
+    assert covers_every_window(inter, pool(4), inter.span, starts=3 * inter.span)
+    assert not covers_every_window(Cyclic([0, 1]), pool(3), 2, starts=6)
 
 
 def test_random_sets_every_index_appears(axis_halfspaces):

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +11,7 @@ from feasik import (AbsCoordMinusC, Affine, Box, ConfigError,
                     FromFunction, Halfspace, Harmonic, Intermittent, OuterSet,
                     PhiCustom, PhiOne, PhiSubgradNorm, Problem,
                     QuadCoordMinusC, RandomSets, RunConfig, Sublevel,
-                    UniformOverActive, feasible, solve, step, step_subgradient,
-                    trace_csv_text)
+                    UniformOverActive, feasible, solve, step, trace_csv_text)
 from feasik.engine import compensated_sum, read_trace_csv
 
 import io
@@ -63,12 +61,15 @@ def test_step_alternating_metric_update(axis_halfspaces):
         assert x1[1] == pytest.approx((y - r) / 2.0, rel=1e-15, abs=0.0)
 
 
+# With phi = ||g||, a subgradient cutter's overshoot term beta * (T(x) - x)
+# is -(r + f)/||g||^2 * g, so ``step`` is the subgradient form itself.
+
 def test_step_subgradient_hand_value():
     # x1 = 2 - (1+3)/16 * 4 = 1: lands exactly on the boundary
     p = Problem(2, [Constraint(0, Sublevel(QuadCoordMinusC(axis=0, c=1.0)))])
     cfg = make_cfg(p, [2.0, 0.0], control=Cyclic([0]), phi=PhiSubgradNorm(),
                    over=FromFunction(lambda j: 1.0, divergent_sum=True))
-    x1, corrected, _ = step_subgradient(cfg, cfg.x0, 0, CorrectionCounter("bracketed"))
+    x1, corrected, _ = step(cfg, cfg.x0, 0, CorrectionCounter("bracketed"))
     assert np.array_equal(x1, [1.0, 0.0])
     assert corrected
 
@@ -77,8 +78,8 @@ def test_step_subgradient_empty_violated_is_identity():
     p = Problem(2, [Constraint(0, Sublevel(QuadCoordMinusC(axis=0, c=1.0)))])
     cfg = make_cfg(p, [0.5, 0.0], control=Cyclic([0]), phi=PhiSubgradNorm())
     x = np.array([0.5, 0.0])
-    x1, corrected, _ = step_subgradient(cfg, x, 0, CorrectionCounter("bracketed"))
-    assert np.array_equal(x1, x) and not corrected
+    x1, corrected, rec = step(cfg, x, 0, CorrectionCounter("bracketed"))
+    assert np.array_equal(x1, x) and not corrected and rec.violated == ()
 
 
 def test_step_subgradient_a2_recursion():
@@ -88,8 +89,27 @@ def test_step_subgradient_a2_recursion():
     xval, r = 2.0, 0.5
     cfg = make_cfg(p, [xval, 0.0], control=Explicit([(1,)]), phi=PhiSubgradNorm(),
                    over=FromFunction(lambda j: r, divergent_sum=True), counter="raw")
-    x1, _, _ = step_subgradient(cfg, np.array([xval, 0.0]), 0, CorrectionCounter("raw"))
+    x1, _, _ = step(cfg, np.array([xval, 0.0]), 0, CorrectionCounter("raw"))
+    assert x1[0] == 1.125
     assert x1[0] == pytest.approx((xval + (1 - r) / xval) / 2.0, rel=1e-15)
+
+
+def subgradient_form(problem, x, active, alpha, r):
+    """x - alpha * sum_{i violated} lambda_i * (r + f_i)/||g_i||^2 * g_i
+    with uniform weights over the active set: the closed form of a step on
+    sublevel constraints with phi = ||g||, kept as the reference."""
+    lam = 1.0 / len(active)
+    terms = []
+    for i in active:
+        f = problem.constraint(i).body.f
+        fval = f.value(x)
+        if fval > 0.0:
+            g = f.subgradient(x)
+            terms.append(lam * ((-(r + fval) / float(g @ g)) * g))
+    if not terms:
+        return np.array(x), False
+    step_vec = alpha * compensated_sum(terms, problem.dim)
+    return x + step_vec, bool(np.any(step_vec != 0.0))
 
 
 def test_step_paths_agree():
@@ -116,9 +136,8 @@ def test_step_paths_agree():
                        alpha=float(rng.uniform(0.2, 2.0)), phi=PhiSubgradNorm(),
                        over=FromFunction(lambda j, rv=rval: rv,
                                          divergent_sum=True), counter="raw")
-        c = CorrectionCounter("raw")
-        xa, ca, _ = step(cfg, x, 0, c)
-        xb, cb, _ = step_subgradient(cfg, x, 0, c)
+        xa, ca, _ = step(cfg, x, 0, CorrectionCounter("raw"))
+        xb, cb = subgradient_form(p, x, active, cfg.relaxation.alpha(0), rval)
         assert ca == cb
         np.testing.assert_allclose(xa, xb, rtol=1e-12, atol=1e-12)
 

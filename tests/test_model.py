@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feasik import (AbsCoordMinusC, Affine, Ball, Box, ConfigError, Constraint,
                     Halfspace, MaxAffine, OuterSet, PoolIndexError, Problem,
@@ -155,3 +157,95 @@ def test_constraint_cutter_validation():
     assert c.cutter == "metric"
     with pytest.raises(ConfigError):
         Ball([0.0], 0.0)
+
+
+# The closed forms Sublevel.distance and Sublevel.project dispatched to by
+# function type before each function class gave its own, kept as the
+# reference the methods must match bit for bit.
+
+def reference_sublevel_distance(f, x):
+    if isinstance(f, Affine):
+        return Halfspace(f.a, f.b).distance(x)
+    if isinstance(f, AbsCoordMinusC) and f.c >= 0.0:
+        return max(0.0, abs(float(x[f.axis])) - f.c)
+    if isinstance(f, QuadCoordMinusC) and f.c >= 0.0:
+        return max(0.0, abs(float(x[f.axis])) - math.sqrt(f.c))
+    if isinstance(f, SquaredDistToBall):
+        return max(0.0, float(np.linalg.norm(x - f.center)) - f.radius)
+    return None
+
+
+def reference_sublevel_project(f, x):
+    if isinstance(f, Affine):
+        return Halfspace(f.a, f.b).project(x)
+    if isinstance(f, AbsCoordMinusC) and f.c >= 0.0:
+        y = np.array(x, dtype=np.float64)
+        y[f.axis] = min(max(y[f.axis], -f.c), f.c)
+        return y
+    if isinstance(f, QuadCoordMinusC) and f.c >= 0.0:
+        r = math.sqrt(f.c)
+        y = np.array(x, dtype=np.float64)
+        y[f.axis] = min(max(y[f.axis], -r), r)
+        return y
+    if isinstance(f, SquaredDistToBall):
+        return Ball(f.center, f.radius).project(x)
+    return None
+
+
+COORD = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 5e-324]))
+OFFSET = st.one_of(st.floats(-4.0, 4.0),
+                   st.sampled_from([0.0, -0.0, math.inf, math.nan]))
+
+
+@st.composite
+def functions_and_points(draw):
+    dim = draw(st.integers(1, 4))
+    vec = st.lists(COORD, min_size=dim, max_size=dim).map(np.array)
+    axis = st.integers(0, dim - 1)
+    a = draw(vec.filter(lambda v: np.any(v)))
+    f = draw(st.sampled_from([
+        Affine(a, draw(st.floats(-1e3, 1e3))),
+        AbsCoordMinusC(draw(axis), draw(OFFSET)),
+        QuadCoordMinusC(draw(axis), draw(OFFSET)),
+        MaxAffine(((a, 0.5), (-a, 0.5))),
+        SquaredDistToBall(draw(vec), draw(st.floats(1e-3, 1e3))),
+    ]))
+    return f, draw(vec)
+
+
+def outcome(fn, *args):
+    """The bytes of a closed form's value, None, or the error it raised: a
+    normal whose norm underflows divides by zero in either form."""
+    try:
+        v = fn(*args)
+    except (ConfigError, ZeroDivisionError) as e:
+        return type(e), str(e)
+    return None if v is None else np.asarray(v, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(functions_and_points())
+def test_sublevel_closed_forms_match_the_type_dispatch_bit_for_bit(case):
+    f, x = case
+    body = Sublevel(f)
+    with np.errstate(all="ignore"):
+        want_d = outcome(reference_sublevel_distance, f, x)
+        want_p = outcome(reference_sublevel_project, f, x)
+        for _ in range(2):  # the first call builds what the second reuses
+            assert outcome(body.distance, x) == want_d
+            if want_p is None:
+                with pytest.raises(ConfigError, match="metric cutter unavailable"):
+                    body.project(x)
+            else:
+                assert outcome(body.project, x) == want_p
+
+
+def test_zero_normal_affine_sublevel_fails_at_each_closed_form_use():
+    body = Sublevel(Affine([0.0, 0.0], 1.0))  # constructing it is fine
+    x = np.array([1.0, 2.0])
+    assert body.violation(x) == -1.0
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="normal must be nonzero"):
+            body.distance(x)
+        with pytest.raises(ConfigError, match="normal must be nonzero"):
+            body.project(x)
