@@ -12,11 +12,10 @@ from .controls import (Cyclic, Explicit, Intermittent, MaxDisplacement,
                        MaxViolation, RandomSets, RemotestSet, Repetitive,
                        empirical_well_matched, positivity_diagnostic)
 from .schedules import (ConstantOverrelaxation, ConstantRelaxation,
-                        CorrectionCounter, ExplicitTable, FromFunction,
-                        Geometric, Harmonic, MergedDecreasing,
-                        OverrelaxationList, PhiCustom, PhiOne,
-                        PhiSubgradNorm, RelaxationList, UniformOverActive,
-                        UniformOverViolated, beta, counter_update)
+                        ExplicitTable, FromFunction, Geometric, Harmonic,
+                        MergedDecreasing, OverrelaxationList, PhiCustom,
+                        PhiOne, PhiSubgradNorm, RelaxationList,
+                        UniformOverActive, UniformOverViolated, beta)
 from .engine import (RunConfig, RunResult, TraceRecord, solve, step,
                      trace_csv_text, write_trace_csv)
 from .certificates import (check_descent, check_fixed_point_consistency,

@@ -17,8 +17,8 @@ from .errors import CertificateError, ConfigError
 from .model import (AbsCoordMinusC, Constraint, Halfspace, OuterSet, Problem,
                     QuadCoordMinusC, Sublevel, Vector, as_vector)
 from .operators import evaluate_cutter
-from .schedules import (ConstantRelaxation, CorrectionCounter, FromFunction,
-                        Harmonic, MergedDecreasing, PhiOne, PhiSubgradNorm,
+from .schedules import (ConstantRelaxation, FromFunction, Harmonic,
+                        MergedDecreasing, PhiOne, PhiSubgradNorm,
                         UniformOverActive)
 
 
@@ -350,7 +350,7 @@ def _a2_single_update(problem: Problem, x: Vector, r: float) -> Vector:
         overrelaxation=FromFunction(lambda j: r, divergent_sum=True),
         phi=PhiSubgradNorm(), weights=UniformOverActive(), x0=x,
         counter_mode="raw", max_iter=1)
-    x_next, _, _ = step(cfg, x, 0, CorrectionCounter("raw"), feasible_flag=False)
+    x_next, _, _ = step(cfg, x, 0, 0, feasible_flag=False)
     return x_next
 
 

@@ -30,6 +30,7 @@ parse(emit(doc)) == doc bit for bit.
 from __future__ import annotations
 
 import json
+import reprlib
 from typing import Callable, NamedTuple, Optional
 
 from . import controls as ctl
@@ -101,14 +102,24 @@ def _read(doc, key: str, where: str, ftype: Field, dim: int):
     return ftype.read(value, f"{where}.{key}", dim)
 
 
+def _convert(kind, value, where: str, what: str):
+    """``kind(value)``, or a ConfigError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"field '{where}' must be {what}, "
+                          f"not {reprlib.repr(value)}") from None
+
+
 def _vector(value, where: str, dim: int) -> list:
     if not isinstance(value, list) or len(value) != dim:
         raise ConfigError(f"field '{where}' must be a list of length {dim}")
-    return value
+    return [_convert(float, t, f"{where}[{n}]", "a number")
+            for n, t in enumerate(value)]
 
 
 def _axis(value, where: str, dim: int) -> int:
-    axis = int(value)
+    axis = _convert(int, value, where, "an integer")
     if not 0 <= axis < dim:
         raise ConfigError(f"field '{where}': axis {axis} is outside [0, {dim})")
     return axis
@@ -129,7 +140,8 @@ def records(*fields) -> Field:
 
 
 VALUE = Field()
-NUMBER = Field(lambda value, where, dim: float(value))
+NUMBER = Field(lambda value, where, dim: _convert(float, value, where, "a number"))
+INTEGER = Field(lambda value, where, dim: _convert(int, value, where, "an integer"))
 LIST = Field(lambda value, where, dim: _list(value, where))
 FLAG = Field(lambda value, where, dim: bool(value), default=False)
 VECTOR = Field(_vector, lambda v: [float(t) for t in v])
@@ -171,17 +183,17 @@ class Kinds:
 
 
 FUNCTIONS = Kinds("function kind", "kind", {
-    "affine": (Affine, (("a", VECTOR), ("b", VALUE))),
+    "affine": (Affine, (("a", VECTOR), ("b", NUMBER))),
     "abs_coord": (AbsCoordMinusC, (("axis", AXIS), ("c", NUMBER))),
     "quad_coord": (QuadCoordMinusC, (("axis", AXIS), ("c", NUMBER))),
-    "max_affine": (MaxAffine, (("pieces", records(("a", VECTOR), ("b", VALUE))),)),
+    "max_affine": (MaxAffine, (("pieces", records(("a", VECTOR), ("b", NUMBER))),)),
     "sqdist_ball": (SquaredDistToBall, (("center", VECTOR), ("radius", NUMBER))),
 })
 FUNCTION = Field(FUNCTIONS.build, FUNCTIONS.to_doc)
 
 BODIES = Kinds("body type", "type", {
-    "halfspace": (Halfspace, (("a", VECTOR), ("b", VALUE))),
-    "ball": (Ball, (("center", VECTOR), ("radius", VALUE))),
+    "halfspace": (Halfspace, (("a", VECTOR), ("b", NUMBER))),
+    "ball": (Ball, (("center", VECTOR), ("radius", NUMBER))),
     "box": (Box, (("lo", VECTOR), ("hi", VECTOR))),
     "sublevel": (Sublevel, (("f", FUNCTION),)),
 })
@@ -194,19 +206,19 @@ CONTROLS = Kinds("control kind", "kind", {
     "max_displacement": (ctl.MaxDisplacement, ()),
     "max_violation": (ctl.MaxViolation, ()),
     "random_sets": (ctl.RandomSets, (("atoms", records(("indices", VALUE),
-                                                       ("p", VALUE))),
-                                     ("seed", VALUE))),
+                                                       ("p", NUMBER))),
+                                     ("seed", INTEGER))),
 })
 
 RELAXATIONS = Kinds("relaxation kind", "kind", {
-    "constant": (sch.ConstantRelaxation, (("alpha", VALUE),)),
+    "constant": (sch.ConstantRelaxation, (("alpha", NUMBER),)),
     "list": (sch.RelaxationList, (("values", LIST),)),
 })
 
 OVERRELAXATIONS = Kinds("overrelaxation kind", "kind", {
-    "constant": (sch.ConstantOverrelaxation, (("r", VALUE),)),
+    "constant": (sch.ConstantOverrelaxation, (("r", NUMBER),)),
     "harmonic": (sch.Harmonic, ()),
-    "geometric": (sch.Geometric, (("r0", VALUE), ("ratio", VALUE))),
+    "geometric": (sch.Geometric, (("r0", NUMBER), ("ratio", NUMBER))),
     "list": (sch.OverrelaxationList, (("values", LIST), ("divergent_sum", FLAG))),
 })
 
@@ -227,7 +239,7 @@ WEIGHTS = Kinds("weight kind", "kind", {
 # ---------------------------------------------------------------------------
 
 def build_problem(doc: dict, where: str = "problem") -> Problem:
-    dim = int(_need(doc, "dim", where))
+    dim = _read(doc, "dim", where, INTEGER, 0)
     outer_doc = _object(doc.get("outer", {"type": "whole_space"}), where + ".outer")
     if outer_doc.get("type") == "whole_space":
         outer = OuterSet.whole_space()
@@ -241,7 +253,7 @@ def build_problem(doc: dict, where: str = "problem") -> Problem:
     interior = None
     if "interior" in doc:
         interior = (_read(doc["interior"], "z", where + ".interior", VECTOR, dim),
-                    _need(doc["interior"], "R", where + ".interior"))
+                    _read(doc["interior"], "R", where + ".interior", NUMBER, dim))
     return Problem(dim, constraints, outer=outer, interior=interior)
 
 
@@ -289,7 +301,7 @@ def build_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfi
                               "weights", dim),
         x0=VECTOR.read(_need(doc, "x0", "run"), "x0", dim),
         counter_mode=doc.get("counter_mode", "bracketed"),
-        max_iter=int(doc.get("max_iter", 1_000_000)),
+        max_iter=INTEGER.read(doc.get("max_iter", 1_000_000), "max_iter", dim),
         feas_window=doc.get("feas_window"),
-        feas_tol=float(doc.get("feas_tol", 0.0)),
+        feas_tol=NUMBER.read(doc.get("feas_tol", 0.0), "feas_tol", dim),
     )

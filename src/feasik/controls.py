@@ -16,7 +16,9 @@ from .operators import evaluate_cutter
 
 
 def _index_tuple(indices) -> tuple:
-    out = tuple(map(int, indices))
+    # A tuple of exact ints is kept, so a schedule's constant sets are shared.
+    out = (indices if type(indices) is tuple and all(type(i) is int for i in indices)
+           else tuple(map(int, indices)))
     if not out:
         raise ControlError("control emitted an empty index set")
     if len(out) > 1 and len(set(out)) != len(out):
@@ -103,8 +105,12 @@ class Cyclic(_FixedSets):
     def max_card(self):
         return 1
 
+    @functools.cached_property
+    def _singletons(self) -> list:
+        return [(i,) for i in self.order]  # at the first emission; shared
+
     def _select(self, k, x, problem, stacked=None):
-        return (self.order[k % len(self.order)],)
+        return self._singletons[k % len(self.order)]
 
 
 class Intermittent(_FixedSets):
@@ -245,8 +251,13 @@ class RandomSets(_FixedSets):
 
     The draw at iteration k uses a counter-based generator keyed by
     (seed, k), so step k's realization is reproducible independently of
-    how the run is replayed.
+    how the run is replayed.  ``Generator(Philox(key=seed, counter=k))
+    .random()`` is (w >> 11) * 2^-53 for w the first word of Philox's block
+    at counter k + 1, so one ``random_raw`` call yields the draws of
+    ``DRAW_BLOCK`` consecutive k; the last such block is kept.
     """
+
+    DRAW_BLOCK = 64
 
     kind = "random_sets"
 
@@ -261,14 +272,20 @@ class RandomSets(_FixedSets):
             raise ConfigError(f"atom probabilities sum to {total}, not 1")
         self.seed = int(seed) & (2 ** 64 - 1)
         self._cum = np.cumsum([p for _, p in self.atoms])
+        self._block_start, self._block = None, None
 
     def _family(self):
         return [(f"atoms[{n}].indices", s)
                 for n, (s, _) in enumerate(self.atoms)]
 
     def draw_uniform(self, k: int) -> float:
-        bg = np.random.Philox(key=self.seed, counter=k)
-        return float(np.random.Generator(bg).random())
+        start = k - k % self.DRAW_BLOCK
+        if start != self._block_start:
+            words = np.random.Philox(key=self.seed, counter=start).random_raw(
+                4 * self.DRAW_BLOCK)[::4]
+            self._block = (words >> 11) * 2.0 ** -53
+            self._block_start = start
+        return float(self._block[k - start])
 
     def _select(self, k, x, problem, stacked=None):
         u = self.draw_uniform(k)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError
 from .model import Problem, RowPass, Vector, as_vector, feasible, norm
 from .operators import evaluate_cutter
-from .schedules import CorrectionCounter, PhiCustom, beta, counter_update
+from .schedules import PhiCustom, beta
 
 
 def compensated_sum(vectors, dim: int) -> Vector:
@@ -93,11 +93,12 @@ class RunConfig:
                 "finite convergence is not guaranteed", stacklevel=2)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     """Snapshot of iteration k.  ``per_index`` holds one
     (index, residual, displacement, beta, rho) tuple per active index, with
-    rho = r/phi.  The terminal record of a run has an empty active set."""
+    rho = r/phi.  The terminal record of a run has an empty active set.
+    ``x`` is the iterate itself, which ``solve`` makes read-only."""
 
     k: int
     bracket_k: int
@@ -126,23 +127,25 @@ class RunResult:
         return self.status == "feasible"
 
 
-def step(cfg: RunConfig, x: Vector, k: int, counter: CorrectionCounter,
+def step(cfg: RunConfig, x: Vector, k: int, count: int,
          feasible_flag: Optional[bool] = None,
          stacked: Optional[RowPass] = None):
-    """One iteration of the main method.
+    """One iteration of the main method at step k, with the schedules
+    indexed by ``count``: [k], the corrections so far, in bracketed mode
+    and k itself in raw mode.
 
     Returns (x_next, corrected, record).  ``corrected`` is true when some
     active constraint was violated and the combined step vector is nonzero;
     that is the event the bracketed counter counts.  ``stacked`` is the
     residual pass at x when the caller has taken it; the control scores
     with it, and active metric halfspaces it certifies as satisfied skip
-    their cutter, whose image is x.
+    their cutter, whose image is x.  x is never written; the record holds
+    it, and a step that does not move returns it as x_next.
     """
     problem = cfg.problem
-    j = counter.count if cfg.counter_mode == "bracketed" else k
     active = cfg.control.indices(k, x, problem, stacked)
-    alpha = cfg.relaxation.alpha(j)
-    r = cfg.overrelaxation.r(j)
+    alpha = cfg.relaxation.alpha(count)
+    r = cfg.overrelaxation.r(count)
     if stacked is not None:
         row_of, settled = stacked.rows.row_of, stacked.settled
         zero_entries = stacked.rows.zero_entries
@@ -158,7 +161,7 @@ def step(cfg: RunConfig, x: Vector, k: int, counter: CorrectionCounter,
         ce = evaluate_cutter(constraint, x)
         if ce.displacement_norm > 0.0:
             violated.append(i)
-            phi_val = cfg.phi.value(constraint, x)
+            phi_val = cfg.phi.value(constraint, x, ce.subgrad_sq)
             b = beta(r, phi_val, ce.displacement_norm)
             rho = r / phi_val
             if b != 0.0:
@@ -178,16 +181,16 @@ def step(cfg: RunConfig, x: Vector, k: int, counter: CorrectionCounter,
         x_next = problem.outer.project(x + step_vec)
         corrected = bool(np.any(step_vec != 0.0))
     else:
-        x_next, corrected = np.array(x, dtype=np.float64), False
+        x_next, corrected = x, False
 
     if feasible_flag is None:
         feasible_flag = feasible(problem, x, cfg.feas_window, cfg.feas_tol,
                                  stacked=stacked)
     record = TraceRecord(
-        k=k, bracket_k=counter.count, x=np.array(x), active=active,
+        k=k, bracket_k=count, x=x, active=active,
         violated=violated, per_index=tuple(per_index),
         alpha_used=alpha, r_used=r,
-        step_norm=norm(x_next - x),
+        step_norm=0.0 if x_next is x else norm(x_next - x),
         corrected=corrected, feasible_flag=bool(feasible_flag))
     return x_next, corrected, record
 
@@ -199,7 +202,8 @@ def solve(cfg: RunConfig) -> RunResult:
     The run never claims divergence; exceeding the budget reports
     ``max_iter``, and an iterate with a NaN or infinite coordinate stops the
     run as ``nonfinite``.  The trace carries one record per executed step
-    plus a terminal record for the final iterate.
+    plus a terminal record for the final iterate.  Iterates are read-only
+    arrays, shared by the records and ``RunResult.final``.
 
     For a pool with stacked affine rows, each iterate gets one residual
     pass, shared by the feasibility test, the control and the cutters.
@@ -210,7 +214,9 @@ def solve(cfg: RunConfig) -> RunResult:
     if window is None and rows is None:
         window = problem.indices()  # no rows to stack: the scalar loop
     x = np.array(cfg.x0, dtype=np.float64)
-    counter = CorrectionCounter(cfg.counter_mode)
+    x.flags.writeable = False
+    count = 0
+    raw = cfg.counter_mode == "raw"
     trace = []
     corrections = 0
     norm_flag = False
@@ -225,18 +231,19 @@ def solve(cfg: RunConfig) -> RunResult:
                                           stacked=stacked)
         if feas or nonfinite or k >= cfg.max_iter:
             trace.append(TraceRecord(
-                k=k, bracket_k=counter.count, x=np.array(x), active=(),
+                k=k, bracket_k=count, x=x, active=(),
                 violated=(), per_index=(), alpha_used=None, r_used=None,
                 step_norm=0.0, corrected=False, feasible_flag=feas))
             status = ("feasible" if feas else
                       "nonfinite" if nonfinite else "max_iter")
             return RunResult(status, k if feas else None, x, trace,
                              corrections, norm_flag)
-        x, corrected, record = step(cfg, x, k, counter, feasible_flag=feas,
+        x, corrected, record = step(cfg, x, k, count, feasible_flag=feas,
                                     stacked=stacked)
+        x.flags.writeable = False
         trace.append(record)
         corrections += corrected
-        counter = counter_update(counter, corrected)
+        count += raw or corrected
         if watch_norm and not norm_flag and float(np.linalg.norm(x)) > norm_cap:
             norm_flag = True
         # A finite step norm implies a finite iterate; the norm of a finite

@@ -82,7 +82,7 @@ class Affine(ConvexFunction):
         object.__setattr__(self, "b", float(self.b))
 
     def value(self, x):
-        return float(self.a @ x) - self.b
+        return float(self.a.dot(x)) - self.b
 
     def subgradient(self, x):
         return self.a
@@ -175,7 +175,7 @@ class MaxAffine(ConvexFunction):
         object.__setattr__(self, "pieces", norm)
 
     def _active(self, x):
-        vals = [float(a @ x) - b for a, b in self.pieces]
+        vals = [float(a.dot(x)) - b for a, b in self.pieces]
         best = max(vals)
         return vals.index(best), best
 
@@ -257,20 +257,22 @@ class Body:
 
 @dataclass(frozen=True)
 class Halfspace(Body):
-    """{x : <a, x> <= b} with a != 0."""
+    """{x : <a, x> <= b} with a . a > 0, which an underflowing a fails."""
 
     a: Vector
     b: float
 
     def __post_init__(self):
         a = as_vector(self.a)
-        if not np.any(a):
+        if not a.dot(a) > 0.0:
             raise ConfigError("halfspace normal must be nonzero")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", float(self.b))
 
     def violation(self, x):
-        return float(self.a @ x) - self.b
+        # ndarray.dot skips matmul's dispatch; for 1-D float64 vectors with
+        # positive strides both reach the same dot kernel, bit for bit.
+        return float(self.a.dot(x)) - self.b
 
     def distance(self, x):
         return self._distance(self.violation(x))
@@ -288,8 +290,8 @@ class Halfspace(Body):
 
     def _project(self, x, v):
         if v <= 0.0:
-            return np.array(x, dtype=np.float64)
-        return x - (v / float(self.a @ self.a)) * self.a
+            return x
+        return x - (v / float(self.a.dot(self.a))) * self.a
 
     def affine_row(self):
         return self.a, self.b
@@ -510,7 +512,7 @@ class Problem:
         return rows.at(x) if rows is not None else None
 
     def constraint(self, i: int) -> Constraint:
-        if i < 0 or (self.is_finite and i >= self.m):
+        if not 0 <= i < self.m:
             raise PoolIndexError(f"index out of pool: {i}")
         if self._constraints is not None:
             return self._constraints[i]

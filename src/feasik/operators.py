@@ -3,26 +3,25 @@ the cutter-property checker."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple, Optional
 
 from .errors import ConfigError, InconsistentConstraintError
 from .model import Body, Constraint, METRIC_BODIES, Vector, norm
 
 
-@dataclass(frozen=True)
-class CutterEval:
+class CutterEval(NamedTuple):
     """One cutter application T_i(x).
 
     ``residual`` is f_i(x) for sublevel bodies and the exact distance
     d(x, C_i) otherwise.  ``displacement_norm`` is always computed from the
-    image difference.
+    image difference.  ``subgrad_sq`` is g.g for a subgradient projection
+    that moved x, else None.  An image that equals x may be x itself.
     """
 
     image: Vector
     displacement_norm: float
     residual: float
+    subgrad_sq: Optional[float] = None
 
 
 def project_metric(body: Body, x: Vector) -> CutterEval:
@@ -42,14 +41,14 @@ def project_subgradient(f, x: Vector) -> CutterEval:
     """
     val = f.value(x)
     if val <= 0.0:
-        return CutterEval(np.array(x, dtype=np.float64), 0.0, val)
+        return CutterEval(x, 0.0, val)
     g = f.subgradient(x)
-    gg = float(g @ g)
+    gg = float(g.dot(g))
     if gg == 0.0:
         raise InconsistentConstraintError(
             "inconsistent constraint: positive value with zero subgradient")
     image = x - (val / gg) * g
-    return CutterEval(image, norm(image - x), val)
+    return CutterEval(image, norm(image - x), val, gg)
 
 
 def evaluate_cutter(constraint: Constraint, x: Vector) -> CutterEval:

@@ -1,11 +1,10 @@
-"""Relaxation and overrelaxation schedules, phi functionals, weight rules,
-the overshoot factor beta, and the correction counter."""
+"""Relaxation and overrelaxation schedules, phi functionals, weight rules
+and the overshoot factor beta."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -174,11 +173,13 @@ class MergedDecreasing(Overrelaxation):
             self._sources.append(src)
 
     def r(self, j):
-        self._extend(j)
+        if j >= len(self._values):
+            self._extend(j)
         return self._values[j]
 
     def source(self, j) -> tuple:
-        self._extend(j)
+        if j >= len(self._sources):
+            self._extend(j)
         return self._sources[j]
 
     def position_of(self, which: str, k: int, limit: int = 10 ** 7) -> int:
@@ -196,23 +197,29 @@ class MergedDecreasing(Overrelaxation):
 # ---------------------------------------------------------------------------
 
 class PhiOne:
-    """phi_i(x) = 1."""
+    """phi_i(x) = 1.  Every phi's ``value`` may be handed ``subgrad_sq``,
+    the g.g of a subgradient projection at x that moved it."""
 
     kind = "one"
 
-    def value(self, constraint: Constraint, x: Vector) -> float:
+    def value(self, constraint: Constraint, x: Vector,
+              subgrad_sq: Optional[float] = None) -> float:
         return 1.0
 
 
 class PhiSubgradNorm:
-    """phi_i(x) = ||g_i(x)|| when f_i(x) > 0, else 1 (sublevel bodies only)."""
+    """phi_i(x) = ||g_i(x)|| when f_i(x) > 0, else 1 (sublevel bodies only).
+    A given ``subgrad_sq`` > 0 is g.g at a point with f(x) > 0, and its
+    square root is ``np.linalg.norm(g)`` bit for bit (see ``model.norm``)."""
 
     kind = "subgrad_norm"
 
-    def value(self, constraint, x):
+    def value(self, constraint, x, subgrad_sq=None):
         body = constraint.body
         if not isinstance(body, Sublevel):
             raise ConfigError("subgradient-norm phi needs sublevel constraints")
+        if subgrad_sq is not None:
+            return math.sqrt(subgrad_sq)
         if body.f.value(x) <= 0.0:
             return 1.0
         n = float(np.linalg.norm(body.f.subgradient(x)))
@@ -236,7 +243,7 @@ class PhiCustom:
         self.delta = delta
         self.big_delta = big_delta
 
-    def value(self, constraint, x):
+    def value(self, constraint, x, subgrad_sq=None):
         v = float(self.fn(constraint, x))
         if not (v > 0.0) or math.isinf(v):
             raise ConfigError(f"phi value {v} outside (0, inf)")
@@ -317,28 +324,3 @@ class ExplicitTable(WeightRule):
 
     def floor(self, max_card):
         return self._floor
-
-
-# ---------------------------------------------------------------------------
-# Correction counter [k]
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CorrectionCounter:
-    """In "bracketed" mode, counts the steps that actually moved the iterate
-    ([k]); in "raw" mode it simply tracks k."""
-
-    mode: str = "bracketed"
-    count: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("bracketed", "raw"):
-            raise ConfigError(f"unknown counter mode {self.mode!r}")
-
-
-def counter_update(c: CorrectionCounter, corrected: bool) -> CorrectionCounter:
-    """Advance after one step: bracketed increments only on corrections,
-    raw increments always."""
-    if c.mode == "raw" or corrected:
-        return CorrectionCounter(c.mode, c.count + 1)
-    return c

@@ -177,6 +177,24 @@ def test_reproduce_a2_raw_and_bracketed():
     assert rep.ok and rep.k_feasible == 130
 
 
+def test_bracketed_a2_takes_one_subgradient_per_cutter_image(monkeypatch):
+    # phi = ||g|| reuses the g . g of the subgradient projection: the run
+    # evaluates each violated constraint's subgradient once, not twice.
+    calls = []
+    for cls in (AbsCoordMinusC, QuadCoordMinusC):
+        def counted(self, x, orig=cls.subgradient):
+            calls.append(type(self).__name__)
+            return orig(self, x)
+        monkeypatch.setattr(cls, "subgradient", counted)
+    cfg = build_a2_config("bracketed", 10_000)[0]
+    result = solve(cfg)
+    assert result.k_feasible == 130
+    images = sum(len(rec.violated) for rec in result.trace)
+    assert images == 3 and len(calls) == 3
+    calls.clear()
+    assert reproduce_a2_bracketed().ok and len(calls) == 3
+
+
 def test_fixed_point_consistency_along_runs(axis_halfspaces):
     result = solve(cyclic_cfg(axis_halfspaces, [-1.0, 1.0]))
     assert check_fixed_point_consistency(result, axis_halfspaces) == []

@@ -256,6 +256,61 @@ def test_cli_validate_rejects_vectors_and_axes_of_another_dimension(tmp_path):
         assert out.stderr.startswith("error:") and f"'{field}'" in out.stderr
 
 
+def non_numeric_docs():
+    """(document, field path) pairs: a number that does not convert."""
+    def with_problem(key, value):
+        doc = two_halfspace_doc()
+        doc["problem"][key] = value
+        return doc
+
+    def with_constraint(c):
+        return with_problem("constraints", [c, {"type": "halfspace",
+                                                "a": [0.0, 1.0], "b": 0.0}])
+    return [
+        (with_constraint({"type": "halfspace", "a": ["x", 0.0], "b": 0.0}),
+         "problem.constraints[0].a"),
+        (with_constraint({"type": "halfspace", "a": [1.0, 0.0], "b": "x"}),
+         "problem.constraints[0].b"),
+        (with_constraint({"type": "sublevel", "f": {"kind": "abs_coord",
+                                                     "axis": "x", "c": 1.0}}),
+         "problem.constraints[0].f.axis"),
+        (with_constraint({"type": "ball", "center": [0.0, 0.0], "radius": [1]}),
+         "problem.constraints[0].radius"),
+        (with_constraint({"type": "sublevel", "f": {
+            "kind": "max_affine", "pieces": [{"a": [1.0, 0.0], "b": None}]}}),
+         "problem.constraints[0].f.pieces[0].b"),
+        (two_halfspace_doc(x0=[1.0, {}]), "x0"),
+        (two_halfspace_doc(max_iter="x"), "max_iter"),
+        (two_halfspace_doc(feas_tol="x"), "feas_tol"),
+        (two_halfspace_doc(relaxation={"kind": "constant", "alpha": "x"}),
+         "relaxation.alpha"),
+        (two_halfspace_doc(overrelaxation={"kind": "geometric", "r0": 1.0,
+                                           "ratio": "x"}), "overrelaxation.ratio"),
+        (two_halfspace_doc(control={"kind": "random_sets", "seed": "x", "atoms": [
+            {"indices": [0], "p": 1.0}]}), "control.seed"),
+        (two_halfspace_doc(control={"kind": "random_sets", "seed": 1, "atoms": [
+            {"indices": [0], "p": "x"}]}), "control.atoms[0].p"),
+        (with_problem("interior", {"z": [-3.0, -3.0], "R": "x"}), "problem.interior.R"),
+        (with_problem("dim", "x"), "problem.dim"),
+    ]
+
+
+def test_non_numeric_numbers_are_config_errors_with_the_field_path():
+    for doc, field in non_numeric_docs():
+        with pytest.raises(ConfigError, match=re.escape(f"field '{field}")):
+            build_run_config(doc)
+
+
+def test_cli_validate_rejects_non_numeric_numbers(tmp_path):
+    # These used to escape as a ValueError traceback.
+    for doc, field in non_numeric_docs()[:3]:
+        path = write_doc(tmp_path, doc)
+        out = run_cli(["validate", "--config", path], tmp_path)
+        assert out.returncode == 1, (field, out.stdout)
+        assert out.stderr.startswith("error:") and f"'{field}" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
 def test_cli_main_does_not_mask_key_errors(monkeypatch):
     # Exit 1 means a configuration error; a KeyError inside feasik is a bug.
     def broken(args):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feasik import (AbsCoordMinusC, ConfigError, ConstantRelaxation,
                     Constraint, ControlError, Cyclic, Explicit, Halfspace,
@@ -245,3 +247,31 @@ def test_probes_must_be_infeasible(axis_halfspaces):
     with pytest.raises(ConfigError):
         empirical_well_matched(Cyclic([0, 1]), axis_halfspaces,
                                [np.array([-1.0, -1.0])], horizon=4)
+
+
+def reference_draw(seed: int, k: int) -> float:
+    """The draw at step k as one generator per step."""
+    return float(np.random.Generator(np.random.Philox(key=seed, counter=k)).random())
+
+
+def test_block_draws_at_block_edges_and_huge_counters():
+    block = RandomSets.DRAW_BLOCK
+    for seed in (0, 5, 2 ** 64 - 1):
+        control = RandomSets.uniform_singletons(3, seed)
+        for k in (0, 1, block - 1, block, block + 1, 2 * block - 1, 2 ** 40,
+                  2 ** 62, 2 ** 64 - 70, 5, 0):
+            assert control.draw_uniform(k) == reference_draw(control.seed, k), (seed, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.one_of(st.sampled_from([0, 2 ** 64 - 1]), st.integers(0, 2 ** 64 - 1)),
+       base=st.one_of(st.integers(0, 300), st.integers(0, 2 ** 62)),
+       offsets=st.lists(st.integers(-140, 140), min_size=1, max_size=30),
+       order=st.sampled_from(["forward", "backward", "as drawn"]))
+def test_block_draws_match_one_generator_per_step(seed, base, offsets, order):
+    ks = [max(0, base + off) for off in offsets]
+    if order != "as drawn":
+        ks.sort(reverse=order == "backward")
+    control = RandomSets.uniform_singletons(4, seed)
+    for k in ks:
+        assert control.draw_uniform(k) == reference_draw(control.seed, k), k

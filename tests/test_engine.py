@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from feasik import (AbsCoordMinusC, Affine, Box, ConfigError,
                     ConstantOverrelaxation, ConstantRelaxation,
-                    Constraint, CorrectionCounter, Cyclic, Explicit,
+                    Constraint, Cyclic, Explicit,
                     FromFunction, Halfspace, Harmonic, Intermittent, OuterSet,
                     PhiCustom, PhiOne, PhiSubgradNorm, Problem,
-                    QuadCoordMinusC, RandomSets, RunConfig, Sublevel,
-                    UniformOverActive, feasible, solve, step, trace_csv_text)
+                    QuadCoordMinusC, RandomSets, RemotestSet, RunConfig,
+                    Sublevel, UniformOverActive, feasible,
+                    random_slater_polyhedron, solve, step, trace_csv_text)
+from feasik.certificates import build_a2_config
 from feasik.engine import compensated_sum, read_trace_csv
 
 import io
@@ -34,7 +36,7 @@ def test_step_single_halfspace_hand_value():
     p = Problem(2, [Constraint(0, Halfspace([1.0, 0.0], 0.0))])
     cfg = make_cfg(p, [2.0, 0.0], control=Cyclic([0]),
                    over=FromFunction(lambda j: 1.0, divergent_sum=True))
-    x1, corrected, rec = step(cfg, cfg.x0, 0, CorrectionCounter("bracketed"))
+    x1, corrected, rec = step(cfg, cfg.x0, 0, 0)
     assert np.array_equal(x1, [-1.0, 0.0])
     assert corrected and rec.violated == (0,)
     result = solve(cfg)
@@ -44,7 +46,7 @@ def test_step_single_halfspace_hand_value():
 def test_step_all_active_satisfied_is_identity(axis_halfspaces):
     cfg = make_cfg(axis_halfspaces, [-1.0, 5.0], control=Cyclic([0]))
     x = np.array([-1.0, 5.0])  # violates C_1 but C_0 is the active one
-    x1, corrected, rec = step(cfg, x, 0, CorrectionCounter("bracketed"))
+    x1, corrected, rec = step(cfg, x, 0, 0)
     assert np.array_equal(x1, x)
     assert not corrected and rec.violated == ()
 
@@ -56,7 +58,7 @@ def test_step_alternating_metric_update(axis_halfspaces):
         cfg = make_cfg(axis_halfspaces, [0.0, y], control=Explicit([(1,)]), alpha=0.5,
                        over=FromFunction(lambda j, rv=r: rv, divergent_sum=True),
                        counter="raw")
-        x1, _, _ = step(cfg, np.array([0.0, y]), 0, CorrectionCounter("raw"))
+        x1, _, _ = step(cfg, np.array([0.0, y]), 0, 0)
         assert x1[0] == 0.0
         assert x1[1] == pytest.approx((y - r) / 2.0, rel=1e-15, abs=0.0)
 
@@ -69,7 +71,7 @@ def test_step_subgradient_hand_value():
     p = Problem(2, [Constraint(0, Sublevel(QuadCoordMinusC(axis=0, c=1.0)))])
     cfg = make_cfg(p, [2.0, 0.0], control=Cyclic([0]), phi=PhiSubgradNorm(),
                    over=FromFunction(lambda j: 1.0, divergent_sum=True))
-    x1, corrected, _ = step(cfg, cfg.x0, 0, CorrectionCounter("bracketed"))
+    x1, corrected, _ = step(cfg, cfg.x0, 0, 0)
     assert np.array_equal(x1, [1.0, 0.0])
     assert corrected
 
@@ -78,7 +80,7 @@ def test_step_subgradient_empty_violated_is_identity():
     p = Problem(2, [Constraint(0, Sublevel(QuadCoordMinusC(axis=0, c=1.0)))])
     cfg = make_cfg(p, [0.5, 0.0], control=Cyclic([0]), phi=PhiSubgradNorm())
     x = np.array([0.5, 0.0])
-    x1, corrected, rec = step(cfg, x, 0, CorrectionCounter("bracketed"))
+    x1, corrected, rec = step(cfg, x, 0, 0)
     assert np.array_equal(x1, x) and not corrected and rec.violated == ()
 
 
@@ -89,7 +91,7 @@ def test_step_subgradient_a2_recursion():
     xval, r = 2.0, 0.5
     cfg = make_cfg(p, [xval, 0.0], control=Explicit([(1,)]), phi=PhiSubgradNorm(),
                    over=FromFunction(lambda j: r, divergent_sum=True), counter="raw")
-    x1, _, _ = step(cfg, np.array([xval, 0.0]), 0, CorrectionCounter("raw"))
+    x1, _, _ = step(cfg, np.array([xval, 0.0]), 0, 0)
     assert x1[0] == 1.125
     assert x1[0] == pytest.approx((xval + (1 - r) / xval) / 2.0, rel=1e-15)
 
@@ -136,10 +138,43 @@ def test_step_paths_agree():
                        alpha=float(rng.uniform(0.2, 2.0)), phi=PhiSubgradNorm(),
                        over=FromFunction(lambda j, rv=rval: rv,
                                          divergent_sum=True), counter="raw")
-        xa, ca, _ = step(cfg, x, 0, CorrectionCounter("raw"))
+        xa, ca, _ = step(cfg, x, 0, 0)
         xb, cb = subgradient_form(p, x, active, cfg.relaxation.alpha(0), rval)
         assert ca == cb
         np.testing.assert_allclose(xa, xb, rtol=1e-12, atol=1e-12)
+
+
+def read_only_cases():
+    """Runs over every cutter path: metric and subgradient cutters, a boxed
+    Q, stacked pools, and block, remotest and random controls."""
+    small, x_small = random_slater_polyhedron(5, dim=3, m=6, boxed_outer=True)
+    metric, x_metric = random_slater_polyhedron(6, dim=4, m=20, sublevel=False)
+    return [
+        make_cfg(small, x_small, phi=PhiSubgradNorm()),
+        make_cfg(small, x_small, control=Intermittent([range(6)])),
+        make_cfg(metric, x_metric, control=Intermittent([range(20)])),
+        make_cfg(metric, x_metric, control=RemotestSet()),
+        make_cfg(metric, x_metric, control=RandomSets.uniform_singletons(20, 3)),
+        build_a2_config("bracketed", 10_000)[0],
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_iterates_are_read_only_and_step_never_writes_x(case):
+    cfg = read_only_cases()[case]
+    result = solve(cfg)
+    assert result.status == "feasible"
+    assert result.final is result.trace[-1].x
+    for rec in result.trace:
+        assert not rec.x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rec.x[0] = 0.0
+    # Replayed from writeable copies, no step changes the x it is given.
+    for rec in result.trace[:-1]:
+        x = np.array(rec.x)
+        x_next, _, replay = step(cfg, x, rec.k, rec.bracket_k)
+        assert np.array_equal(x, rec.x) and replay.x is x
+        assert x_next.tobytes() == result.trace[rec.k + 1].x.tobytes()
 
 
 def test_solve_two_halfspaces(axis_halfspaces):

@@ -1,0 +1,106 @@
+"""Byte-identity guard: sha256 digests of the reproduction reports, the
+A.1 trace CSV, the CLI outputs on the demo configs and one seeded random
+run's trace CSV.  The digests were recorded before the per-step fast paths
+went in; a speed-up must keep every one of these outputs byte for byte.
+
+To re-derive them on another revision, run this file as a script with that
+revision's ``src`` first on ``PYTHONPATH``; it prints one line per output.
+"""
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from feasik import (ConstantRelaxation, Harmonic, PhiOne, RandomSets,
+                    RunConfig, UniformOverActive, cli, random_slater_polyhedron,
+                    solve, trace_csv_text)
+from feasik.certificates import build_a1_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+GOLDEN = {
+    "reproduce.a1": "d2f8364363cac033072429683549e1a8bd09b8511d65d64c426ec98a4a50bf20",
+    "reproduce.a2": "5df82033bc57ebb05d242b39a43b15713b74f0dbe9f05fd631b7168fe59a0468",
+    "reproduce.a1-bracketed": "f4baefff2878b9a4cddd701c21321b5af46efb06b604e9dc352353ef756d79f6",
+    "reproduce.a2-bracketed": "28a959a2b182c1492ec3727efb838b447e7e16f653e51bce4b9130709b96d6cd",
+    "a1.csv": "098b0ff6877adbdcd06cef32fe98b4366a56deaa2397fb8907af629cc73b463e",
+    "solve.stdout": "d301bfa9b054bb7558861a8e09e90c9106df3d8aa7a4ee0efdaaced199e397ff",
+    "solve.output": "dacced7dcc71d917657a2685e5f3dc459512de6ba7c699264d5275adcae18a04",
+    "certify.stdout": "7db7c541d612f45aefb9a0fe22e8b9294f6db8ba236b327a95c624fe884a02f9",
+    "certify.output": "aea9fcd8c22b121f524cd58aecb5deb4fbf784979786b4dc9eefa15574f810ed",
+    "sweep": "b33a466b8da58b3ca55975156e20d713762c86ce3e23682ac3f48fc72085765c",
+    "random_sets.csv": "4ac3929ccb1de82841ee88849f3a1cc5e8cfb345a642a9b73f4f07e3fefec196",
+}
+
+
+def _cli(argv) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return f"exit={code}\n".encode() + out.getvalue().encode()
+
+
+def random_sets_run():
+    """Seeded uniform random singletons on a 30-row stacked polyhedron in
+    5-D: 1,163 steps, across many blocks of draws, with a seed near 2^64."""
+    problem, x0 = random_slater_polyhedron(
+        7, dim=5, m=30, interior_radius=0.1, sublevel=False)
+    return RunConfig(
+        problem=problem, control=RandomSets.uniform_singletons(30, 2 ** 64 - 8),
+        relaxation=ConstantRelaxation(1.0), overrelaxation=Harmonic(),
+        phi=PhiOne(), weights=UniformOverActive(), x0=x0, max_iter=2000)
+
+
+def outputs(tmp: Path) -> dict:
+    """Every guarded output, by name."""
+    out = {}
+    for which in ("a1", "a2", "a1-bracketed", "a2-bracketed"):
+        out[f"reproduce.{which}"] = _cli(["reproduce", which])
+    out["a1.csv"] = trace_csv_text(solve(build_a1_config("raw", 10_000)).trace,
+                                   2).encode()
+    demo = str(CONFIGS / "two_halfspaces.json")
+    for command in ("solve", "certify"):
+        path = tmp / f"{command}.out"
+        stdout = _cli([command, "--config", demo, "--output", str(path)])
+        out[f"{command}.stdout"] = stdout
+        out[f"{command}.output"] = path.read_bytes()
+    out["sweep"] = _cli(["sweep", "--config", str(CONFIGS / "sweep_grid.json")])
+    result = solve(random_sets_run())
+    out["random_sets.csv"] = trace_csv_text(result.trace, 5).encode()
+    return out
+
+
+def digests(tmp: Path) -> dict:
+    return {name: hashlib.sha256(data).hexdigest()
+            for name, data in outputs(tmp).items()}
+
+
+def test_random_sets_run_is_long_enough():
+    result = solve(random_sets_run())
+    assert result.status == "feasible" and result.k_feasible >= 200
+
+
+@pytest.fixture(scope="module")
+def got(tmp_path_factory):
+    return digests(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_is_byte_identical(got, name):
+    assert got[name] == GOLDEN[name]
+
+
+def test_every_output_is_pinned(got):
+    assert sorted(got) == sorted(GOLDEN)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, digest in digests(Path(tmp)).items():
+            print(f'    "{name}": "{digest}",')

@@ -249,3 +249,46 @@ def test_zero_normal_affine_sublevel_fails_at_each_closed_form_use():
             body.distance(x)
         with pytest.raises(ConfigError, match="normal must be nonzero"):
             body.project(x)
+
+
+def test_underflowing_halfspace_normal_is_rejected():
+    # a . a underflows to 0.0: distance and projection would divide by it.
+    for a in ([5e-324], [1e-300, 1e-300], [0.0, 0.0]):
+        with pytest.raises(ConfigError, match="halfspace normal must be nonzero"):
+            Halfspace(a, -1.0)
+    body = Sublevel(Affine([5e-324], -1.0))  # fails at its first closed form
+    x = np.array([1.0])
+    assert body.violation(x) == 1.0
+    with pytest.raises(ConfigError, match="halfspace normal must be nonzero"):
+        body.distance(x)
+    with pytest.raises(ConfigError, match="halfspace normal must be nonzero"):
+        body.project(x)
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 300), step=st.sampled_from([1, 2, 3, 7]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_ndarray_dot_is_matmul_bit_for_bit(d, step, seed):
+    # The residuals use a.dot(x) in place of a @ x; mixed magnitudes make
+    # the summation order visible in the last bits.  Only positive strides
+    # agree: with a negative stride (x[::-1]) matmul sums in another order
+    # and differs in the last bit in about 40% of cases.  Iterates are
+    # fresh, contiguous arrays.
+    rng = np.random.default_rng(seed)
+
+    def vector():
+        base = rng.standard_normal(d * abs(step)) \
+            * 10.0 ** rng.integers(-30, 31, d * abs(step))
+        return base[::step]
+
+    a, x = vector(), vector()
+    assert _bits(a.dot(x)) == _bits(a @ x)
+    contiguous = np.ascontiguousarray(a)
+    assert _bits(contiguous.dot(x)) == _bits(contiguous @ x)
+    h = Halfspace(contiguous, 0.5)
+    assert _bits(h.violation(x)) == _bits(float(contiguous @ x) - 0.5)
+    assert _bits(Affine(contiguous, 0.5).value(x)) == _bits(float(contiguous @ x) - 0.5)

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feasik import (ConfigError, ConstantOverrelaxation, ConstantRelaxation,
-                    Constraint, CorrectionCounter, ExplicitTable, FromFunction,
+                    Constraint, Cyclic, ExplicitTable, FromFunction,
                     Geometric, Halfspace, Harmonic, MergedDecreasing,
                     OverrelaxationList, PhiCustom, PhiOne, PhiSubgradNorm,
-                    QuadCoordMinusC, RelaxationList, Sublevel,
-                    UniformOverActive, UniformOverViolated, beta,
-                    counter_update)
+                    QuadCoordMinusC, RandomSets, RelaxationList, RunConfig,
+                    Sublevel, UniformOverActive, UniformOverViolated, beta,
+                    random_slater_polyhedron, solve)
 from feasik.certificates import a2_b
 
 
@@ -117,31 +119,49 @@ def test_weight_floors():
         skewed.weights((0, 1), (0,))
 
 
+def counter_trace(mode: str, seed: int) -> list:
+    """The trace of a seeded random-singleton run on a small polyhedron:
+    a mix of corrected steps and steps that meet a satisfied constraint."""
+    problem, x0 = random_slater_polyhedron(seed, dim=3, m=6,
+                                           interior_radius=0.2)
+    cfg = RunConfig(problem=problem,
+                    control=RandomSets.uniform_singletons(6, seed),
+                    relaxation=ConstantRelaxation(1.0),
+                    overrelaxation=Harmonic(), phi=PhiOne(),
+                    weights=UniformOverActive(), x0=x0, counter_mode=mode,
+                    max_iter=300)
+    return solve(cfg).trace
+
+
+# The correction counter [k] is the trace's ``bracket_k`` column.
+
 def test_counter_modes():
-    c = CorrectionCounter("bracketed")
-    for _ in range(5):
-        c = counter_update(c, False)
-    assert c.count == 0
-    c = CorrectionCounter("bracketed")
-    for _ in range(7):
-        c = counter_update(c, True)
-    assert c.count == 7
-    c = CorrectionCounter("raw")
-    for corrected in (True, False, True, False, False, True, False):
-        c = counter_update(c, corrected)
-    assert c.count == 7  # raw tracks the step index regardless
-    with pytest.raises(ConfigError):
-        CorrectionCounter("other")
+    trace = counter_trace("bracketed", 8)
+    steps = trace[:-1]
+    assert any(r.corrected for r in steps) and not all(r.corrected for r in steps)
+    assert trace[0].bracket_k == 0
+    for rec, nxt in zip(trace, trace[1:]):
+        assert nxt.bracket_k == rec.bracket_k + rec.corrected
+    trace = counter_trace("raw", 8)
+    assert not all(r.corrected for r in trace[:-1])
+    # raw tracks the step index regardless
+    assert [r.bracket_k for r in trace] == [r.k for r in trace]
+    problem, x0 = random_slater_polyhedron(3, dim=3, m=6)
+    with pytest.raises(ConfigError, match="unknown counter mode"):
+        RunConfig(problem=problem, control=Cyclic(range(6)),
+                  relaxation=ConstantRelaxation(1.0), overrelaxation=Harmonic(),
+                  phi=PhiOne(), weights=UniformOverActive(), x0=x0,
+                  counter_mode="other")
 
 
-def test_counter_nondecreasing_unit_increments():
-    rng = np.random.default_rng(4)
-    c = CorrectionCounter("bracketed")
-    prev = 0
-    for _ in range(300):
-        c = counter_update(c, bool(rng.integers(0, 2)))
-        assert c.count - prev in (0, 1)
-        prev = c.count
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), mode=st.sampled_from(["bracketed", "raw"]))
+def test_counter_nondecreasing_unit_increments(seed, mode):
+    trace = counter_trace(mode, seed)
+    assert trace[0].bracket_k == 0
+    for rec, nxt in zip(trace, trace[1:]):
+        assert nxt.bracket_k - rec.bracket_k == (
+            1 if mode == "raw" or rec.corrected else 0)
 
 
 def test_phi_kinds():

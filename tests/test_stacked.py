@@ -217,10 +217,11 @@ def test_small_and_lazy_pools_keep_the_scalar_path():
 
 def test_rows_whose_margin_could_underflow_stay_scalar():
     # ||a||_1 = 2e-300: 2 gamma ||a||_1 would be subnormal and lose its
-    # relative accuracy, so that row keeps its own sign test.
+    # relative accuracy, so that row keeps its own sign test.  Its a . a
+    # underflows, which a halfspace rejects; an affine sublevel row keeps it.
     cons = [Constraint(i, Halfspace([1.0, float(i)], 1.0))
             for i in range(STACKED_MIN_ROWS)]
-    cons.append(Constraint(len(cons), Halfspace([1e-300, 1e-300], 0.0)))
+    cons.append(Constraint(len(cons), Sublevel(Affine([1e-300, 1e-300], 0.0))))
     problem = Problem(2, cons)
     assert problem.affine_rows.others == (len(cons) - 1,)
     for x in ([-1.0, 0.0], [1e-20, 0.0], [-1e-20, 0.0], [0.0, 0.0]):
