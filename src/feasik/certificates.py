@@ -100,8 +100,8 @@ def check_descent(trace, z, big_r: float, lam: float,
         raise CertificateError("z is not in the outer set Q")
     entries = []
     for rec, nxt in zip(trace, trace[1:]):
-        rhos = [rho for (i, _res, _disp, _b, rho) in rec.per_index
-                if i in rec.violated]
+        violated = set(rec.violated) if rec.violated else ()
+        rhos = [rho for (i, _res, _disp, _b, rho) in rec.per_index if i in violated]
         rho = max(rhos) if rhos else 0.0
         applicable = bool(rec.corrected and rho <= big_r)
         d0 = rec.x - z

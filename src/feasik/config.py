@@ -29,7 +29,9 @@ parse(emit(doc)) == doc bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import numbers
 import reprlib
 from typing import Callable, NamedTuple, Optional
 
@@ -91,7 +93,7 @@ class Field(NamedTuple):
     the attribute that keeps it back into a member.  A member with a
     ``default`` may be left out."""
 
-    read: Callable = lambda value, where, dim: value
+    read: Callable
     write: Callable = lambda value: value
     default: object = _REQUIRED
 
@@ -102,24 +104,36 @@ def _read(doc, key: str, where: str, ftype: Field, dim: int):
     return ftype.read(value, f"{where}.{key}", dim)
 
 
-def _convert(kind, value, where: str, what: str):
-    """``kind(value)``, or a ConfigError naming the field."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"field '{where}' must be {what}, "
-                          f"not {reprlib.repr(value)}") from None
+def _number(value, where: str, dim: int = 0) -> float:
+    """A real number as a float; a boolean or a string is not a number."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise ConfigError(f"field '{where}' must be a number, not {reprlib.repr(value)}")
+
+
+def _integer(value, where: str, dim: int = 0) -> int:
+    """An integral number as an int: 2.0 is 2, and 2.5 is an error."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ConfigError(f"field '{where}' must be an integer, not {reprlib.repr(value)}")
+
+
+def listed(read) -> Field:
+    """A list whose members ``read`` checks, each under its own index."""
+    return Field(lambda items, where, dim: [
+        read(v, f"{where}[{n}]", dim) for n, v in enumerate(_list(items, where))])
 
 
 def _vector(value, where: str, dim: int) -> list:
     if not isinstance(value, list) or len(value) != dim:
         raise ConfigError(f"field '{where}' must be a list of length {dim}")
-    return [_convert(float, t, f"{where}[{n}]", "a number")
-            for n, t in enumerate(value)]
+    return NUMBERS.read(value, where, dim)
 
 
 def _axis(value, where: str, dim: int) -> int:
-    axis = _convert(int, value, where, "an integer")
+    axis = _integer(value, where)
     if not 0 <= axis < dim:
         raise ConfigError(f"field '{where}': axis {axis} is outside [0, {dim})")
     return axis
@@ -139,15 +153,23 @@ def records(*fields) -> Field:
     return Field(read, write)
 
 
-VALUE = Field()
-NUMBER = Field(lambda value, where, dim: _convert(float, value, where, "a number"))
-INTEGER = Field(lambda value, where, dim: _convert(int, value, where, "an integer"))
-LIST = Field(lambda value, where, dim: _list(value, where))
+def _weight_table(value, where: str, dim: int) -> dict:
+    """Weights by index; the keys of a JSON object are strings."""
+    return {_integer(int(k) if str(k).removeprefix("-").isdecimal() else k, f"{where}.{k}"):
+            _number(w, f"{where}.{k}") for k, w in _object(value, where).items()}
+
+
+NUMBER = Field(_number)
+INTEGER = Field(_integer)
+NUMBERS = listed(_number)
+INDICES = listed(_integer)
+INDEX_SETS = listed(INDICES.read)
 FLAG = Field(lambda value, where, dim: bool(value), default=False)
 VECTOR = Field(_vector, lambda v: [float(t) for t in v])
 AXIS = Field(_axis)
-WEIGHT_TABLE = Field(lambda value, where, dim: {
-    int(k): w for k, w in _object(value, where).items()})
+WEIGHT_TABLE = Field(_weight_table)
+# A number kept as the document gives it: a weight floor, which ``certify`` prints.
+GIVEN_NUMBER = Field(lambda value, where, dim: (_number(value, where), value)[1])
 
 
 class Kinds:
@@ -199,27 +221,27 @@ BODIES = Kinds("body type", "type", {
 })
 
 CONTROLS = Kinds("control kind", "kind", {
-    "cyclic": (ctl.Cyclic, (("order", LIST),)),
-    "intermittent": (ctl.Intermittent, (("blocks", LIST),)),
-    "explicit": (ctl.Explicit, (("sets", LIST),)),
+    "cyclic": (ctl.Cyclic, (("order", INDICES),)),
+    "intermittent": (ctl.Intermittent, (("blocks", INDEX_SETS),)),
+    "explicit": (ctl.Explicit, (("sets", INDEX_SETS),)),
     "remotest": (ctl.RemotestSet, ()),
     "max_displacement": (ctl.MaxDisplacement, ()),
     "max_violation": (ctl.MaxViolation, ()),
-    "random_sets": (ctl.RandomSets, (("atoms", records(("indices", VALUE),
+    "random_sets": (ctl.RandomSets, (("atoms", records(("indices", INDICES),
                                                        ("p", NUMBER))),
                                      ("seed", INTEGER))),
 })
 
 RELAXATIONS = Kinds("relaxation kind", "kind", {
     "constant": (sch.ConstantRelaxation, (("alpha", NUMBER),)),
-    "list": (sch.RelaxationList, (("values", LIST),)),
+    "list": (sch.RelaxationList, (("values", NUMBERS),)),
 })
 
 OVERRELAXATIONS = Kinds("overrelaxation kind", "kind", {
     "constant": (sch.ConstantOverrelaxation, (("r", NUMBER),)),
     "harmonic": (sch.Harmonic, ()),
     "geometric": (sch.Geometric, (("r0", NUMBER), ("ratio", NUMBER))),
-    "list": (sch.OverrelaxationList, (("values", LIST), ("divergent_sum", FLAG))),
+    "list": (sch.OverrelaxationList, (("values", NUMBERS), ("divergent_sum", FLAG))),
 })
 
 PHIS = Kinds("phi kind", "kind", {
@@ -230,7 +252,7 @@ PHIS = Kinds("phi kind", "kind", {
 WEIGHTS = Kinds("weight kind", "kind", {
     "uniform_active": (sch.UniformOverActive, ()),
     "uniform_violated": (sch.UniformOverViolated, ()),
-    "table": (sch.ExplicitTable, (("table", WEIGHT_TABLE), ("floor", VALUE))),
+    "table": (sch.ExplicitTable, (("table", WEIGHT_TABLE), ("floor", GIVEN_NUMBER))),
 })
 
 
@@ -302,6 +324,7 @@ def build_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfi
         x0=VECTOR.read(_need(doc, "x0", "run"), "x0", dim),
         counter_mode=doc.get("counter_mode", "bracketed"),
         max_iter=INTEGER.read(doc.get("max_iter", 1_000_000), "max_iter", dim),
-        feas_window=doc.get("feas_window"),
+        feas_window=(None if doc.get("feas_window") is None
+                     else INDICES.read(doc["feas_window"], "feas_window", dim)),
         feas_tol=NUMBER.read(doc.get("feas_tol", 0.0), "feas_tol", dim),
     )

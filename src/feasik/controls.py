@@ -30,8 +30,6 @@ class Control:
     """Base class.  ``indices(k, x, problem)`` returns the index set I_k;
     every emission is a nonempty tuple with cardinality <= max_card."""
 
-    adaptive = False
-
     @property
     def max_card(self) -> int:
         raise NotImplementedError
@@ -176,8 +174,6 @@ class Explicit(_FixedSets):
 
 
 class _Maximal(Control):
-    adaptive = True
-
     @property
     def max_card(self):
         return 1

@@ -27,9 +27,9 @@ from .operators import evaluate_cutter
 from .schedules import PhiCustom, beta
 
 
-def compensated_sum(vectors, dim: int) -> Vector:
-    """Neumaier-compensated vector sum; keeps certificate slacks meaningful
-    when many small terms combine.
+def compensated_sum(vectors) -> Vector:
+    """Neumaier-compensated sum of one or more vectors; keeps certificate
+    slacks meaningful when many small terms combine.
 
     Term by term, from s = c = 0: t = s + v, c += (big - t) + small, where
     big and small are s and v ordered by magnitude (s first on ties), and
@@ -39,8 +39,6 @@ def compensated_sum(vectors, dim: int) -> Vector:
     ``np.add.accumulate`` computes in the same order, so the stacked terms
     take a fixed number of numpy calls and the result is bit-identical.
     """
-    if len(vectors) == 0:
-        return np.zeros(dim)
     if len(vectors) == 1:
         v = np.asarray(vectors[0], dtype=np.float64)
         return (v + 0.0) + (v - v)
@@ -147,37 +145,33 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
     alpha = cfg.relaxation.alpha(count)
     r = cfg.overrelaxation.r(count)
     if stacked is not None:
-        row_of, settled = stacked.rows.row_of, stacked.settled
-        zero_entries = stacked.rows.zero_entries
+        settled, zero_entries = stacked.settled, stacked.rows.zero_entries
 
     per_index = []
-    moved = []
-    violated = []
+    moved = {}  # violated index -> (cutter image, beta)
     for i in active:
-        if stacked is not None and (q := row_of[i]) >= 0 and settled[q]:
-            per_index.append(zero_entries[q])
+        if stacked is not None and settled[i]:
+            per_index.append(zero_entries[i])
             continue
         constraint = problem.constraint(i)
         ce = evaluate_cutter(constraint, x)
         if ce.displacement_norm > 0.0:
-            violated.append(i)
             phi_val = cfg.phi.value(constraint, x, ce.subgrad_sq)
             b = beta(r, phi_val, ce.displacement_norm)
             rho = r / phi_val
-            if b != 0.0:
-                moved.append((i, ce.image, b))
+            moved[i] = ce.image, b
         else:
             b = 0.0
             rho = 0.0
         per_index.append((i, ce.residual, ce.displacement_norm, b, rho))
 
-    violated = tuple(violated)
+    violated = tuple(moved)
     weights = cfg.weights.weights(active, violated)
-    # The weighted overshoot terms of the moved indices, projected onto Q.
-    terms = [(weights[i] * b) * (image - x) for i, image, b in moved
+    # The weighted overshoot terms of the violated indices, projected onto Q.
+    terms = [(weights[i] * b) * (image - x) for i, (image, b) in moved.items()
              if weights[i] != 0.0]
     if terms:
-        step_vec = alpha * compensated_sum(terms, problem.dim)
+        step_vec = alpha * compensated_sum(terms)
         x_next = problem.outer.project(x + step_vec)
         corrected = bool(np.any(step_vec != 0.0))
     else:
@@ -284,23 +278,3 @@ def trace_csv_text(trace, dim: int) -> str:
     buf = io.StringIO()
     write_trace_csv(trace, dim, buf)
     return buf.getvalue()
-
-
-def read_trace_csv(fh):
-    """Parse a trace CSV back into plain rows of python values."""
-    rows = []
-    reader = csv.reader(fh)
-    header = next(reader)
-    n = len([h for h in header if h.startswith("x_")])
-    for raw in reader:
-        rows.append({
-            "k": int(raw[0]), "bracket_k": int(raw[1]),
-            "alpha": float(raw[2]) if raw[2] else None,
-            "r": float(raw[3]) if raw[3] else None,
-            "active": tuple(int(i) for i in raw[4].split(";") if i),
-            "violated": tuple(int(i) for i in raw[5].split(";") if i),
-            "step_norm": float(raw[6]),
-            "feasible": raw[7] == "true",
-            "x": np.array([float(v) for v in raw[8:8 + n]]),
-        })
-    return rows

@@ -568,29 +568,26 @@ _SAFE = 2.0 ** 1000
 
 
 class AffineRows:
-    """The rows of a finite pool whose violation is ``float(a @ x) - b``
-    (halfspaces and affine sublevel sets), stacked as (A, b, ||a_i||).
+    """One row per position of a finite pool, stacked as (A, b, ||a_i||):
+    the row of a body whose violation is ``float(a @ x) - b`` (halfspaces
+    and affine sublevel sets), or a zero row with an infinite margin for
+    any other body, which the pass never settles and the maximal controls
+    always score.
 
     ``at(x)`` evaluates every row with one matvec.  BLAS may sum ``A @ x``
     in another order than the scalar ``a @ x``, so the stacked residual
     only filters: it settles a row's sign where a proven error bound
-    allows, and every other row, and every other body, is decided by its
-    own scalar test.  The constraints must not change once stacked.
+    allows, and every other row is decided by its own scalar test.  The
+    constraints must not change once stacked.
     """
 
-    def __init__(self, m: int, positions, rows, A, l1, b, metric):
-        self.m = m
-        self.positions = positions
-        self._rows = rows
+    def __init__(self, normals, A, l1, b, metric):
+        self._normals = normals
         self.A = A
         self.b = b
         # Rows whose cutter is the metric projection onto a halfspace: the
         # identity, with zero distance, wherever the row holds.
         self.metric = metric
-        row_of = np.full(m, -1, dtype=np.intp)
-        row_of[positions] = np.arange(len(positions))
-        self.others = tuple(np.flatnonzero(row_of < 0).tolist())
-        self.row_of = row_of.tolist()
         # margin_i = 2 gamma_{d+1} (||a_i||_1 ||x||_inf + |b_i|) bounds
         # |scalar - stacked| (see ``at``), with gamma_n = n u / (1 - n u).
         # The factor 1 + 2^-20 absorbs the rounding of the margin itself
@@ -599,48 +596,47 @@ class AffineRows:
         d = A.shape[1]
         two_gamma = 2.0 * (d + 1) * _U / (1.0 - (d + 1) * _U) * (1.0 + 2.0 ** -20)
         self.scale = two_gamma * l1
-        self.offset = two_gamma * np.abs(b) + (2 * d + 8) * _SUBNORMAL
+        # A zero row, with l1 = 0, has an infinite margin.
+        self.offset = np.where(l1 > 0.0, two_gamma * np.abs(b) + (2 * d + 8) * _SUBNORMAL,
+                               math.inf)
         self.l1_max = float(l1.max())
         self.b_max = float(np.abs(b).max())
 
     @functools.cached_property
     def norms(self):
-        """||a_i||, as Halfspace.distance computes it from the same array."""
-        return np.array([norm(a) for a in self._rows])
+        """||a_i||, as Halfspace.distance computes it from the same array;
+        1.0 for a zero row."""
+        return np.array([1.0 if a is None else norm(a) for a in self._normals])
 
     @functools.cached_property
     def zero_entries(self) -> list:
-        """Per stacked row, the trace entry (i, 0.0, 0.0, 0.0, 0.0) of a
+        """Per pool position, the trace entry (i, 0.0, 0.0, 0.0, 0.0) of a
         settled metric halfspace: one tuple, shared by every step."""
-        return [(i, 0.0, 0.0, 0.0, 0.0) for i in self.positions.tolist()]
+        return [(i, 0.0, 0.0, 0.0, 0.0) for i in range(len(self._normals))]
 
     @classmethod
     def build(cls, problem: Problem) -> Optional["AffineRows"]:
         """None when the pool has fewer than ``STACKED_MIN_ROWS`` affine
         rows.  A row with ||a||_1 below 2^-900, whose margin scale could
-        underflow, is left to its scalar test."""
-        positions, rows, rhs, metric = [], [], [], []
-        for i, c in enumerate(problem._constraints):
-            row = c.body.affine_row()
-            if row is not None and row[0].shape == (problem.dim,):
-                positions.append(i)
-                rows.append(row[0])
-                rhs.append(row[1])
-                metric.append(isinstance(c.body, Halfspace))
-        if len(rows) < STACKED_MIN_ROWS:
+        underflow, is a zero row too."""
+        dim = problem.dim
+        rows = [c.body.affine_row() for c in problem._constraints]
+        rows = [row if row is not None and row[0].shape == (dim,) else None
+                for row in rows]
+        if len(rows) - rows.count(None) < STACKED_MIN_ROWS:
             return None
-        A = np.array(rows)
+        zero = np.zeros(dim)
+        A = np.array([zero if row is None else row[0] for row in rows])
         l1 = np.abs(A).sum(axis=1)
-        cols = [np.array(positions, dtype=np.intp), A, l1, np.array(rhs),
-                np.array(metric, dtype=bool)]
-        keep = l1 >= 2.0 ** -900
-        if not keep.all():
-            cols = [col[keep] for col in cols]
-            rows = [a for a, k in zip(rows, keep.tolist()) if k]
-            if len(rows) < STACKED_MIN_ROWS:
-                return None
-        positions, A, l1, b, metric = cols
-        return cls(int(problem.m), positions, rows, A, l1, b, metric)
+        stacked = l1 >= 2.0 ** -900
+        if np.count_nonzero(stacked) < STACKED_MIN_ROWS:
+            return None
+        A[~stacked], l1[~stacked] = 0.0, 0.0
+        normals, rhs = zip(*[row if keep else (None, 0.0)
+                             for row, keep in zip(rows, stacked.tolist())])
+        metric = stacked & np.array([isinstance(c.body, Halfspace)
+                                     for c in problem._constraints])
+        return cls(normals, A, l1, np.array(rhs), metric)
 
     def at(self, x: Vector) -> Optional["RowPass"]:
         """The residual pass at x, or None when x is not finite or so large
@@ -675,7 +671,7 @@ class RowPass:
         self._split = {}
 
     def split(self, tol: float):
-        """Boolean masks over the rows: the violation certainly exceeds tol,
+        """Boolean masks over the pool: the violation certainly exceeds tol,
         and it is certainly at most tol.  A row in neither is undecided."""
         got = self._split.get(tol)
         if got is None:
@@ -689,38 +685,27 @@ class RowPass:
             self._split[tol] = got
         return got
 
-    def _open(self, satisfied) -> list:
-        """Pool positions, ascending, that x does not certainly satisfy:
-        the stacked rows outside ``satisfied`` and the rows outside the
-        stack."""
-        rows = self.rows
-        out = rows.positions[~satisfied].tolist()
-        return sorted(out + list(rows.others)) if rows.others else out
-
     def violations(self, problem: Problem, tol: float = 0.0):
         """The pool positions, ascending, whose constraint x violates beyond
         tol, generated lazily in the scalar loop's order: a certainly
-        violated row needs no test, any other open position is decided, and
-        may raise, in its member test."""
+        violated row needs no test, and any other position that x does not
+        certainly satisfy is decided, and may raise, in its member test."""
         violated, satisfied = self.split(tol)
-        row_of = self.rows.row_of
-        for i in self._open(satisfied):
-            r = row_of[i]
-            if (r >= 0 and violated[r]) or not problem.constraint(i).member(self.x, tol):
+        for i in (~satisfied).nonzero()[0].tolist():
+            if violated[i] or not problem.constraint(i).member(self.x, tol):
                 yield i
 
     @functools.cached_property
     def settled(self):
-        """Mask over the stacked rows: the metric halfspaces that x
-        certainly satisfies.  There the cutter is the identity, with
+        """Mask over the pool: the metric halfspaces that x certainly
+        satisfies.  There the cutter is the identity, with
         residual, displacement, beta and rho all 0.0."""
         return self.split(0.0)[1] & self.rows.metric
 
     def candidates(self, score, spread) -> Optional[list]:
         """Pool positions, ascending, whose scalar score may be the largest,
         given stacked scores with |scalar - stacked| <= spread per row up to
-        one rounding each; the rows outside the stack are always included.
-        None when the scores are not finite."""
+        one rounding each.  None when the scores are not finite."""
         # 16u (score + spread) covers the roundings of score, lo and hi,
         # 2^-1060 their underflow.
         band = spread + 16.0 * _U * (score + spread) + 2.0 ** -1060
@@ -728,8 +713,7 @@ class RowPass:
         top = float(lo.max())
         if not math.isfinite(top):
             return None
-        near = self.rows.positions[score + band >= top].tolist()
-        return sorted(self.rows.others + tuple(near)) if self.rows.others else near
+        return (score + band >= top).nonzero()[0].tolist()
 
 
 def violated_indices(problem: Problem, x: Vector, window=None,

@@ -154,16 +154,19 @@ class MergedDecreasing(Overrelaxation):
         self._sources: list[tuple] = []
         self._ai = 0
         self._bi = 0
+        self._a = self._b = None  # a_fn(_ai) and b_fn(_bi), once evaluated
 
     def _extend(self, upto: int) -> None:
         while len(self._values) <= upto:
-            a = float(self.a_fn(self._ai))
-            b = float(self.b_fn(self._bi))
-            if a >= b:
-                v, src = a, ("a", self._ai)
+            if self._a is None:
+                self._a = float(self.a_fn(self._ai))
+            if self._b is None:
+                self._b = float(self.b_fn(self._bi))
+            if self._a >= self._b:
+                v, src, self._a = self._a, ("a", self._ai), None
                 self._ai += 1
             else:
-                v, src = b, ("b", self._bi)
+                v, src, self._b = self._b, ("b", self._bi), None
                 self._bi += 1
             if v <= 0.0:
                 raise ConfigError("merged schedule produced a nonpositive value")

@@ -311,6 +311,66 @@ def test_cli_validate_rejects_non_numeric_numbers(tmp_path):
         assert "Traceback" not in out.stderr
 
 
+def unchecked_number_docs():
+    """(document, field path) pairs: list members that do not convert,
+    fractions an integer field would truncate, and booleans as numbers."""
+    def control(**spec):
+        return two_halfspace_doc(control=spec)
+
+    def table(weights, floor=0.5):
+        return two_halfspace_doc(weights={"kind": "table", "table": weights,
+                                          "floor": floor})
+
+    dim, b = two_halfspace_doc(), two_halfspace_doc()
+    dim["problem"]["dim"] = 2.5
+    b["problem"]["constraints"][0]["b"] = True
+    return [
+        (control(kind="cyclic", order=["x"]), "control.order[0]"),
+        (control(kind="intermittent", blocks=[["x"]]), "control.blocks[0][0]"),
+        (control(kind="explicit", sets=[[0, "y"]]), "control.sets[0][1]"),
+        (control(kind="random_sets", seed=1, atoms=[{"indices": ["x"], "p": 1.0}]),
+         "control.atoms[0].indices[0]"),
+        (two_halfspace_doc(relaxation={"kind": "list", "values": ["x"]}),
+         "relaxation.values[0]"),
+        (two_halfspace_doc(overrelaxation={"kind": "list", "values": ["x"]}),
+         "overrelaxation.values[0]"),
+        (table({"0": 1.0, "a": 1.0}), "weights.table.a"),
+        (table({"0": 1.0, "1": "x"}), "weights.table.1"),
+        (table({"0": 1.0, "1": 1.0}, floor="x"), "weights.floor"),
+        (dim, "problem.dim"),
+        (two_halfspace_doc(max_iter=10.7), "max_iter"),
+        (control(kind="cyclic", order=[0.5, 1]), "control.order[0]"),
+        (control(kind="random_sets", seed=1.9, atoms=[{"indices": [0], "p": 1.0}]),
+         "control.seed"),
+        (two_halfspace_doc(max_iter=True), "max_iter"),
+        (b, "problem.constraints[0].b"),
+        (two_halfspace_doc(feas_window=[0, "x"]), "feas_window[1]"),
+    ]
+
+
+def test_document_numbers_are_checked_not_coerced():
+    for doc, field in unchecked_number_docs():
+        with pytest.raises(ConfigError, match=re.escape(f"field '{field}'")):
+            build_run_config(doc)
+    # Integral floats still read as integers, and the floor as given.
+    run = build_run_config(two_halfspace_doc(
+        max_iter=10.0, control={"kind": "cyclic", "order": [0.0, 1.0]},
+        weights={"kind": "table", "table": {"0": 1.0, "1": 1}, "floor": 1}))
+    assert run.max_iter == 10 and run.control.order == [0, 1]
+    assert type(run.max_iter) is int and run.weights.floor(1) == 1
+    assert type(run.weights.floor(1)) is int
+
+
+def test_cli_validate_rejects_unchecked_numbers(tmp_path, capsys):
+    # These raised a raw ValueError or TypeError, or validated with the
+    # number truncated.
+    for n, (doc, field) in enumerate(unchecked_number_docs()):
+        path = write_doc(tmp_path, doc, f"run{n}.json")
+        assert cli.main(["validate", "--config", path]) == 1, field
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{field}'" in err, err
+
+
 def test_cli_main_does_not_mask_key_errors(monkeypatch):
     # Exit 1 means a configuration error; a KeyError inside feasik is a bug.
     def broken(args):

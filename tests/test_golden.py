@@ -1,7 +1,9 @@
 """Byte-identity guard: sha256 digests of the reproduction reports, the
-A.1 trace CSV, the CLI outputs on the demo configs and one seeded random
-run's trace CSV.  The digests were recorded before the per-step fast paths
-went in; a speed-up must keep every one of these outputs byte for byte.
+A.1 trace CSV, the CLI outputs on the demo configs, one seeded random
+run's trace CSV and the ``per_index`` entries of two stacked runs, which
+no CSV holds.  The digests were recorded before the per-step fast paths
+went in (the ``per_index`` ones before the stacked pass was indexed by pool
+position); a speed-up must keep every one of these outputs byte for byte.
 
 To re-derive them on another revision, run this file as a script with that
 revision's ``src`` first on ``PYTHONPATH``; it prints one line per output.
@@ -10,13 +12,15 @@ revision's ``src`` first on ``PYTHONPATH``; it prints one line per output.
 import contextlib
 import hashlib
 import io
+import struct
 from pathlib import Path
 
 import pytest
 
-from feasik import (ConstantRelaxation, Harmonic, PhiOne, RandomSets,
-                    RunConfig, UniformOverActive, cli, random_slater_polyhedron,
-                    solve, trace_csv_text)
+from feasik import (ConstantRelaxation, Harmonic, Intermittent, PhiOne,
+                    RandomSets, RemotestSet, RunConfig, UniformOverActive,
+                    UniformOverViolated, cli, random_slater_polyhedron, solve,
+                    trace_csv_text)
 from feasik.certificates import build_a1_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -33,6 +37,8 @@ GOLDEN = {
     "certify.output": "aea9fcd8c22b121f524cd58aecb5deb4fbf784979786b4dc9eefa15574f810ed",
     "sweep": "b33a466b8da58b3ca55975156e20d713762c86ce3e23682ac3f48fc72085765c",
     "random_sets.csv": "4ac3929ccb1de82841ee88849f3a1cc5e8cfb345a642a9b73f4f07e3fefec196",
+    "block.per_index": "a801d29a575ecc305105b332bb884fb59616e1d335635a1f69d1a61099eda126",
+    "remotest.per_index": "a2f8d2f0d26b56cf74c7afc5bd64775ba410af0d891d71b90e974ee885d5fbed",
 }
 
 
@@ -55,6 +61,28 @@ def random_sets_run():
         phi=PhiOne(), weights=UniformOverActive(), x0=x0, max_iter=2000)
 
 
+def per_index_runs() -> dict:
+    """A full-block run and a remotest-set run on one seeded 48-row
+    halfspace pool in 6-D, which the stacked pass evaluates."""
+    problem, x0 = random_slater_polyhedron(
+        3, dim=6, m=48, interior_radius=0.1, sublevel=False)
+    common = dict(problem=problem, relaxation=ConstantRelaxation(1.0),
+                  overrelaxation=Harmonic(), phi=PhiOne(), x0=x0, max_iter=5000)
+    return {
+        "block.per_index": RunConfig(control=Intermittent([range(48)]),
+                                     weights=UniformOverViolated(), **common),
+        "remotest.per_index": RunConfig(control=RemotestSet(),
+                                        weights=UniformOverActive(), **common),
+    }
+
+
+def per_index_bytes(trace) -> bytes:
+    """Every record's entries, each packed as (index, the four floats'
+    bytes), so signed zeros and NaN payloads count."""
+    return repr([[(e[0], struct.pack("4d", *e[1:])) for e in rec.per_index]
+                 for rec in trace]).encode()
+
+
 def outputs(tmp: Path) -> dict:
     """Every guarded output, by name."""
     out = {}
@@ -71,6 +99,8 @@ def outputs(tmp: Path) -> dict:
     out["sweep"] = _cli(["sweep", "--config", str(CONFIGS / "sweep_grid.json")])
     result = solve(random_sets_run())
     out["random_sets.csv"] = trace_csv_text(result.trace, 5).encode()
+    for name, cfg in per_index_runs().items():
+        out[name] = per_index_bytes(solve(cfg).trace)
     return out
 
 
@@ -82,6 +112,14 @@ def digests(tmp: Path) -> dict:
 def test_random_sets_run_is_long_enough():
     result = solve(random_sets_run())
     assert result.status == "feasible" and result.k_feasible >= 200
+
+
+@pytest.mark.parametrize("name", ["block.per_index", "remotest.per_index"])
+def test_per_index_runs_stack_and_converge(name):
+    cfg = per_index_runs()[name]
+    assert cfg.problem.affine_rows is not None
+    result = solve(cfg)
+    assert result.status == "feasible" and result.k_feasible >= 5
 
 
 @pytest.fixture(scope="module")

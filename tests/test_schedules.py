@@ -81,6 +81,32 @@ def test_merged_decreasing_a2_layout():
     assert all(v1 >= v2 for v1, v2 in zip(values, values[1:]))
 
 
+def test_merged_decreasing_evaluates_each_element_once():
+    calls = {"a": 0, "b": 0}
+
+    def a_fn(k):
+        calls["a"] += 1
+        return 1.0 / (k + 1)
+
+    def b_fn(k):
+        calls["b"] += 1
+        return 2.0 ** -(k + 1)
+
+    sched = MergedDecreasing(a_fn, b_fn)
+    got = [(sched.r(j), sched.source(j)) for j in range(1000)]
+    assert calls["a"] + calls["b"] <= 1000 + 2
+    # The merge itself, spelled out.
+    want, ai, bi = [], 0, 0
+    while len(want) < 1000:
+        if 1.0 / (ai + 1) >= 2.0 ** -(bi + 1):
+            want.append((1.0 / (ai + 1), ("a", ai)))
+            ai += 1
+        else:
+            want.append((2.0 ** -(bi + 1), ("b", bi)))
+            bi += 1
+    assert got == want
+
+
 def test_merged_decreasing_rejects_increasing_input():
     sched = MergedDecreasing(lambda k: float(k + 1), lambda k: 0.5)
     with pytest.raises(ConfigError, match="nonincreasing"):

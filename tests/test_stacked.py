@@ -105,6 +105,16 @@ def test_stacked_decisions_match_scalar(case, duplicate):
     p = problem.residual_pass(x)
     for control in (RemotestSet(), MaxViolation()):
         assert control._select(0, x, problem, p) == control._select(0, x, problem)
+    if p is None:
+        return
+    # A position outside the stack is never settled and always a candidate.
+    outside = [i for i in problem.indices()
+               if problem.constraint(i).body.affine_row() is None]
+    for t in (0.0, tol):
+        violated, satisfied = p.split(t)
+        assert not violated[outside].any() and not satisfied[outside].any()
+    for control in (RemotestSet(), MaxViolation()):
+        assert set(outside) <= set(p.candidates(*control._stacked_score(p)))
 
 
 @SETTINGS
@@ -116,20 +126,23 @@ def test_margin_bounds_the_scalar_residual(case):
     if not np.isfinite(x).all():
         assert p is None
         return
-    for r, i in enumerate(rows.positions):
-        s = problem.constraint(int(i)).violation(x)
-        assert abs(s - p.v[r]) <= p.margin[r]
+    for i in problem.indices():
+        s = problem.constraint(i).violation(x)
+        assert abs(s - p.v[i]) <= p.margin[i]
 
 
 def rounded_otherwise(problem, x, rng):
     """A residual pass as another summation order might have rounded it:
     each stacked v_i anywhere within its margin of the scalar violation,
-    often at the edge."""
+    often at the edge.  A zero row, with its infinite margin, keeps v_i = 0."""
     rows = problem.affine_rows
     p = rows.at(x)
-    s = np.array([problem.constraint(int(i)).violation(x) for i in rows.positions])
+    stacked = np.isfinite(p.margin)
+    s = np.array([problem.constraint(i).violation(x) if keep else 0.0
+                  for i, keep in enumerate(stacked)])
     t = rng.choice([-1.0, 1.0, 0.0, 0.5, -0.5], len(s)) * rng.uniform(0.9, 1.0, len(s))
-    return RowPass(rows, x, s + t * p.margin * (1.0 - 2.0 ** -40), p.margin)
+    margin = np.where(stacked, p.margin, 0.0)
+    return RowPass(rows, x, s + t * margin * (1.0 - 2.0 ** -40), p.margin)
 
 
 @SETTINGS
@@ -149,7 +162,7 @@ def test_decisions_hold_for_any_rounding_within_the_margin(case, duplicate, seed
     every = tuple(problem.indices())
     held = [i for i in every if isinstance(problem.constraint(i).body, Halfspace)
             and problem.constraint(i).member(x)]
-    assert set(p.rows.positions[p.settled].tolist()) <= set(held)
+    assert set(p.settled.nonzero()[0].tolist()) <= set(held)
 
 
 def test_feasible_keeps_the_scalar_scan_order():
@@ -164,8 +177,8 @@ def test_feasible_keeps_the_scalar_scan_order():
     problem = Problem(2, [Constraint(i, b) for i, b in enumerate(bodies)])
     p = problem.residual_pass(x)
     violated, satisfied = p.split(0.0)
-    assert not violated[0] and not satisfied[0] and violated[1]
-    assert problem.affine_rows.others == (1,)
+    assert not violated[0] and not satisfied[0] and violated[2]
+    assert p.margin[1] == math.inf and not violated[1] and not satisfied[1]
     with pytest.raises(ValueError):
         problem.constraint(1).member(x)
     assert feasible(problem, x) is feasible(lazy_twin(problem), x) is False
@@ -223,7 +236,8 @@ def test_rows_whose_margin_could_underflow_stay_scalar():
             for i in range(STACKED_MIN_ROWS)]
     cons.append(Constraint(len(cons), Sublevel(Affine([1e-300, 1e-300], 0.0))))
     problem = Problem(2, cons)
-    assert problem.affine_rows.others == (len(cons) - 1,)
+    rows = problem.affine_rows
+    assert rows.offset[-1] == math.inf and not rows.A[-1].any() and rows.norms[-1] == 1.0
     for x in ([-1.0, 0.0], [1e-20, 0.0], [-1e-20, 0.0], [0.0, 0.0]):
         x = np.array(x)
         assert feasible(problem, x) == feasible(lazy_twin(problem), x)
@@ -245,12 +259,13 @@ def slater_pool(seed, dim, m, sublevel_every=3):
     return problem, 6.0 * u / np.linalg.norm(u)
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("control_kind", ["cyclic", "remotest", "max_violation", "block"])
-def test_solve_stacked_matches_lazy_pool(seed, control_kind):
-    dim, m = 6, 3 * STACKED_MIN_ROWS
-    problem, x0 = slater_pool(seed, dim, m)
-    assert problem.affine_rows is not None
+CONTROL_KINDS = ["cyclic", "remotest", "max_violation", "block"]
+
+
+def solve_both(problem, x0, control_kind):
+    """Solve on the stacked pool and on its lazy twin, check that the runs
+    agree byte for byte, and return the stacked run."""
+    m = int(problem.m)
     runs = []
     for p in (problem, lazy_twin(problem)):
         control = {"cyclic": Cyclic(range(m)), "remotest": RemotestSet(),
@@ -263,25 +278,58 @@ def test_solve_stacked_matches_lazy_pool(seed, control_kind):
                         weights=weights, x0=x0, max_iter=20_000)
         result = solve(cfg)
         buf = io.StringIO()
-        write_trace_csv(result.trace, dim, buf)
+        write_trace_csv(result.trace, problem.dim, buf)
         runs.append((result, buf.getvalue()))
     (stacked, csv_stacked), (scalar, csv_scalar) = runs
     assert stacked.status == scalar.status == "feasible"
     assert stacked.k_feasible == scalar.k_feasible
     assert stacked.corrections == scalar.corrections
     assert [r.per_index for r in stacked.trace] == [r.per_index for r in scalar.trace]
-    assert csv_stacked == csv_scalar
+    # Every entry to the bit, signed zeros included, and the CSV bytes.
+    assert [entry_bytes(r) for r in stacked.trace] == \
+        [entry_bytes(r) for r in scalar.trace]
+    assert csv_stacked.encode() == csv_scalar.encode()
+    return stacked
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("control_kind", CONTROL_KINDS)
+def test_solve_stacked_matches_lazy_pool(seed, control_kind):
+    dim, m = 6, 3 * STACKED_MIN_ROWS
+    problem, x0 = slater_pool(seed, dim, m)
+    assert problem.affine_rows is not None
+    stacked = solve_both(problem, x0, control_kind)
     if control_kind == "block":
-        # Every entry to the bit, signed zeros included, and the CSV bytes.
-        assert [entry_bytes(r) for r in stacked.trace] == \
-            [entry_bytes(r) for r in scalar.trace]
-        assert csv_stacked.encode() == csv_scalar.encode()
         # A settled halfspace's entry is its row's one shared tuple.
         rows = problem.affine_rows
         shared = [e for r in stacked.trace for e in r.per_index
-                  if e is rows.zero_entries[rows.row_of[e[0]]]]
+                  if e is rows.zero_entries[e[0]]]
         assert shared
         assert all(e == (e[0], 0.0, 0.0, 0.0, 0.0) for e in shared)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("control_kind", CONTROL_KINDS)
+def test_balls_among_stacked_rows_match_lazy_pool(seed, control_kind):
+    # Balls at the first, a middle and the last position are zero rows of
+    # the stack.  Each contains B(z, 2R) = B(0, 0.5), so the runs converge,
+    # and is tighter than some facets, so the runs correct toward it.
+    dim, m = 6, 2 * STACKED_MIN_ROWS
+    pool, x0 = slater_pool(seed, dim, m)
+    rng = np.random.default_rng(seed + 100)
+    affine = [pool.constraint(i).body for i in pool.indices()]
+    balls = []
+    for _ in range(3):
+        u = rng.standard_normal(dim)
+        balls.append(Ball(0.1 * u / np.linalg.norm(u), float(rng.uniform(0.7, 1.2))))
+    bodies = [balls[0]] + affine[:m // 2] + [balls[1]] + affine[m // 2:] + [balls[2]]
+    problem = Problem(dim, [Constraint(i, b) for i, b in enumerate(bodies)],
+                      interior=pool.interior)
+    problem.spot_check_interior()
+    outside = [0, m // 2 + 1, m + 2]
+    assert problem.affine_rows.offset[outside].tolist() == [math.inf] * 3
+    stacked = solve_both(problem, x0, control_kind)
+    assert any(i in outside for r in stacked.trace for i in r.violated)
 
 
 def entry_bytes(record):
