@@ -41,7 +41,7 @@ from .engine import RunConfig
 from .errors import ConfigError
 from .model import (AbsCoordMinusC, Affine, Ball, Box, Constraint, Halfspace,
                     MaxAffine, OuterSet, Problem, QuadCoordMinusC,
-                    SquaredDistToBall, Sublevel)
+                    SquaredDistToBall, Sublevel, as_integer)
 
 
 def parse_document(text: str) -> dict:
@@ -114,10 +114,7 @@ def _number(value, where: str, dim: int = 0) -> float:
 
 def _integer(value, where: str, dim: int = 0) -> int:
     """An integral number as an int: 2.0 is 2, and 2.5 is an error."""
-    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            or isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ConfigError(f"field '{where}' must be an integer, not {reprlib.repr(value)}")
+    return as_integer(value, f"field '{where}'")
 
 
 def listed(read) -> Field:

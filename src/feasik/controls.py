@@ -11,14 +11,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, ControlError
-from .model import Problem, RowPass, Vector, violated_indices
+from .model import Problem, RowPass, Vector, as_integer, violated_indices
 from .operators import evaluate_cutter
 
 
 def _index_tuple(indices) -> tuple:
     # A tuple of exact ints is kept, so a schedule's constant sets are shared.
     out = (indices if type(indices) is tuple and all(type(i) is int for i in indices)
-           else tuple(map(int, indices)))
+           else tuple(map(as_integer, indices)))
     if not out:
         raise ControlError("control emitted an empty index set")
     if len(out) > 1 and len(set(out)) != len(out):
@@ -92,7 +92,7 @@ class Cyclic(_FixedSets):
     kind = "cyclic"
 
     def __init__(self, order: Sequence[int]):
-        self.order = [int(i) for i in order]
+        self.order = [as_integer(i) for i in order]
         if not self.order:
             raise ConfigError("cyclic order is empty")
 

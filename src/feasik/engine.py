@@ -22,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .model import Problem, RowPass, Vector, as_vector, feasible, norm
+from .model import (Problem, RowPass, Vector, as_integer, as_vector, feasible,
+                    norm)
 from .operators import evaluate_cutter
 from .schedules import PhiCustom, beta
 
@@ -42,7 +43,7 @@ def compensated_sum(vectors) -> Vector:
     if len(vectors) == 1:
         v = np.asarray(vectors[0], dtype=np.float64)
         return (v + 0.0) + (v - v)
-    v = np.array(vectors, dtype=np.float64)
+    v = np.asarray(vectors, dtype=np.float64)  # read, never written
     s = v.copy()
     s[0] += 0.0
     s = np.add.accumulate(s, axis=0)
@@ -80,9 +81,10 @@ class RunConfig:
         if not self.problem.outer.member(self.x0):
             raise ConfigError("x0 is not in the outer set Q")
         if self.feas_window is not None:
-            self.feas_window = tuple(int(i) for i in self.feas_window)
+            self.feas_window = tuple(map(as_integer, self.feas_window))
         elif not self.problem.is_finite:
             raise ConfigError("infinite pools need an explicit feas_window")
+        self.max_iter = as_integer(self.max_iter, "max_iter")
         if self.max_iter < 0:
             raise ConfigError("max_iter must be nonnegative")
         if not getattr(self.overrelaxation, "divergent_sum", False):
@@ -144,36 +146,52 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
     active = cfg.control.indices(k, x, problem, stacked)
     alpha = cfg.relaxation.alpha(count)
     r = cfg.overrelaxation.r(count)
-    if stacked is not None:
-        settled, zero_entries = stacked.settled, stacked.rows.zero_entries
-
-    per_index = []
-    moved = {}  # violated index -> (cutter image, beta)
-    for i in active:
-        if stacked is not None and settled[i]:
-            per_index.append(zero_entries[i])
-            continue
+    if stacked is None:
+        per_index, todo = list(active), enumerate(active)  # every entry is set below
+    else:
+        # Settled rows keep their shared zero entry; only the others are cut.
+        zero_entries, settled = stacked.rows.zero_entries, stacked.settled
+        if len(active) < 32:  # below that, one walk beats a gather's fixed cost
+            per_index, todo = [], []
+            for p, i in enumerate(active):
+                per_index.append(zero_entries[i])
+                if not settled[i]:
+                    todo.append((p, i))
+        else:
+            per_index = [zero_entries[i] for i in active]
+            todo = stacked.unsettled(active)
+    violated, diffs, betas = [], [], []
+    for p, i in todo:
         constraint = problem.constraint(i)
         ce = evaluate_cutter(constraint, x)
         if ce.displacement_norm > 0.0:
             phi_val = cfg.phi.value(constraint, x, ce.subgrad_sq)
             b = beta(r, phi_val, ce.displacement_norm)
             rho = r / phi_val
-            moved[i] = ce.image, b
+            violated.append(i)
+            diffs.append(ce.displacement)
+            betas.append(b)
         else:
-            b = 0.0
-            rho = 0.0
-        per_index.append((i, ce.residual, ce.displacement_norm, b, rho))
+            b = rho = 0.0
+        per_index[p] = (i, ce.residual, ce.displacement_norm, b, rho)
 
-    violated = tuple(moved)
+    violated = tuple(violated)
     weights = cfg.weights.weights(active, violated)
-    # The weighted overshoot terms of the violated indices, projected onto Q.
-    terms = [(weights[i] * b) * (image - x) for i, (image, b) in moved.items()
-             if weights[i] != 0.0]
-    if terms:
+    # The weighted overshoot terms (w_i beta_i)(T_i(x) - x) of nonzero weight,
+    # several as the rows of one array, summed and projected onto Q.
+    if len(diffs) > 1:
+        terms = np.array(diffs)
+        coef = np.multiply(weights, betas)
+        if 0.0 in weights:
+            keep = np.array(weights) != 0.0
+            terms, coef = terms[keep], coef[keep]
+        terms *= coef[:, None]
+    else:
+        terms = [(w * b) * d for w, b, d in zip(weights, betas, diffs) if w != 0.0]
+    if len(terms):
         step_vec = alpha * compensated_sum(terms)
         x_next = problem.outer.project(x + step_vec)
-        corrected = bool(np.any(step_vec != 0.0))
+        corrected = bool(step_vec.any())
     else:
         x_next, corrected = x, False
 

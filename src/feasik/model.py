@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -29,6 +31,16 @@ def as_vector(coords, dim: Optional[int] = None) -> Vector:
     if dim is not None and x.shape[0] != dim:
         raise ConfigError(f"expected dimension {dim}, got {x.shape[0]}")
     return x
+
+
+def as_integer(value, what: str = "index") -> int:
+    """An integral number as an int: 2, numpy's 2 and 2.0 are 2; a boolean,
+    2.5 or a string raises ConfigError naming ``what``."""
+    if type(value) is int or (  # an exact int skips the slower ABC check
+            isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ConfigError(f"{what} must be an integer, not {reprlib.repr(value)}")
 
 
 def norm(v: Vector) -> float:
@@ -235,6 +247,8 @@ class Body:
     default_cutter = "metric"
 
     def violation(self, x: Vector) -> float:
+        """At a C-contiguous x, as ``solve``'s iterates are: a dot product
+        over a strided view of the same values may round differently."""
         raise NotImplementedError
 
     def member(self, x: Vector, tol: float = 0.0) -> bool:
@@ -257,17 +271,21 @@ class Body:
 
 @dataclass(frozen=True)
 class Halfspace(Body):
-    """{x : <a, x> <= b} with a . a > 0, which an underflowing a fails."""
+    """{x : <a, x> <= b} with a . a > 0, which an underflowing a fails.
+    ``aa`` is float(a . a) and ``a_norm`` its root, ``norm(a)`` bit for bit."""
 
     a: Vector
     b: float
 
     def __post_init__(self):
-        a = as_vector(self.a)
-        if not a.dot(a) > 0.0:
+        a = np.ascontiguousarray(as_vector(self.a))
+        aa = float(a.dot(a))
+        if not aa > 0.0:
             raise ConfigError("halfspace normal must be nonzero")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "aa", aa)
+        object.__setattr__(self, "a_norm", math.sqrt(aa))
 
     def violation(self, x):
         # ndarray.dot skips matmul's dispatch; for 1-D float64 vectors with
@@ -286,12 +304,12 @@ class Halfspace(Body):
         return self._project(x, v), self._distance(v)
 
     def _distance(self, v):
-        return 0.0 if v <= 0.0 else v / norm(self.a)
+        return 0.0 if v <= 0.0 else v / self.a_norm
 
     def _project(self, x, v):
         if v <= 0.0:
             return x
-        return x - (v / float(self.a.dot(self.a))) * self.a
+        return x - (v / self.aa) * self.a
 
     def affine_row(self):
         return self.a, self.b
@@ -581,13 +599,14 @@ class AffineRows:
     constraints must not change once stacked.
     """
 
-    def __init__(self, normals, A, l1, b, metric):
-        self._normals = normals
+    def __init__(self, A, l1, b, metric, norms):
         self.A = A
         self.b = b
         # Rows whose cutter is the metric projection onto a halfspace: the
         # identity, with zero distance, wherever the row holds.
         self.metric = metric
+        # ||a_i||, as the scalar distance divides by it; 1.0 for a zero row.
+        self.norms = norms
         # margin_i = 2 gamma_{d+1} (||a_i||_1 ||x||_inf + |b_i|) bounds
         # |scalar - stacked| (see ``at``), with gamma_n = n u / (1 - n u).
         # The factor 1 + 2^-20 absorbs the rounding of the margin itself
@@ -603,16 +622,10 @@ class AffineRows:
         self.b_max = float(np.abs(b).max())
 
     @functools.cached_property
-    def norms(self):
-        """||a_i||, as Halfspace.distance computes it from the same array;
-        1.0 for a zero row."""
-        return np.array([1.0 if a is None else norm(a) for a in self._normals])
-
-    @functools.cached_property
     def zero_entries(self) -> list:
         """Per pool position, the trace entry (i, 0.0, 0.0, 0.0, 0.0) of a
         settled metric halfspace: one tuple, shared by every step."""
-        return [(i, 0.0, 0.0, 0.0, 0.0) for i in range(len(self._normals))]
+        return [(i, 0.0, 0.0, 0.0, 0.0) for i in range(len(self.b))]
 
     @classmethod
     def build(cls, problem: Problem) -> Optional["AffineRows"]:
@@ -620,23 +633,28 @@ class AffineRows:
         rows.  A row with ||a||_1 below 2^-900, whose margin scale could
         underflow, is a zero row too."""
         dim = problem.dim
-        rows = [c.body.affine_row() for c in problem._constraints]
-        rows = [row if row is not None and row[0].shape == (dim,) else None
-                for row in rows]
-        if len(rows) - rows.count(None) < STACKED_MIN_ROWS:
-            return None
         zero = np.zeros(dim)
-        A = np.array([zero if row is None else row[0] for row in rows])
+        gathered = []
+        for c in problem._constraints:
+            body, row = c.body, c.body.affine_row()
+            if row is None or row[0].shape != (dim,):
+                gathered.append((zero, 0.0, False, 1.0))
+            else:
+                halfspace = isinstance(body, Halfspace)
+                gathered.append((*row, halfspace,
+                                 body.a_norm if halfspace else norm(row[0])))
+        normals, rhs, metric, norms = zip(*gathered)
+        if sum(a is not zero for a in normals) < STACKED_MIN_ROWS:
+            return None  # counted before any array is built
+        A = np.array(normals)
         l1 = np.abs(A).sum(axis=1)
         stacked = l1 >= 2.0 ** -900
         if np.count_nonzero(stacked) < STACKED_MIN_ROWS:
             return None
-        A[~stacked], l1[~stacked] = 0.0, 0.0
-        normals, rhs = zip(*[row if keep else (None, 0.0)
-                             for row, keep in zip(rows, stacked.tolist())])
-        metric = stacked & np.array([isinstance(c.body, Halfspace)
-                                     for c in problem._constraints])
-        return cls(normals, A, l1, np.array(rhs), metric)
+        b, norms = np.array(rhs), np.array(norms)
+        out = ~stacked
+        A[out], l1[out], b[out], norms[out] = 0.0, 0.0, 0.0, 1.0
+        return cls(A, l1, b, stacked & np.array(metric), norms)
 
     def at(self, x: Vector) -> Optional["RowPass"]:
         """The residual pass at x, or None when x is not finite or so large
@@ -702,6 +720,12 @@ class RowPass:
         residual, displacement, beta and rho all 0.0."""
         return self.split(0.0)[1] & self.rows.metric
 
+    def unsettled(self, active: tuple) -> list:
+        """(position, index) of the active rows that are not settled, in
+        order, from one gather of the flags at the active indices."""
+        pos = (~self.settled[np.fromiter(active, np.intp, len(active))]).nonzero()[0]
+        return [(p, active[p]) for p in pos.tolist()]
+
     def candidates(self, score, spread) -> Optional[list]:
         """Pool positions, ascending, whose scalar score may be the largest,
         given stacked scores with |scalar - stacked| <= spread per row up to
@@ -721,8 +745,10 @@ def violated_indices(problem: Problem, x: Vector, window=None,
     """I_+(x) restricted to a finite window: indices whose set x is outside of.
 
     Over the whole pool the stacked affine rows settle what they can;
-    ``stacked`` is a residual pass already taken at x.
+    ``stacked`` is a residual pass already taken at x.  x is read as a
+    C-contiguous float64 array (see ``Body.violation``).
     """
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if window is None:
         if stacked is None:
             stacked = problem.residual_pass(x)
@@ -739,8 +765,10 @@ def feasible(problem: Problem, x: Vector, window=None, tol: float = 0.0,
     Membership is the sign test violation(x) <= tol with tol = 0 by default.
     For infinite pools the caller must supply a finite witness window.
     Over the whole pool the stacked affine rows settle what they can;
-    ``stacked`` is a residual pass already taken at x.
+    ``stacked`` is a residual pass already taken at x.  x is read as a
+    C-contiguous float64 array (see ``Body.violation``).
     """
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if window is None:
         if not problem.is_finite:
             raise ConfigError("feasibility over an infinite pool needs a finite window")

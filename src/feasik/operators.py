@@ -13,15 +13,17 @@ class CutterEval(NamedTuple):
     """One cutter application T_i(x).
 
     ``residual`` is f_i(x) for sublevel bodies and the exact distance
-    d(x, C_i) otherwise.  ``displacement_norm`` is always computed from the
-    image difference.  ``subgrad_sq`` is g.g for a subgradient projection
-    that moved x, else None.  An image that equals x may be x itself.
+    d(x, C_i) otherwise.  ``displacement`` is T(x) - x, None where a
+    subgradient step leaves x, and ``displacement_norm`` its norm.
+    ``subgrad_sq`` is g.g for a subgradient projection that moved x, else
+    None.  An image that equals x may be x itself.
     """
 
     image: Vector
     displacement_norm: float
     residual: float
     subgrad_sq: Optional[float] = None
+    displacement: Optional[Vector] = None
 
 
 def project_metric(body: Body, x: Vector) -> CutterEval:
@@ -29,7 +31,8 @@ def project_metric(body: Body, x: Vector) -> CutterEval:
     if not isinstance(body, METRIC_BODIES):
         raise ConfigError(f"no metric projection for {type(body).__name__}")
     image, distance = body.cut(x)
-    return CutterEval(image, norm(image - x), distance)
+    d = image - x
+    return CutterEval(image, norm(d), distance, None, d)
 
 
 def project_subgradient(f, x: Vector) -> CutterEval:
@@ -48,7 +51,8 @@ def project_subgradient(f, x: Vector) -> CutterEval:
         raise InconsistentConstraintError(
             "inconsistent constraint: positive value with zero subgradient")
     image = x - (val / gg) * g
-    return CutterEval(image, norm(image - x), val, gg)
+    d = image - x
+    return CutterEval(image, norm(d), val, gg, d)
 
 
 def evaluate_cutter(constraint: Constraint, x: Vector) -> CutterEval:
@@ -56,7 +60,8 @@ def evaluate_cutter(constraint: Constraint, x: Vector) -> CutterEval:
     if constraint.cutter == "subgradient":
         return project_subgradient(constraint.body.f, x)
     image, residual = constraint.body.cut(x)
-    return CutterEval(image, norm(image - x), residual)
+    d = image - x
+    return CutterEval(image, norm(d), residual, None, d)
 
 
 def check_cutter_property(T, x: Vector, z: Vector, rtol: float = 1e-10):

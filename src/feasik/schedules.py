@@ -9,7 +9,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, InconsistentConstraintError
-from .model import Constraint, Sublevel, Vector
+from .model import Constraint, Sublevel, Vector, as_integer
 
 
 def beta(r: float, phi_val: float, displacement: float) -> float:
@@ -258,11 +258,11 @@ class PhiCustom:
 # ---------------------------------------------------------------------------
 
 class WeightRule:
-    """Maps (active, violated-active) index tuples to convex weights over the
-    active set.  ``floor(max_card)`` is the guaranteed lower bound for
-    weights on violated active indices."""
+    """Convex weights over the active set: ``weights(active, violated)``
+    lists those of ``violated``, in order, the only ones a step reads.
+    ``floor(max_card)`` is a guaranteed lower bound on each of them."""
 
-    def weights(self, active: tuple, violated: tuple) -> dict:
+    def weights(self, active: tuple, violated: tuple) -> list:
         raise NotImplementedError
 
     def floor(self, max_card: int) -> float:
@@ -273,26 +273,19 @@ class UniformOverActive(WeightRule):
     kind = "uniform_active"
 
     def weights(self, active, violated):
-        w = 1.0 / len(active)
-        return {i: w for i in active}
+        return [1.0 / len(active)] * len(violated)
 
     def floor(self, max_card):
         return 1.0 / max_card
 
 
 class UniformOverViolated(WeightRule):
-    """All weight on the violated active indices (uniform over the active set
-    when none are violated)."""
+    """All weight on the violated active indices, uniformly."""
 
     kind = "uniform_violated"
 
     def weights(self, active, violated):
-        if violated:
-            w = 1.0 / len(violated)
-            violated = set(violated)
-            return {i: (w if i in violated else 0.0) for i in active}
-        w = 1.0 / len(active)
-        return {i: w for i in active}
+        return [1.0 / len(violated)] * len(violated) if violated else []
 
     def floor(self, max_card):
         return 1.0 / max_card
@@ -307,22 +300,21 @@ class ExplicitTable(WeightRule):
     def __init__(self, table: dict, floor_value: float):
         if not (0.0 < floor_value <= 1.0):
             raise ConfigError("weight floor must be in (0,1]")
-        self.table = {int(i): float(w) for i, w in table.items()}
+        self.table = {as_integer(i): float(w) for i, w in table.items()}
         if any(w <= 0.0 for w in self.table.values()):
             raise ConfigError("table weights must be positive")
         self._floor = floor_value
 
     def weights(self, active, violated):
         try:
-            raw = [self.table[i] for i in active]
+            total = sum([self.table[i] for i in active])
         except KeyError as e:
             raise ConfigError(f"no table weight for index {e.args[0]}") from None
-        total = sum(raw)
-        out = {i: w / total for i, w in zip(active, raw)}
-        for i in violated:
-            if out[i] < self._floor - 1e-12:
+        out = [self.table[i] / total for i in violated]
+        for i, w in zip(violated, out):
+            if w < self._floor - 1e-12:
                 raise ConfigError(
-                    f"weight {out[i]} for violated index {i} below declared floor")
+                    f"weight {w} for violated index {i} below declared floor")
         return out
 
     def floor(self, max_card):

@@ -361,6 +361,36 @@ def test_document_numbers_are_checked_not_coerced():
     assert type(run.weights.floor(1)) is int
 
 
+def test_python_constructors_check_indices_as_documents_do():
+    # The constructors used to truncate these with int().
+    from feasik import Cyclic, ExplicitTable, Intermittent, RunConfig
+    run = build_run_config(two_halfspace_doc())
+    base = dict(problem=run.problem, control=run.control,
+                relaxation=run.relaxation, overrelaxation=run.overrelaxation,
+                phi=run.phi, weights=run.weights, x0=run.x0)
+    bad = [
+        lambda: Cyclic([0.5, 1]),
+        lambda: Cyclic([True, 0]),
+        lambda: Intermittent([[1.7, 0]]),
+        lambda: Intermittent([["1", 0]]),
+        lambda: ExplicitTable({1.5: 1.0}, 0.5),
+        lambda: RunConfig(**base, feas_window=(1.9, 0)),
+        lambda: RunConfig(**base, feas_window=(0, False)),
+        lambda: RunConfig(**base, max_iter=True),
+        lambda: RunConfig(**base, max_iter=10.5),
+    ]
+    for make in bad:
+        with pytest.raises(ConfigError, match="must be an integer"):
+            make()
+    # ints, numpy integers and integral floats are kept as ints.
+    assert Cyclic([np.int64(1), 0.0]).order == [1, 0]
+    assert Intermittent([(np.int32(1), 0)]).blocks == [(1, 0)]
+    assert ExplicitTable({np.int64(1): 1.0}, 0.5).table == {1: 1.0}
+    cfg = RunConfig(**base, feas_window=(np.int64(1), 0.0), max_iter=np.int64(7))
+    assert cfg.feas_window == (1, 0) and type(cfg.feas_window[0]) is int
+    assert cfg.max_iter == 7 and type(cfg.max_iter) is int
+
+
 def test_cli_validate_rejects_unchecked_numbers(tmp_path, capsys):
     # These raised a raw ValueError or TypeError, or validated with the
     # number truncated.

@@ -1,9 +1,11 @@
 """Byte-identity guard: sha256 digests of the reproduction reports, the
 A.1 trace CSV, the CLI outputs on the demo configs, one seeded random
-run's trace CSV and the ``per_index`` entries of two stacked runs, which
+run's trace CSV and the ``per_index`` entries of four stacked runs, which
 no CSV holds.  The digests were recorded before the per-step fast paths
-went in (the ``per_index`` ones before the stacked pass was indexed by pool
-position); a speed-up must keep every one of these outputs byte for byte.
+went in (the first two ``per_index`` ones before the stacked pass was
+indexed by pool position, the two other block runs before the weight rules
+returned only the violated indices' weights); a speed-up must keep every
+one of these outputs byte for byte.
 
 To re-derive them on another revision, run this file as a script with that
 revision's ``src`` first on ``PYTHONPATH``; it prints one line per output.
@@ -17,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from feasik import (ConstantRelaxation, Harmonic, Intermittent, PhiOne,
-                    RandomSets, RemotestSet, RunConfig, UniformOverActive,
+from feasik import (ConstantRelaxation, ExplicitTable, Harmonic, Intermittent,
+                    PhiOne, RandomSets, RemotestSet, RunConfig, UniformOverActive,
                     UniformOverViolated, cli, random_slater_polyhedron, solve,
                     trace_csv_text)
 from feasik.certificates import build_a1_config
@@ -39,6 +41,8 @@ GOLDEN = {
     "random_sets.csv": "4ac3929ccb1de82841ee88849f3a1cc5e8cfb345a642a9b73f4f07e3fefec196",
     "block.per_index": "a801d29a575ecc305105b332bb884fb59616e1d335635a1f69d1a61099eda126",
     "remotest.per_index": "a2f8d2f0d26b56cf74c7afc5bd64775ba410af0d891d71b90e974ee885d5fbed",
+    "block_active.per_index": "312313e092fe5696ceccff0422e534f91ab9d0d3a8241b38147ad2351b58fde9",
+    "block_table.per_index": "ba327fe62b62638e8d101b2bd88332bfd3068b41bf66e1dc681ca530ccdf83f9",
 }
 
 
@@ -62,8 +66,9 @@ def random_sets_run():
 
 
 def per_index_runs() -> dict:
-    """A full-block run and a remotest-set run on one seeded 48-row
-    halfspace pool in 6-D, which the stacked pass evaluates."""
+    """Three full-block runs, one per weight rule, and a remotest-set run
+    on one seeded 48-row halfspace pool in 6-D, which the stacked pass
+    evaluates."""
     problem, x0 = random_slater_polyhedron(
         3, dim=6, m=48, interior_radius=0.1, sublevel=False)
     common = dict(problem=problem, relaxation=ConstantRelaxation(1.0),
@@ -73,6 +78,12 @@ def per_index_runs() -> dict:
                                      weights=UniformOverViolated(), **common),
         "remotest.per_index": RunConfig(control=RemotestSet(),
                                         weights=UniformOverActive(), **common),
+        "block_active.per_index": RunConfig(control=Intermittent([range(48)]),
+                                            weights=UniformOverActive(), **common),
+        "block_table.per_index": RunConfig(
+            control=Intermittent([range(48)]),
+            weights=ExplicitTable({i: 1.0 + i % 4 for i in range(48)}, 0.005),
+            **common),
     }
 
 
@@ -114,7 +125,9 @@ def test_random_sets_run_is_long_enough():
     assert result.status == "feasible" and result.k_feasible >= 200
 
 
-@pytest.mark.parametrize("name", ["block.per_index", "remotest.per_index"])
+@pytest.mark.parametrize("name", ["block.per_index", "remotest.per_index",
+                                  "block_active.per_index",
+                                  "block_table.per_index"])
 def test_per_index_runs_stack_and_converge(name):
     cfg = per_index_runs()[name]
     assert cfg.problem.affine_rows is not None

@@ -18,6 +18,7 @@ from conftest import interior_point_with_margin, outside_point, random_metric_bo
 def test_project_metric_axis_halfspace():
     ce = project_metric(Halfspace([1.0, 0.0], 0.0), np.array([2.0, 3.0]))
     assert np.array_equal(ce.image, [0.0, 3.0])
+    assert np.array_equal(ce.displacement, [-2.0, 0.0])
     assert ce.displacement_norm == 2.0
     assert ce.residual == 2.0
 
@@ -75,6 +76,8 @@ def test_subgradient_image_inner_product_identity():
         if f.value(x) <= 0.0:
             continue
         ce = project_subgradient(f, x)
+        # The stored displacement is the image difference, bit for bit.
+        assert np.array_equal(ce.displacement, ce.image - x)
         lhs = float(f.subgradient(x) @ (ce.image - x))
         assert abs(lhs + f.value(x)) <= 1e-12 * (1.0 + abs(f.value(x)))
 

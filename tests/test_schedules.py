@@ -114,26 +114,33 @@ def test_merged_decreasing_rejects_increasing_input():
 
 
 def test_weight_rules_sum_to_one():
+    # weights(active, active) is the whole convex combination; weights of a
+    # violated subtuple are those of its indices, in its order.
     rng = np.random.default_rng(9)
+    table = {i: float(rng.uniform(0.5, 2.0)) for i in range(8)}
     rules = [UniformOverActive(), UniformOverViolated(),
-             ExplicitTable({i: float(rng.uniform(0.5, 2.0)) for i in range(8)},
-                           floor_value=0.02)]
-    for rule in rules:
+             ExplicitTable(table, floor_value=0.02)]
+    by_hand = [
+        lambda active, viol: [1.0 / len(active)] * len(viol),
+        lambda active, viol: [1.0 / len(viol) for _ in viol],
+        lambda active, viol: [table[i] / sum([table[j] for j in active])
+                              for i in viol],
+    ]
+    for rule, expected in zip(rules, by_hand):
         for _ in range(200):
             active = tuple(sorted(rng.choice(8, size=rng.integers(1, 6),
                                              replace=False)))
             viol = tuple(i for i in active if rng.random() < 0.5)
-            w = rule.weights(active, viol)
-            assert set(w) == set(active)
-            assert abs(sum(w.values()) - 1.0) <= 1e-14
-            assert all(v >= 0.0 for v in w.values())
+            full = rule.weights(active, active)
+            assert len(full) == len(active)
+            assert abs(sum(full) - 1.0) <= 1e-14
+            assert all(v >= 0.0 for v in full)
+            assert rule.weights(active, viol) == expected(active, viol)
 
 
 def test_uniform_over_violated_concentrates():
-    w = UniformOverViolated().weights((0, 1, 2), (1,))
-    assert w == {0: 0.0, 1: 1.0, 2: 0.0}
-    w = UniformOverViolated().weights((0, 1), ())
-    assert w == {0: 0.5, 1: 0.5}
+    assert UniformOverViolated().weights((0, 1, 2), (1,)) == [1.0]
+    assert UniformOverViolated().weights((0, 1), ()) == []
 
 
 def test_weight_floors():

@@ -16,11 +16,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from feasik import (Affine, Ball, ConstantRelaxation, Constraint, Cyclic,
-                    Halfspace, Harmonic, Intermittent, MaxViolation, PhiOne,
-                    Problem, RemotestSet, RunConfig, Sublevel,
-                    UniformOverActive, UniformOverViolated, feasible, solve,
-                    violated_indices, write_trace_csv)
-from feasik.model import STACKED_MIN_ROWS, RowPass
+                    ExplicitTable, Halfspace, Harmonic, Intermittent,
+                    MaxViolation, PhiOne, Problem, RandomSets, RemotestSet,
+                    RunConfig, Sublevel, UniformOverActive, UniformOverViolated,
+                    feasible, solve, violated_indices, write_trace_csv)
+from feasik.model import STACKED_MIN_ROWS, RowPass, norm
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -129,6 +129,28 @@ def test_margin_bounds_the_scalar_residual(case):
     for i in problem.indices():
         s = problem.constraint(i).violation(x)
         assert abs(s - p.v[i]) <= p.margin[i]
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 300),
+       st.sampled_from([-1, 2, -2]))
+def test_sign_tests_ignore_the_layout_of_x(seed, dim, stride):
+    # Every facet passes through x as the contiguous dot product rounds it.
+    # Over a strided view of the same values that product may round the
+    # other way, which used to flip membership.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(dim)
+    bodies = [Halfspace(a, float(a.dot(x)))
+              for a in rng.standard_normal((STACKED_MIN_ROWS, dim))]
+    problem = Problem(dim, [Constraint(i, b) for i, b in enumerate(bodies)])
+    view = np.full(abs(stride) * dim, np.nan)[::stride]
+    view[:] = x
+    assert not view.flags.c_contiguous and np.array_equal(view, x)
+    for p in (problem, lazy_twin(problem)):
+        for window in (None, range(STACKED_MIN_ROWS)):
+            assert feasible(p, view, window) is feasible(p, x, window) is True
+            assert violated_indices(p, view, window) == ()
+    assert problem.affine_rows is not None
 
 
 def rounded_otherwise(problem, x, rng):
@@ -262,17 +284,31 @@ def slater_pool(seed, dim, m, sublevel_every=3):
 CONTROL_KINDS = ["cyclic", "remotest", "max_violation", "block"]
 
 
-def solve_both(problem, x0, control_kind):
-    """Solve on the stacked pool and on its lazy twin, check that the runs
-    agree byte for byte, and return the stacked run."""
+def make_control(control_kind, m):
+    """A fresh control over a pool of m rows; ``random_sets`` draws atoms of
+    one to five indices that cover the pool."""
+    if control_kind == "two_blocks":
+        return Intermittent([range(0, m, 2), range(1, m, 2)])
+    if control_kind == "random_sets":
+        cuts = [0, 1, 3, 6, 10, 15] + list(range(20, m, 5)) + [m]
+        atoms = [(range(lo, hi), 1.0) for lo, hi in zip(cuts, cuts[1:])]
+        return RandomSets([(s, 1.0 / len(atoms)) for s, _ in atoms], seed=m)
+    return {"cyclic": Cyclic(range(m)), "remotest": RemotestSet(),
+            "max_violation": MaxViolation(),
+            "block": Intermittent([range(m)])}[control_kind]
+
+
+def solve_both(problem, x0, control_kind, weights=None):
+    """Solve on the stacked pool and on its lazy twin with the weight rule
+    ``weights`` (by default uniform over the violated rows for the block
+    control, over the active ones otherwise), check that the runs agree
+    byte for byte, and return the stacked run."""
     m = int(problem.m)
+    if weights is None:
+        weights = UniformOverViolated() if control_kind == "block" else UniformOverActive()
     runs = []
     for p in (problem, lazy_twin(problem)):
-        control = {"cyclic": Cyclic(range(m)), "remotest": RemotestSet(),
-                   "max_violation": MaxViolation(),
-                   "block": Intermittent([range(m)])}[control_kind]
-        weights = UniformOverViolated() if control_kind == "block" else UniformOverActive()
-        cfg = RunConfig(problem=p, control=control,
+        cfg = RunConfig(problem=p, control=make_control(control_kind, m),
                         relaxation=ConstantRelaxation(1.0),
                         overrelaxation=Harmonic(), phi=PhiOne(),
                         weights=weights, x0=x0, max_iter=20_000)
@@ -284,6 +320,7 @@ def solve_both(problem, x0, control_kind):
     assert stacked.status == scalar.status == "feasible"
     assert stacked.k_feasible == scalar.k_feasible
     assert stacked.corrections == scalar.corrections
+    assert [r.violated for r in stacked.trace] == [r.violated for r in scalar.trace]
     assert [r.per_index for r in stacked.trace] == [r.per_index for r in scalar.trace]
     # Every entry to the bit, signed zeros included, and the CSV bytes.
     assert [entry_bytes(r) for r in stacked.trace] == \
@@ -330,6 +367,63 @@ def test_balls_among_stacked_rows_match_lazy_pool(seed, control_kind):
     assert problem.affine_rows.offset[outside].tolist() == [math.inf] * 3
     stacked = solve_both(problem, x0, control_kind)
     assert any(i in outside for r in stacked.trace for i in r.violated)
+
+
+WEIGHT_RULES = {
+    "uniform_active": UniformOverActive(),
+    "uniform_violated": UniformOverViolated(),
+    "table": ExplicitTable({i: 1.0 + i % 3 for i in range(2 * STACKED_MIN_ROWS + 3)},
+                           0.005),
+}
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("control_kind", ["block", "two_blocks", "random_sets",
+                                          "remotest"])
+@pytest.mark.parametrize("weight_kind", sorted(WEIGHT_RULES))
+def test_mixed_pools_match_lazy_pool_under_every_weight_rule(
+        seed, control_kind, weight_kind):
+    # Halfspaces, affine sublevel sets and three balls, each containing
+    # B(z, 2R) = B(0, 0.5), at random positions of the pool.
+    dim, m = 6, 2 * STACKED_MIN_ROWS
+    pool, x0 = slater_pool(seed, dim, m)
+    rng = np.random.default_rng(seed + 200)
+    bodies = [pool.constraint(i).body for i in pool.indices()]
+    for _ in range(3):
+        u = rng.standard_normal(dim)
+        bodies.append(Ball(0.1 * u / np.linalg.norm(u), float(rng.uniform(0.7, 1.2))))
+    bodies = [bodies[j] for j in rng.permutation(len(bodies))]
+    problem = Problem(dim, [Constraint(i, b) for i, b in enumerate(bodies)],
+                      interior=pool.interior)
+    problem.spot_check_interior()
+    assert problem.affine_rows is not None
+    stacked = solve_both(problem, x0, control_kind, WEIGHT_RULES[weight_kind])
+    assert stacked.k_feasible >= 1
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(-150, 150),
+       st.sampled_from([1, -1, 2]))
+def test_stored_normal_products_are_the_computed_ones(seed, dim, exponent, stride):
+    # A halfspace keeps a.a and ||a|| from its construction, and the stack
+    # takes its norms from them: each must equal a fresh computation on the
+    # stored normal bit for bit (float.hex tells -0.0, NaN and ulps apart).
+    rng = np.random.default_rng(seed)
+    normals = rng.standard_normal((STACKED_MIN_ROWS, dim)) * 10.0 ** exponent
+    normals = [np.repeat(a, abs(stride))[::stride] for a in normals]
+    bodies = [Halfspace(a, 1.0) if n % 3 else Sublevel(Affine(a, 1.0))
+              for n, a in enumerate(normals)]
+    bodies += [Halfspace(a, 1.0) for a in normals[:STACKED_MIN_ROWS // 2]]
+    problem = Problem(dim, [Constraint(i, b) for i, b in enumerate(bodies)])
+    rows = problem.affine_rows
+    assert rows is not None
+    for i, body in enumerate(bodies):
+        a = body.affine_row()[0]
+        if isinstance(body, Halfspace):
+            assert body.a.flags.c_contiguous
+            assert body.aa.hex() == float(a.dot(a)).hex()
+            assert body.a_norm.hex() == norm(a).hex()
+        assert float(rows.norms[i]).hex() == norm(a).hex()
 
 
 def entry_bytes(record):
