@@ -142,7 +142,7 @@ class Repetitive(Control):
 
     def __init__(self, schedule: Callable[[int], Sequence[int]], max_card: int = 1):
         self.schedule = schedule
-        self._max_card = int(max_card)
+        self._max_card = as_integer(max_card, "max_card")
         if self._max_card < 1:
             raise ConfigError("max_card must be >= 1")
 
@@ -266,7 +266,7 @@ class RandomSets(_FixedSets):
         total = sum(p for _, p in self.atoms)
         if abs(total - 1.0) > 1e-12:
             raise ConfigError(f"atom probabilities sum to {total}, not 1")
-        self.seed = int(seed) & (2 ** 64 - 1)
+        self.seed = as_integer(seed, "seed") & (2 ** 64 - 1)
         self._cum = np.cumsum([p for _, p in self.atoms])
         self._block_start, self._block = None, None
 

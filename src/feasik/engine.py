@@ -177,8 +177,7 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
 
     violated = tuple(violated)
     weights = cfg.weights.weights(active, violated)
-    # The weighted overshoot terms (w_i beta_i)(T_i(x) - x) of nonzero weight,
-    # several as the rows of one array, summed and projected onto Q.
+    # The overshoot terms (w_i beta_i)(T_i(x) - x) of nonzero weight, summed.
     if len(diffs) > 1:
         terms = np.array(diffs)
         coef = np.multiply(weights, betas)
@@ -186,8 +185,10 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
             keep = np.array(weights) != 0.0
             terms, coef = terms[keep], coef[keep]
         terms *= coef[:, None]
+    elif diffs and weights[0] != 0.0:
+        terms = [(weights[0] * betas[0]) * diffs[0]]
     else:
-        terms = [(w * b) * d for w, b, d in zip(weights, betas, diffs) if w != 0.0]
+        terms = ()
     if len(terms):
         step_vec = alpha * compensated_sum(terms)
         x_next = problem.outer.project(x + step_vec)

@@ -745,10 +745,9 @@ def violated_indices(problem: Problem, x: Vector, window=None,
     """I_+(x) restricted to a finite window: indices whose set x is outside of.
 
     Over the whole pool the stacked affine rows settle what they can;
-    ``stacked`` is a residual pass already taken at x.  x is read as a
-    C-contiguous float64 array (see ``Body.violation``).
+    ``stacked`` is a residual pass already taken at x.  x is read C-contiguous.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x)
     if window is None:
         if stacked is None:
             stacked = problem.residual_pass(x)
@@ -765,10 +764,9 @@ def feasible(problem: Problem, x: Vector, window=None, tol: float = 0.0,
     Membership is the sign test violation(x) <= tol with tol = 0 by default.
     For infinite pools the caller must supply a finite witness window.
     Over the whole pool the stacked affine rows settle what they can;
-    ``stacked`` is a residual pass already taken at x.  x is read as a
-    C-contiguous float64 array (see ``Body.violation``).
+    ``stacked`` is a residual pass already taken at x.  x is read C-contiguous.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x)
     if window is None:
         if not problem.is_finite:
             raise ConfigError("feasibility over an infinite pool needs a finite window")

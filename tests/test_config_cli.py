@@ -363,7 +363,8 @@ def test_document_numbers_are_checked_not_coerced():
 
 def test_python_constructors_check_indices_as_documents_do():
     # The constructors used to truncate these with int().
-    from feasik import Cyclic, ExplicitTable, Intermittent, RunConfig
+    from feasik import (Cyclic, ExplicitTable, Intermittent, RandomSets,
+                        Repetitive, RunConfig)
     run = build_run_config(two_halfspace_doc())
     base = dict(problem=run.problem, control=run.control,
                 relaxation=run.relaxation, overrelaxation=run.overrelaxation,
@@ -378,6 +379,9 @@ def test_python_constructors_check_indices_as_documents_do():
         lambda: RunConfig(**base, feas_window=(0, False)),
         lambda: RunConfig(**base, max_iter=True),
         lambda: RunConfig(**base, max_iter=10.5),
+        lambda: Repetitive(lambda k: (0,), max_card=2.7),
+        lambda: RandomSets([((0,), 1.0)], seed=1.5),
+        lambda: RandomSets([((0,), 1.0)], seed=True),
     ]
     for make in bad:
         with pytest.raises(ConfigError, match="must be an integer"):
