@@ -16,13 +16,13 @@ from .schedules import (ConstantOverrelaxation, ConstantRelaxation,
                         MergedDecreasing, OverrelaxationList, PhiCustom,
                         PhiOne, PhiSubgradNorm, RelaxationList,
                         UniformOverActive, UniformOverViolated, beta)
-from .engine import (RunConfig, RunResult, TraceRecord, solve, step,
-                     trace_csv_text, write_trace_csv)
-from .certificates import (check_descent, check_fixed_point_consistency,
+from .engine import (CsvStream, RunConfig, RunResult, TraceRecord, solve,
+                     step, trace_csv_text, write_trace_csv)
+from .certificates import (DescentMonitor, check_descent,
+                           check_fixed_point_consistency,
                            check_single_operator, oracle_a1, oracle_a2,
-                           reproduce_a1, reproduce_a1_bracketed,
-                           reproduce_a2, reproduce_a2_bracketed,
-                           slater_delta)
+                           reproduce_a1, reproduce_a1_bracketed, reproduce_a2,
+                           reproduce_a2_bracketed, slater_delta)
 from .errors import (CertificateError, ConfigError, ControlError, FeasikError,
                      InconsistentConstraintError, PoolIndexError)
 from .instances import random_slater_polyhedron

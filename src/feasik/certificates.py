@@ -83,37 +83,50 @@ class DescentCertificate:
         }
 
 
-def check_descent(trace, z, big_r: float, lam: float,
-                  outer: Optional[OuterSet] = None,
-                  rtol: float = 1e-9) -> DescentCertificate:
-    """Evaluate the descent inequality on every applicable step of a trace.
+class DescentMonitor:
+    """An observer that checks the descent inequality online into
+    ``certificate``.  The caller asserts B(z, 2R) lies inside every
+    constraint set; z in Q is checked here when ``outer`` is supplied."""
 
-    The caller asserts B(z, 2R) lies inside every constraint set; membership
-    of z in Q is checked here when the outer set is supplied.
-    """
-    if isinstance(trace, RunResult):
-        trace = trace.trace
-    z = as_vector(z)
-    if big_r <= 0.0 or lam <= 0.0:
-        raise CertificateError("R and lambda must be positive")
-    if outer is not None and not outer.member(z):
-        raise CertificateError("z is not in the outer set Q")
-    entries = []
-    for rec, nxt in zip(trace, trace[1:]):
+    def __init__(self, z, big_r: float, lam: float,
+                 outer: Optional[OuterSet] = None, rtol: float = 1e-9):
+        z = as_vector(z)
+        if big_r <= 0.0 or lam <= 0.0:
+            raise CertificateError("R and lambda must be positive")
+        if outer is not None and not outer.member(z):
+            raise CertificateError("z is not in the outer set Q")
+        self.certificate = DescentCertificate(z, big_r, lam, [], rtol)
+        self._last = None  # the previous record and its ||x - z||^2
+
+    def __call__(self, nxt) -> None:
+        cert = self.certificate
+        d1 = nxt.x - cert.z
+        lhs = float(d1 @ d1)
+        last, self._last = self._last, (nxt, lhs)
+        if last is None:
+            return
+        rec, base = last
         violated = set(rec.violated) if rec.violated else ()
         rhos = [rho for (i, _res, _disp, _b, rho) in rec.per_index if i in violated]
         rho = max(rhos) if rhos else 0.0
-        applicable = bool(rec.corrected and rho <= big_r)
-        d0 = rec.x - z
-        d1 = nxt.x - z
-        lhs = float(d1 @ d1)
-        base = float(d0 @ d0)
-        rhs = base - 2.0 * rec.alpha_used * lam * big_r * rho if rec.corrected \
-            else base
+        applicable = bool(rec.corrected and rho <= cert.big_r)
+        rhs = base - 2.0 * rec.alpha_used * cert.lam * cert.big_r * rho \
+            if rec.corrected else base
         slack = rhs - lhs
-        ok = (not applicable) or slack >= -rtol * (1.0 + base)
-        entries.append(DescentEntry(rec.k, lhs, rhs, slack, rho, applicable, ok))
-    return DescentCertificate(z, big_r, lam, entries, rtol)
+        ok = (not applicable) or slack >= -cert.rtol * (1.0 + base)
+        cert.entries.append(DescentEntry(rec.k, lhs, rhs, slack, rho, applicable, ok))
+
+
+def check_descent(trace, z, big_r: float, lam: float,
+                  outer: Optional[OuterSet] = None,
+                  rtol: float = 1e-9) -> DescentCertificate:
+    """Replay a recorded trace (or ``RunResult``) through a ``DescentMonitor``."""
+    if isinstance(trace, RunResult):
+        trace = trace.trace
+    monitor = DescentMonitor(z, big_r, lam, outer, rtol)
+    for rec in trace:
+        monitor(rec)
+    return monitor.certificate
 
 
 def check_single_operator(T, x, y, rho_val: float, alpha: float,
@@ -236,12 +249,35 @@ def _rel_err(got: float, want: float) -> float:
     return abs(got - want) / max(abs(want), 1e-300)
 
 
+class _RunFacts:
+    """An observer that keeps what a 2-D reproduction checks: the record
+    count, whether an iterate tested feasible, y left 0 after the first
+    record or x fell to 1 or below, and the iterates where ``keep(pos)`` holds."""
+
+    def __init__(self, keep):
+        self.keep = keep
+        self.count = 0
+        self.any_feasible = self.y_moved = self.x_low = False
+        self.kept = {}
+
+    def __call__(self, rec) -> None:
+        pos = self.count
+        self.count += 1
+        x, y = rec.x.tolist()
+        self.any_feasible |= rec.feasible_flag
+        self.y_moved |= pos > 0 and y != 0.0
+        self.x_low |= x <= 1.0
+        if self.keep(pos):
+            self.kept[pos] = rec.x
+
+
 def reproduce_a1(max_iter: int = 10_000, oracle_up_to: int = 100) -> ReproduceReport:
-    """Run the raw-mode alternating config and check the engine trace against
+    """Run the raw-mode alternating config and check its iterates against
     the closed form: never feasible, x pinned to 0 after one step, and
     y_{2k} = 2^(-2k) to 1e-12 relative (exact zero once 2^(-2k) underflows)."""
     cfg = build_a1_config("raw", max_iter)
-    result = solve(cfg)
+    facts = _RunFacts(lambda pos: pos % 2 == 0 and 0 < pos <= 2 * oracle_up_to)
+    result = solve(cfg, observers=[facts])
     notes = []
     if result.status != "max_iter":
         notes.append(f"unexpectedly feasible at k={result.k_feasible}")
@@ -249,18 +285,18 @@ def reproduce_a1(max_iter: int = 10_000, oracle_up_to: int = 100) -> ReproduceRe
     table = [("k", "engine y_2k", "oracle y_2k")]
     for k in range(1, oracle_up_to + 1):
         pos = 2 * k
-        if pos >= len(result.trace):
+        if pos >= facts.count:
             notes.append(f"trace shorter than position {pos}")
             break
-        rec = result.trace[pos]
+        x = facts.kept[pos]
         wx, wy = oracle_a1(pos)
-        err = max(_rel_err(float(rec.x[0]), wx), _rel_err(float(rec.x[1]), wy))
-        if wy == 0.0 and float(rec.x[1]) != 0.0:
+        err = max(_rel_err(float(x[0]), wx), _rel_err(float(x[1]), wy))
+        if wy == 0.0 and float(x[1]) != 0.0:
             err = math.inf  # underflow must agree exactly
         max_err = max(max_err, err)
         if k <= 10:
-            table.append((str(k), repr(float(rec.x[1])), repr(wy)))
-    if any(rec.feasible_flag for rec in result.trace):
+            table.append((str(k), repr(float(x[1])), repr(wy)))
+    if facts.any_feasible:
         notes.append("an iterate tested feasible")
     if max_err > 1e-12:
         notes.append(f"max relative error {max_err:.3e} above 1e-12")
@@ -271,7 +307,7 @@ def reproduce_a1(max_iter: int = 10_000, oracle_up_to: int = 100) -> ReproduceRe
 def _reproduce_bracketed(name: str, cfg: RunConfig) -> ReproduceReport:
     """A counterexample's geometry with the correction counter and a
     monotone schedule: finite convergence returns."""
-    result = solve(cfg)
+    result = solve(cfg, observers=())
     table = [("status", result.status, ""),
              ("k_feasible", str(result.k_feasible), ""),
              ("corrections", str(result.corrections), "")]
@@ -368,31 +404,27 @@ def reproduce_a2(max_iter: int = 100_000, oracle_up_to: int = 30) -> ReproduceRe
     """
     cfg, sched = build_a2_config("raw", max_iter)
     problem = cfg.problem
-    result = solve(cfg)
+    facts = _RunFacts(lambda pos: pos < max_iter and sched.source(pos)[0] == "b")
+    result = solve(cfg, observers=[facts])
     notes = []
     if result.status != "max_iter":
         notes.append(f"unexpectedly feasible at k={result.k_feasible}")
-    if any(rec.feasible_flag for rec in result.trace):
+    if facts.any_feasible:
         notes.append("an iterate tested feasible")
-    ys = [float(rec.x[1]) for rec in result.trace]
-    if any(y != 0.0 for y in ys[1:]):
+    if facts.y_moved:
         notes.append("y did not pin to 0 after the first step")
-    if any(float(rec.x[0]) <= 1.0 for rec in result.trace):
+    if facts.x_low:
         notes.append("x fell to 1 or below inside the run")
 
     max_err = 0.0
     table = [("k", "b_k", "engine x@n_k / oracle 1+sqrt(2 b_k)")]
 
-    # Honest segment: b-positions inside the executed trace.
-    honest = {}
-    for pos in range(min(max_iter, len(result.trace))):
-        which, idx = sched.source(pos)
-        if which == "b":
-            honest[idx] = pos
+    # Honest segment: b-positions inside the run.
+    honest = {sched.source(pos)[1]: x for pos, x in facts.kept.items()}
     for k in sorted(honest):
         if k > oracle_up_to:
             continue
-        got = float(result.trace[honest[k]].x[0])
+        got = float(honest[k][0])
         b, want = oracle_a2(k)
         err = _rel_err(got, want)
         max_err = max(max_err, err)
@@ -402,7 +434,7 @@ def reproduce_a2(max_iter: int = 100_000, oracle_up_to: int = 30) -> ReproduceRe
     # Fast-forward segment: between b-positions only constraint 0 is active
     # and it is satisfied (f1(x, 0) = -1 < 0), so those steps are identities.
     k0 = max(honest)
-    x_val = np.array(result.trace[honest[k0]].x)
+    x_val = np.array(honest[k0])
     if not problem.constraint(0).violation(x_val) < 0.0:
         notes.append("fast-forward precondition failed: constraint 0 not interior")
     for k in range(k0, oracle_up_to):

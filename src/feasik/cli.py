@@ -8,15 +8,16 @@ reproduction mismatch (``reproduce``), 4 certificate violations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import config as cfgmod
-from .certificates import REPRODUCTIONS, check_descent
-from .engine import solve, write_trace_csv
-from .errors import FeasikError
+from .certificates import REPRODUCTIONS, DescentMonitor
+from .engine import CsvStream, solve
+from .errors import ConfigError, FeasikError
 
 SEED_ENV = "FEASIK_SEED"
 SOLVE_EXIT = {"feasible": 0, "max_iter": 2, "nonfinite": 3}
@@ -32,16 +33,27 @@ def _run_config(args):
     environment's FEASIK_SEED, overrides a random control's seed."""
     seed, env = args.seed, os.environ.get(SEED_ENV)
     if seed is None and env:
-        seed = int(env)
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ConfigError(f"{SEED_ENV} must be an integer, not {env!r}") from None
     return cfgmod.build_run_config(_load(args.config), seed_override=seed)
 
 
 def cmd_solve(args) -> int:
     run = _run_config(args)
-    result = solve(run)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            write_trace_csv(result.trace, run.problem.dim, fh)
+    if not args.output:
+        result = solve(run, observers=())
+    else:  # streamed to a side file, renamed only once the run returns
+        part = args.output + ".part"
+        try:
+            with open(part, "w", encoding="utf-8") as fh:
+                result = solve(run, observers=[CsvStream(fh, run.problem.dim)])
+            os.replace(part, args.output)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(part)
+            raise
     k = {"feasible": result.k_feasible, "max_iter": "MAX"}.get(result.status)
     print(f"status={result.status} k_feasible={k} corrections={result.corrections}")
     if args.verbose:
@@ -56,14 +68,15 @@ def cmd_certify(args) -> int:
         raise FeasikError("certify needs problem.interior = {z, R}")
     z, big_r = run.problem.interior
     lam = run.weights.floor(run.control.max_card)
-    result = solve(run)
-    cert = check_descent(result, z, big_r, lam, outer=run.problem.outer)
+    monitor = DescentMonitor(z, big_r, lam, outer=run.problem.outer)
+    result = solve(run, observers=[monitor])
+    cert = monitor.certificate
     report = {"status": result.status, "k_feasible": result.k_feasible,
               "certificate": cert.to_dict()}
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(cfgmod.emit_document(report))
-    print(f"status={result.status} steps={len(result.trace) - 1} "
+    print(f"status={result.status} steps={result.steps} "
           f"applicable={cert.applicable_count} "
           f"min_slack={cert.min_slack if cert.min_slack is not None else 'n/a'} "
           f"violations={len(cert.violations)}")

@@ -35,25 +35,27 @@ def compensated_sum(vectors) -> Vector:
     Term by term, from s = c = 0: t = s + v, c += (big - t) + small, where
     big and small are s and v ordered by magnitude (s first on ties), and
     s = t; the result is s + c.  The first term gives s = v + 0.0 and
-    c = v - v exactly, signed zeros, infinities and NaN included.  The
-    later partial sums of s and of c are left folds, which
-    ``np.add.accumulate`` computes in the same order, so the stacked terms
-    take a fixed number of numpy calls and the result is bit-identical.
+    c = v - v exactly, signed zeros, infinities and NaN included; as no
+    partial sum of s is -0.0, adding v + 0.0 for a later v changes no bit.
+    The later partial sums of s and of c are left folds, which
+    ``np.add.accumulate`` computes in place in the same order
+    (``np.add.reduce`` may not), so the stacked terms take a fixed number of
+    numpy calls and the result is bit-identical, bar the sign of a NaN.
     """
     if len(vectors) == 1:
         v = np.asarray(vectors[0], dtype=np.float64)
         return (v + 0.0) + (v - v)
     v = np.asarray(vectors, dtype=np.float64)  # read, never written
-    s = v.copy()
-    s[0] += 0.0
-    s = np.add.accumulate(s, axis=0)
+    s = np.add(v, 0.0)
+    np.add.accumulate(s, axis=0, out=s)
     prev, t, w = s[:-1], s[1:], v[1:]
     swap = np.abs(prev) >= np.abs(w)
     c = np.empty_like(v)
-    c[0] = v[0] - v[0]
+    np.subtract(v[0], v[0], out=c[0])
     np.subtract(np.where(swap, prev, w), t, out=c[1:])
     c[1:] += np.where(swap, w, prev)
-    return s[-1] + np.add.accumulate(c, axis=0)[-1]
+    np.add.accumulate(c, axis=0, out=c)
+    return s[-1] + c[-1]
 
 
 @dataclass
@@ -118,8 +120,9 @@ class RunResult:
     status: str  # "feasible" | "max_iter" | "nonfinite"
     k_feasible: Optional[int]
     final: Vector
-    trace: list
+    trace: Optional[list]  # None when the records went to observers
     corrections: int
+    steps: int
     norm_flag: bool = False
 
     @property
@@ -208,15 +211,17 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
     return x_next, corrected, record
 
 
-def solve(cfg: RunConfig) -> RunResult:
+def solve(cfg: RunConfig, observers=None) -> RunResult:
     """Iterate until the window feasibility test passes, max_iter steps ran
     or a step produced a non-finite iterate.
 
     The run never claims divergence; exceeding the budget reports
     ``max_iter``, and an iterate with a NaN or infinite coordinate stops the
-    run as ``nonfinite``.  The trace carries one record per executed step
-    plus a terminal record for the final iterate.  Iterates are read-only
-    arrays, shared by the records and ``RunResult.final``.
+    run as ``nonfinite``.  Each executed step makes one record and the final
+    iterate a terminal one: they form ``RunResult.trace``, or, when
+    ``observers`` are given, each of these callables receives them in order
+    and the run keeps none.  Iterates are read-only arrays, shared by the
+    records and ``RunResult.final``.
 
     For a pool with stacked affine rows, each iterate gets one residual
     pass, shared by the feasibility test, the control and the cutters.
@@ -230,7 +235,14 @@ def solve(cfg: RunConfig) -> RunResult:
     x.flags.writeable = False
     count = 0
     raw = cfg.counter_mode == "raw"
-    trace = []
+    trace = [] if observers is None else None
+    observers = (trace.append,) if observers is None else tuple(observers)
+    if len(observers) == 1:
+        emit, = observers
+    else:
+        def emit(record):
+            for observe in observers:
+                observe(record)
     corrections = 0
     norm_flag = False
     norm_cap = 1e6 * max(1.0, float(np.linalg.norm(cfg.x0)))
@@ -243,18 +255,18 @@ def solve(cfg: RunConfig) -> RunResult:
         feas = not nonfinite and feasible(problem, x, window, cfg.feas_tol,
                                           stacked=stacked)
         if feas or nonfinite or k >= cfg.max_iter:
-            trace.append(TraceRecord(
+            emit(TraceRecord(
                 k=k, bracket_k=count, x=x, active=(),
                 violated=(), per_index=(), alpha_used=None, r_used=None,
                 step_norm=0.0, corrected=False, feasible_flag=feas))
             status = ("feasible" if feas else
                       "nonfinite" if nonfinite else "max_iter")
             return RunResult(status, k if feas else None, x, trace,
-                             corrections, norm_flag)
+                             corrections, k, norm_flag)
         x, corrected, record = step(cfg, x, k, count, feasible_flag=feas,
                                     stacked=stacked)
         x.flags.writeable = False
-        trace.append(record)
+        emit(record)
         corrections += corrected
         count += raw or corrected
         if watch_norm and not norm_flag and float(np.linalg.norm(x)) > norm_cap:
@@ -274,23 +286,29 @@ def _fmt(v) -> str:
     return "" if v is None else repr(float(v))
 
 
-def trace_header(dim: int) -> list:
-    return (["k", "bracket_k", "alpha", "r", "active", "violated",
-             "step_norm", "feasible"] + [f"x_{i}" for i in range(dim)])
+class CsvStream:
+    """An observer that writes the header at once, then a row per record:
+    shortest round-trip floats, index sets joined by semicolons."""
+
+    def __init__(self, fh, dim: int):
+        self._row = csv.writer(fh, lineterminator="\n").writerow
+        self._row(["k", "bracket_k", "alpha", "r", "active", "violated",
+                   "step_norm", "feasible"] + [f"x_{i}" for i in range(dim)])
+
+    def __call__(self, rec: TraceRecord) -> None:
+        self._row([rec.k, rec.bracket_k, _fmt(rec.alpha_used), _fmt(rec.r_used),
+                   ";".join(str(i) for i in rec.active),
+                   ";".join(str(i) for i in rec.violated),
+                   repr(float(rec.step_norm)),
+                   "true" if rec.feasible_flag else "false"]
+                  + [repr(float(v)) for v in rec.x])
 
 
 def write_trace_csv(trace, dim: int, fh) -> None:
-    """Write records with shortest round-trip float rendering; active and
-    violated sets are semicolon-separated index lists."""
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(trace_header(dim))
+    """Write recorded records as ``CsvStream`` would have streamed them."""
+    stream = CsvStream(fh, dim)
     for rec in trace:
-        w.writerow([rec.k, rec.bracket_k, _fmt(rec.alpha_used), _fmt(rec.r_used),
-                    ";".join(str(i) for i in rec.active),
-                    ";".join(str(i) for i in rec.violated),
-                    repr(float(rec.step_norm)),
-                    "true" if rec.feasible_flag else "false"]
-                   + [repr(float(v)) for v in rec.x])
+        stream(rec)
 
 
 def trace_csv_text(trace, dim: int) -> str:

@@ -477,7 +477,9 @@ class Problem:
                  interior: Optional[tuple] = None):
         if (constraints is None) == (pool is None):
             raise ConfigError("supply exactly one of constraints= or pool=")
-        self.dim = int(dim)
+        self.dim = as_integer(dim, "dim")
+        if self.dim < 1:
+            raise ConfigError("dim must be at least 1")
         self.outer = outer if outer is not None else OuterSet.whole_space()
         self._cache: dict[int, Constraint] = {}
         if constraints is not None:
@@ -489,11 +491,11 @@ class Problem:
                         f"constraint at position {pos} has index {c.index}")
             self._pool = None
         else:
-            if m is None or (m != math.inf and int(m) <= 0):
+            if m is None or m != math.inf and as_integer(m, "m") <= 0:
                 raise ConfigError("lazy pools need a positive cardinality m")
             self._constraints = None
             self._pool = pool
-            self.m = math.inf if m == math.inf else int(m)
+            self.m = math.inf if m == math.inf else as_integer(m, "m")
         if interior is not None:
             z, big_r = interior
             z = as_vector(z, dim=self.dim)

@@ -4,6 +4,8 @@ and the overshoot factor beta."""
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -142,7 +144,8 @@ class MergedDecreasing(Overrelaxation):
     decreasing order; on ties the a-element precedes the b-element.
 
     ``source(j)`` reports which sequence supplied position j, so callers can
-    derive controls from the merge layout.
+    derive controls from the merge layout.  The values sit in an array and
+    only the b-positions in a list, so the a-positions keep no Python object.
     """
 
     def __init__(self, a_fn: Callable[[int], float], b_fn: Callable[[int], float],
@@ -150,8 +153,8 @@ class MergedDecreasing(Overrelaxation):
         self.a_fn = a_fn
         self.b_fn = b_fn
         self.divergent_sum = divergent_sum
-        self._values: list[float] = []
-        self._sources: list[tuple] = []
+        self._values = array("d")
+        self._b_positions: list[int] = []  # sorted
         self._ai = 0
         self._bi = 0
         self._a = self._b = None  # a_fn(_ai) and b_fn(_bi), once evaluated
@@ -163,17 +166,18 @@ class MergedDecreasing(Overrelaxation):
             if self._b is None:
                 self._b = float(self.b_fn(self._bi))
             if self._a >= self._b:
-                v, src, self._a = self._a, ("a", self._ai), None
+                v, self._a = self._a, None
                 self._ai += 1
             else:
-                v, src, self._b = self._b, ("b", self._bi), None
+                v, self._b = self._b, None
                 self._bi += 1
             if v <= 0.0:
                 raise ConfigError("merged schedule produced a nonpositive value")
             if self._values and v > self._values[-1]:
                 raise ConfigError("merged schedule inputs are not nonincreasing")
+            if self._b is None:  # v came from b
+                self._b_positions.append(len(self._values))
             self._values.append(v)
-            self._sources.append(src)
 
     def r(self, j):
         if j >= len(self._values):
@@ -181,9 +185,10 @@ class MergedDecreasing(Overrelaxation):
         return self._values[j]
 
     def source(self, j) -> tuple:
-        if j >= len(self._sources):
+        if j >= len(self._values):
             self._extend(j)
-        return self._sources[j]
+        n = bisect_left(self._b_positions, j)  # b-elements before position j
+        return ("b", n) if j in self._b_positions[n:n + 1] else ("a", j - n)
 
     def position_of(self, which: str, k: int, limit: int = 10 ** 7) -> int:
         """Merge position of a_k or b_k; scans at most ``limit`` entries."""

@@ -1,12 +1,17 @@
 """The benchmark's tracer (``bench/tracer.py``) patches feasik's layer
 functions by name; a refactor that moves one of them would make
-``bench/run.py --trace 1`` crash.  This solves one stacked full-block run
-under the tracer and checks that the hooks it relies on are still there."""
+``bench/run.py --trace 1`` crash.  These tests solve under the tracer and
+the benchmark's solve log and check that the hooks they rely on still see
+the work."""
 
+import contextlib
 import inspect
+import io
+import json
 from pathlib import Path
 
-from feasik import controls, engine, instances, operators
+from feasik import (certificates, cli, config, controls, engine, instances,
+                    operators)
 from feasik import schedules as sch
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -41,3 +46,56 @@ def test_tracer_hooks_see_a_full_block_solve(monkeypatch):
                   and issubclass(cls, controls.Control) and cls is not controls.Control]
     assert subclasses
     assert all("indices" not in cls.__dict__ for cls in subclasses)
+
+
+def test_solve_log_times_a_streamed_reproduction_as_one_solve(monkeypatch):
+    # The reproductions stream their records, but still call solve through
+    # certificates.solve, which the benchmark times and counts steps by.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    out = workloads.PassResult()
+    with workloads.solve_log(out):
+        report = certificates.reproduce_a2(2_000, 5)
+    assert report.ok and report.status == "max_iter"
+    assert len(out.solves) == 1
+    t0, t1, steps, corrections = out.solves[0]
+    assert t1 > t0 and steps == 2_000 and corrections > 0
+    assert certificates.solve is engine.solve
+
+
+def test_tracer_counts_the_replays_beside_the_streaming_cli(monkeypatch, tmp_path):
+    """Under the tracer, ``certify`` and ``solve --output`` stream their
+    records (the tracer's counters, which read ``fh.getvalue()``, must not
+    see a real file), while ``check_descent`` and ``write_trace_csv``
+    replays are still wrapped and counted, with the streamed outputs' sizes."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    demo = str(BENCH.parent / "demos" / "configs" / "two_halfspaces.json")
+    csv_path, cert_path = tmp_path / "t.csv", tmp_path / "cert.json"
+    tr = tracer.Tracer()
+    patches = tracer.install(tr)
+    try:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(["solve", "--config", demo, "--output",
+                             str(csv_path)]) == 0
+            assert cli.main(["certify", "--config", demo, "--output",
+                             str(cert_path)]) == 0
+        run = config.build_run_config(config.parse_document(Path(demo).read_text()))
+        result = engine.solve(run)
+        z, big_r = run.problem.interior
+        cert = certificates.check_descent(result, z, big_r, 1.0)
+        buf = io.StringIO()
+        engine.write_trace_csv(result.trace, run.problem.dim, buf)
+    finally:
+        patches.undo()
+    assert tr.calls["engine.solve"] == 3
+    assert tr.calls["certificates.check_descent"] == 1
+    assert tr.calls["engine.write_trace_csv"] == 1
+    assert tr.counts["certificates.check_descent.entries"] == len(cert.entries) \
+        == len(json.loads(cert_path.read_text())["certificate"]["slacks"])
+    assert f"steps={len(cert.entries)} " in stdout.getvalue()
+    assert tr.counts["engine.write_trace_csv.bytes"] == len(csv_path.read_bytes()) \
+        == len(buf.getvalue().encode())

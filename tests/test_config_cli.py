@@ -538,6 +538,20 @@ def test_cli_seed_overrides(tmp_path):
     assert other.returncode in (0, 2)  # different draws may differ in length
 
 
+def test_cli_rejects_a_non_integer_seed_variable(tmp_path):
+    # int("abc") used to escape as a ValueError traceback.
+    path = write_doc(tmp_path, two_halfspace_doc())
+    for value in ("abc", "1.5", "0x10"):
+        out = run_cli(["validate", "--config", path], tmp_path,
+                      env_extra={"FEASIK_SEED": value})
+        assert out.returncode == 1, out.stderr
+        assert out.stderr == (f"error: FEASIK_SEED must be an integer, "
+                              f"not {value!r}\n")
+    ok = run_cli(["validate", "--config", path], tmp_path,
+                 env_extra={"FEASIK_SEED": " 7 "})  # what --seed's int() reads
+    assert ok.returncode == 0 and ok.stdout.startswith("OK ")
+
+
 def sweep_doc():
     return {
         "base": {

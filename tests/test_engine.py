@@ -347,6 +347,39 @@ def test_compensated_sum_is_the_neumaier_loop_bit_for_bit(rows):
     assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 64),
+       st.lists(TERM_ENTRIES, min_size=1, max_size=16),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_compensated_sum_is_the_neumaier_loop_bit_for_bit_on_long_sums(
+        n, dim, palette, seed, swamped):
+    """2-40 terms in up to 64 dimensions.  Half the entries come from a small
+    drawn palette, negated at random, so magnitude ties, signed zeros,
+    infinities and NaN meet; the rest are fresh at random scales.  A swamped
+    sum opens with 2^1000 and closes with -2^1000, so the result is the fold
+    of the compensation terms alone, where a reordered fold (as
+    ``np.add.reduce`` makes of a single column) changes the rounding.
+
+    A NaN is compared as a NaN: which operand's sign numpy's add keeps
+    depends on its kernel, so the loop itself gives either sign at these
+    sizes (a d = 10 sum of 8 terms gives the second operand's NaN where
+    ``np.add.accumulate`` gives the first's)."""
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        picked = np.array(palette)[rng.integers(0, len(palette), (n, dim))]
+        picked *= rng.choice([-1.0, 1.0], (n, dim))
+        fresh = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-300, 300, (n, dim))
+        rows = np.where(rng.random((n, dim)) < 0.5, picked, fresh)
+        if swamped:
+            big = np.full((1, dim), 2.0 ** 1000)
+            rows = np.concatenate([big, rng.standard_normal((n - 2, dim)), -big])
+        got = compensated_sum(list(rows))
+        want = neumaier_loop(list(rows), dim)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def test_trace_csv_round_trip(axis_halfspaces):
     cfg = make_cfg(axis_halfspaces, [1.0, 1.0])
     result = solve(cfg)

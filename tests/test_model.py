@@ -150,6 +150,33 @@ def test_lazy_pool():
     assert feasible(p, np.array([-1.0, 0.0]), window=range(6))
 
 
+def test_problem_checks_its_integers():
+    # dim and a finite lazy m were truncated with int(): 2.7 read as 2,
+    # True as 1, m = 2.5 as 2.
+    halfspace = [Constraint(0, Halfspace([1.0, 0.0], 0.0))]
+
+    def pool(i):
+        return Constraint(i, Halfspace([1.0, 0.0], float(i)))
+
+    for make in (lambda: Problem(2.7, halfspace), lambda: Problem(True, halfspace),
+                 lambda: Problem("2", halfspace),
+                 lambda: Problem(2, pool=pool, m=2.5),
+                 lambda: Problem(2, pool=pool, m=True),
+                 lambda: Problem(2, pool=pool, m=math.nan)):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            make()
+    for dim in (0, -1):
+        with pytest.raises(ConfigError, match="dim must be at least 1"):
+            Problem(dim, pool=pool, m=3)
+    for m in (0, -2, None):
+        with pytest.raises(ConfigError, match="positive cardinality"):
+            Problem(2, pool=pool, m=m)
+    p = Problem(np.int64(2), pool=pool, m=3.0)
+    assert (p.dim, p.m) == (2, 3) and type(p.dim) is type(p.m) is int
+    assert Problem(2.0, halfspace).dim == 2
+    assert Problem(2, pool=pool, m=math.inf).m == math.inf
+
+
 def test_constraint_cutter_validation():
     with pytest.raises(ConfigError):
         Constraint(0, Halfspace([1.0], 0.0), cutter="subgradient")
