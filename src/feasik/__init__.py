@@ -7,7 +7,7 @@ from .model import (Affine, AbsCoordMinusC, Ball, Box, Constraint, Halfspace,
                     SquaredDistToBall, Sublevel, as_vector, feasible,
                     violated_indices)
 from .operators import (CutterEval, check_cutter_property, evaluate_cutter,
-                        project_metric, project_subgradient)
+                        project_subgradient)
 from .controls import (Cyclic, Explicit, Intermittent, MaxDisplacement,
                        MaxViolation, RandomSets, RemotestSet, Repetitive,
                        empirical_well_matched, positivity_diagnostic)
@@ -19,7 +19,6 @@ from .schedules import (ConstantOverrelaxation, ConstantRelaxation,
 from .engine import (CsvStream, RunConfig, RunResult, TraceRecord, solve,
                      step, trace_csv_text, write_trace_csv)
 from .certificates import (DescentMonitor, check_descent,
-                           check_fixed_point_consistency,
                            check_single_operator, oracle_a1, oracle_a2,
                            reproduce_a1, reproduce_a1_bracketed, reproduce_a2,
                            reproduce_a2_bracketed, slater_delta)

@@ -165,21 +165,6 @@ def slater_delta(fs: Sequence, z, r: float) -> float:
     return -fz / r
 
 
-def check_fixed_point_consistency(result: RunResult, problem: Problem) -> list:
-    """On steps that did not move, the iterate must already satisfy every
-    active constraint and lie in Q.  Returns the offending step indices."""
-    bad = []
-    for rec in result.trace:
-        if rec.corrected or not rec.active:
-            continue
-        if rec.violated or not problem.outer.member(rec.x):
-            bad.append(rec.k)
-            continue
-        if any(not problem.constraint(i).member(rec.x) for i in rec.active):
-            bad.append(rec.k)
-    return bad
-
-
 # ---------------------------------------------------------------------------
 # Counterexample 1: alternating halfspace projections, alpha = 1/2,
 # nonmonotone r_k used raw.  Closed form: x_k = 0 for k >= 1 and

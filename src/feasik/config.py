@@ -89,12 +89,10 @@ _REQUIRED = object()
 
 class Field(NamedTuple):
     """How one document member maps to a constructor argument:
-    ``read(value, where, dim)`` checks and converts it, and ``write`` turns
-    the attribute that keeps it back into a member.  A member with a
+    ``read(value, where, dim)`` checks and converts it.  A member with a
     ``default`` may be left out."""
 
     read: Callable
-    write: Callable = lambda value: value
     default: object = _REQUIRED
 
 
@@ -143,11 +141,7 @@ def records(*fields) -> Field:
         return tuple(tuple(_read(item, key, f"{where}[{n}]", ftype, dim)
                            for key, ftype in fields)
                      for n, item in enumerate(_list(items, where)))
-
-    def write(values):
-        return [{key: ftype.write(v) for (key, ftype), v in zip(fields, item)}
-                for item in values]
-    return Field(read, write)
+    return Field(read)
 
 
 def _weight_table(value, where: str, dim: int) -> dict:
@@ -162,7 +156,7 @@ NUMBERS = listed(_number)
 INDICES = listed(_integer)
 INDEX_SETS = listed(INDICES.read)
 FLAG = Field(lambda value, where, dim: bool(value), default=False)
-VECTOR = Field(_vector, lambda v: [float(t) for t in v])
+VECTOR = Field(_vector)
 AXIS = Field(_axis)
 WEIGHT_TABLE = Field(_weight_table)
 # A number kept as the document gives it: a weight floor, which ``certify`` prints.
@@ -172,13 +166,11 @@ GIVEN_NUMBER = Field(lambda value, where, dim: (_number(value, where), value)[1]
 class Kinds:
     """One family's table ``kind -> (class, fields)``.  ``fields`` are
     (document key, field type) pairs in the order of the class's
-    constructor arguments; ``to_doc`` reads each back from the attribute
-    of the same name.  A document names its kind under ``key``, or, where
-    ``bare`` is set, may be the kind's name alone."""
+    constructor arguments.  A document names its kind under ``key``, or,
+    where ``bare`` is set, may be the kind's name alone."""
 
     def __init__(self, noun: str, key: str, table: dict, bare: bool = False):
         self.noun, self.key, self.table, self.bare = noun, key, table, bare
-        self._kind_of = {cls: kind for kind, (cls, _) in table.items()}
 
     def build(self, doc, where: str, dim: int):
         if self.bare and isinstance(doc, str):
@@ -191,15 +183,6 @@ class Kinds:
             raise ConfigError(f"field '{path}': unknown {self.noun} {kind!r}") from None
         return cls(*(_read(doc, key, where, ftype, dim) for key, ftype in fields))
 
-    def to_doc(self, obj) -> dict:
-        kind = self._kind_of.get(type(obj))
-        if kind is None:
-            raise ConfigError(f"cannot serialize {type(obj).__name__}")
-        out = {self.key: kind}
-        for key, ftype in self.table[kind][1]:
-            out[key] = ftype.write(getattr(obj, key))
-        return out
-
 
 FUNCTIONS = Kinds("function kind", "kind", {
     "affine": (Affine, (("a", VECTOR), ("b", NUMBER))),
@@ -208,7 +191,7 @@ FUNCTIONS = Kinds("function kind", "kind", {
     "max_affine": (MaxAffine, (("pieces", records(("a", VECTOR), ("b", NUMBER))),)),
     "sqdist_ball": (SquaredDistToBall, (("center", VECTOR), ("radius", NUMBER))),
 })
-FUNCTION = Field(FUNCTIONS.build, FUNCTIONS.to_doc)
+FUNCTION = Field(FUNCTIONS.build)
 
 BODIES = Kinds("body type", "type", {
     "halfspace": (Halfspace, (("a", VECTOR), ("b", NUMBER))),
@@ -274,26 +257,6 @@ def build_problem(doc: dict, where: str = "problem") -> Problem:
         interior = (_read(doc["interior"], "z", where + ".interior", VECTOR, dim),
                     _read(doc["interior"], "R", where + ".interior", NUMBER, dim))
     return Problem(dim, constraints, outer=outer, interior=interior)
-
-
-def problem_doc(problem: Problem) -> dict:
-    if not problem.is_finite:
-        raise ConfigError("cannot serialize an infinite pool")
-    out: dict = {"dim": problem.dim}
-    out["outer"] = ({"type": "whole_space"} if problem.outer.is_whole_space
-                    else BODIES.to_doc(problem.outer.body))
-    cons = []
-    for i in problem.indices():
-        c = problem.constraint(i)
-        d = BODIES.to_doc(c.body)
-        if c.cutter != c.body.default_cutter:
-            d["cutter"] = c.cutter
-        cons.append(d)
-    out["constraints"] = cons
-    if problem.interior is not None:
-        z, big_r = problem.interior
-        out["interior"] = {"z": VECTOR.write(z), "R": big_r}
-    return out
 
 
 def build_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfig:

@@ -112,8 +112,8 @@ class Cyclic(_FixedSets):
 
 
 class Intermittent(_FixedSets):
-    """Cycles through the given blocks; with span s = number of blocks, every
-    window of s consecutive steps emits every block once."""
+    """Cycles through the given blocks; with s blocks, every window of s
+    consecutive steps emits every block once."""
 
     kind = "intermittent"
 
@@ -124,10 +124,6 @@ class Intermittent(_FixedSets):
 
     def _family(self):
         return [(f"blocks[{n}]", b) for n, b in enumerate(self.blocks)]
-
-    @property
-    def span(self):
-        return len(self.blocks)
 
     def _select(self, k, x, problem, stacked=None):
         return self.blocks[k % len(self.blocks)]

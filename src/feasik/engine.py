@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .model import (Problem, RowPass, Vector, as_integer, as_vector, feasible,
                     norm)
 from .operators import evaluate_cutter
-from .schedules import PhiCustom, beta
+from .schedules import beta
 
 
 def compensated_sum(vectors) -> Vector:
@@ -123,7 +123,6 @@ class RunResult:
     trace: Optional[list]  # None when the records went to observers
     corrections: int
     steps: int
-    norm_flag: bool = False
 
     @property
     def feasible(self) -> bool:
@@ -244,9 +243,6 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
             for observe in observers:
                 observe(record)
     corrections = 0
-    norm_flag = False
-    norm_cap = 1e6 * max(1.0, float(np.linalg.norm(cfg.x0)))
-    watch_norm = isinstance(cfg.phi, PhiCustom)
 
     k = 0
     nonfinite = False
@@ -262,15 +258,13 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
             status = ("feasible" if feas else
                       "nonfinite" if nonfinite else "max_iter")
             return RunResult(status, k if feas else None, x, trace,
-                             corrections, k, norm_flag)
+                             corrections, k)
         x, corrected, record = step(cfg, x, k, count, feasible_flag=feas,
                                     stacked=stacked)
         x.flags.writeable = False
         emit(record)
         corrections += corrected
         count += raw or corrected
-        if watch_norm and not norm_flag and float(np.linalg.norm(x)) > norm_cap:
-            norm_flag = True
         # A finite step norm implies a finite iterate; the norm of a finite
         # but huge step can overflow, so only then are the coordinates read.
         if not math.isfinite(record.step_norm):

@@ -450,10 +450,6 @@ class OuterSet:
     def whole_space(cls) -> "OuterSet":
         return cls(None)
 
-    @property
-    def is_whole_space(self) -> bool:
-        return self.body is None
-
     def member(self, x, tol: float = 0.0) -> bool:
         return True if self.body is None else self.body.member(x, tol)
 
@@ -467,8 +463,9 @@ class Problem:
     The constraint pool is either a finite list or a lazy ``index ->
     Constraint`` function with declared cardinality ``m`` (``math.inf``
     allowed).  ``interior``, when given, is a pair ``(z, R)`` asserting
-    B(z, 2R) lies inside every C_i with z in Q; it is spot-checked, never
-    inferred.
+    B(z, 2R) lies inside every C_i with z in Q.  The caller asserts it:
+    nothing checks it at construction, and only ``spot_check_interior``
+    samples it.
     """
 
     def __init__(self, dim: int, constraints: Optional[Sequence[Constraint]] = None,

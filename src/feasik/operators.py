@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import ConfigError, InconsistentConstraintError
-from .model import Body, Constraint, METRIC_BODIES, Vector, norm
+from .errors import InconsistentConstraintError
+from .model import Constraint, Vector, norm
 
 
 class CutterEval(NamedTuple):
@@ -24,15 +24,6 @@ class CutterEval(NamedTuple):
     residual: float
     subgrad_sq: Optional[float] = None
     displacement: Optional[Vector] = None
-
-
-def project_metric(body: Body, x: Vector) -> CutterEval:
-    """Nearest-point projection onto a halfspace, ball or box."""
-    if not isinstance(body, METRIC_BODIES):
-        raise ConfigError(f"no metric projection for {type(body).__name__}")
-    image, distance = body.cut(x)
-    d = image - x
-    return CutterEval(image, norm(d), distance, None, d)
 
 
 def project_subgradient(f, x: Vector) -> CutterEval:

@@ -208,7 +208,8 @@ def test_structural_repetitiveness_windows():
     s = 3
     assert covers_every_window(Cyclic([0, 1, 2]), pool(3), s, starts=3 * s)
     inter = Intermittent([(0, 1), (2,), (1, 3)])
-    assert covers_every_window(inter, pool(4), inter.span, starts=3 * inter.span)
+    span = len(inter.blocks)
+    assert covers_every_window(inter, pool(4), span, starts=3 * span)
     assert not covers_every_window(Cyclic([0, 1]), pool(3), 2, starts=6)
 
 

@@ -1,6 +1,10 @@
-"""Every demo script runs to completion against the feasik under test."""
+"""Every demo script, and each Python block of README.md, runs to
+completion against the feasik under test."""
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +13,8 @@ import pytest
 
 import feasik
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # As in test_config_cli.run_cli: the child imports the package this process
 # imported, whatever directory it starts in.
 FEASIK_ROOT = str(Path(feasik.__file__).resolve().parents[1])
@@ -29,3 +34,16 @@ def test_demo_runs(demo, tmp_path):
                          text=True, cwd=tmp_path, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    # The blocks share one namespace, as a reader pasting them in order would.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert len(blocks) >= 2
+    monkeypatch.chdir(tmp_path)
+    out, namespace = io.StringIO(), {}
+    with contextlib.redirect_stdout(out):
+        for n, block in enumerate(blocks):
+            exec(compile(block, f"README.md python block {n}", "exec"), namespace)
+    assert out.getvalue() == "feasible 2\nTrue 2\nNone 2 True\n"

@@ -254,18 +254,6 @@ def test_infinite_pool_requires_window_and_runs():
     assert result.feasible
 
 
-def test_norm_monitor_flags_custom_phi():
-    p = Problem(2, [Constraint(0, Halfspace([1.0, 0.0], 0.0))])
-    # a tiny phi turns the overshoot r/phi into a huge jump
-    phi = PhiCustom(lambda c, x: 1e-9, delta=1e-9, big_delta=1e-9)
-    cfg = make_cfg(p, [2.0, 0.0], control=Cyclic([0]), phi=phi,
-                   over=FromFunction(lambda j: 1.0, divergent_sum=True))
-    result = solve(cfg)
-    assert result.norm_flag
-    cfg2 = make_cfg(p, [2.0, 0.0], control=Cyclic([0]))
-    assert not solve(cfg2).norm_flag
-
-
 def test_nonfinite_iterate_stops_the_run():
     # r/phi = 1e10/1e-308 overflows, and the step's compensated sum turns
     # inf - inf into NaN: the run stops at once instead of spinning.

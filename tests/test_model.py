@@ -9,6 +9,7 @@ from feasik import (AbsCoordMinusC, Affine, Ball, Box, ConfigError, Constraint,
                     Halfspace, MaxAffine, OuterSet, PoolIndexError, Problem,
                     QuadCoordMinusC, SquaredDistToBall, Sublevel, as_vector,
                     feasible, violated_indices)
+from feasik.model import STACKED_MIN_ROWS
 
 from conftest import random_metric_body
 
@@ -79,6 +80,18 @@ def test_feasible_examples():
     assert not feasible(a2, np.array([2.0, 2.0]))
     # boundary point passes the exact sign test: f1 = f2 = 0 <= 0
     assert feasible(a2, np.array([1.0, 1.0]))
+
+
+def test_feasible_is_false_outside_q_where_every_constraint_holds():
+    outer = OuterSet(Box([-1.0, -1.0], [1.0, 1.0]))
+    x = np.array([3.0, 0.0])
+    for m in (2, STACKED_MIN_ROWS):  # the scalar loop, then the stacked pass
+        pool = [Constraint(i, Halfspace([1.0, 0.0], 10.0 + i)) for i in range(m)]
+        problem = Problem(2, pool, outer=outer)
+        assert (problem.affine_rows is None) == (m < STACKED_MIN_ROWS)
+        assert all(c.member(x) for c in pool) and not outer.member(x)
+        assert not feasible(problem, x)
+        assert feasible(problem, np.zeros(2))
 
 
 def test_feasible_monotone_under_constraint_removal(axis_halfspaces):
@@ -265,6 +278,12 @@ def test_sublevel_closed_forms_match_the_type_dispatch_bit_for_bit(case):
                     body.project(x)
             else:
                 assert outcome(body.project, x) == want_p
+
+
+def test_outer_set_rejects_sublevel():
+    # Q needs an exact metric projection: a halfspace, ball or box.
+    with pytest.raises(ConfigError, match="outer set must be"):
+        OuterSet(Sublevel(Affine([1.0], 0.0)))
 
 
 def test_zero_normal_affine_sublevel_fails_at_each_closed_form_use():

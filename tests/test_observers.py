@@ -17,6 +17,7 @@ from feasik import (ConstantRelaxation, CsvStream, Cyclic, DescentMonitor,
                     RandomSets, RemotestSet, RunConfig, UniformOverActive,
                     UniformOverViolated, check_descent, cli,
                     random_slater_polyhedron, solve, write_trace_csv)
+from feasik.cli import _sweep_one
 from feasik.certificates import build_a1_config, build_a2_config
 
 
@@ -209,3 +210,29 @@ def test_a_streamed_run_keeps_memory_flat():
     recorded_short = peak_bytes(2_000, None)
     recorded_long = peak_bytes(20_000, None)
     assert recorded_long > 5 * recorded_short, (recorded_short, recorded_long)
+
+
+def sweep_row_peak(max_iter: int):
+    """One ``sweep`` row on an infeasible pair, x_0 <= -1 and x_0 >= 1, and
+    its tracemalloc peak."""
+    doc = {"problem": {"dim": 2, "constraints": [
+               {"type": "halfspace", "a": [1.0, 0.0], "b": -1.0},
+               {"type": "halfspace", "a": [-1.0, 0.0], "b": -1.0}]},
+           "relaxation": {"kind": "constant", "alpha": 1.0},
+           "overrelaxation": {"kind": "harmonic"},
+           "x0": [0.0, 0.0], "max_iter": max_iter}
+    job = ("pair", doc, {"kind": "cyclic", "order": [0, 1]}, "one", False)
+    tracemalloc.start()
+    try:
+        row = _sweep_one(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return row, peak
+
+
+def test_a_sweep_row_keeps_memory_flat():
+    (short_row, short), (long_row, long) = map(sweep_row_peak, (2_000, 20_000))
+    assert short_row[:5] == long_row[:5] == ["pair", "cyclic", "one", "harmonic", "MAX"]
+    assert int(long_row[5]) == 20_000
+    assert long <= 1.5 * short + 64 * 1024, (short, long)

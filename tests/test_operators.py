@@ -8,30 +8,31 @@ from hypothesis import strategies as st
 from feasik import (AbsCoordMinusC, Affine, Ball, Box, ConfigError, Constraint,
                     Halfspace, InconsistentConstraintError, QuadCoordMinusC,
                     Sublevel, check_cutter_property, evaluate_cutter,
-                    project_metric, project_subgradient)
+                    project_subgradient)
 
 from feasik.model import norm
 
 from conftest import interior_point_with_margin, outside_point, random_metric_body
 
 
-def test_project_metric_axis_halfspace():
-    ce = project_metric(Halfspace([1.0, 0.0], 0.0), np.array([2.0, 3.0]))
+def test_metric_cutter_axis_halfspace():
+    ce = evaluate_cutter(Constraint(0, Halfspace([1.0, 0.0], 0.0)),
+                         np.array([2.0, 3.0]))
     assert np.array_equal(ce.image, [0.0, 3.0])
     assert np.array_equal(ce.displacement, [-2.0, 0.0])
     assert ce.displacement_norm == 2.0
     assert ce.residual == 2.0
 
 
-def test_project_metric_identity_inside():
+def test_metric_cutter_identity_inside():
     body = Ball([0.0, 0.0], 2.0)
     x = np.array([0.5, -0.5])
-    ce = project_metric(body, x)
+    ce = evaluate_cutter(Constraint(0, body), x)
     assert np.array_equal(ce.image, x)
     assert ce.displacement_norm == 0.0
 
 
-def test_project_metric_against_grid_search():
+def test_metric_cutter_against_grid_search():
     # independent oracle: dense grid minimization of ||z - x|| over the set
     body = Halfspace([1.0, 1.0], 1.0)
     x = np.array([2.0, 2.0])
@@ -40,7 +41,7 @@ def test_project_metric_against_grid_search():
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
     inside = pts[pts @ body.a <= body.b]
     best = inside[np.argmin(np.linalg.norm(inside - x, axis=1))]
-    ce = project_metric(body, x)
+    ce = evaluate_cutter(Constraint(0, body), x)
     spacing = ts[1] - ts[0]
     assert np.linalg.norm(ce.image - best) <= spacing * 2
     assert np.allclose(ce.image, [0.5, 0.5], atol=1e-15)
@@ -143,11 +144,6 @@ def test_sublevel_metric_override_matches_halfspace():
                        evaluate_cutter(half, x).image, atol=0, rtol=0)
 
 
-def test_project_metric_rejects_sublevel():
-    with pytest.raises(ConfigError):
-        project_metric(Sublevel(Affine([1.0], 0.0)), np.array([1.0]))
-
-
 def test_zero_displacement_iff_member():
     rng = np.random.default_rng(29)
     cons = [Constraint(0, Halfspace([1.0, -2.0], 0.5)),
@@ -202,13 +198,10 @@ def halfspace_reference(body, x):
 @given(halfspaces_and_points())
 def test_halfspace_cutter_matches_separate_evaluations(case):
     body, x = case
-    ce = project_metric(body, x)
+    ce = evaluate_cutter(Constraint(0, body), x)
     image = body.project(x)
     separate = (image, float(np.linalg.norm(image - x)), body.distance(x))
-    via_constraint = evaluate_cutter(Constraint(0, body), x)
-    for want in (separate, halfspace_reference(body, x),
-                 (via_constraint.image, via_constraint.displacement_norm,
-                  via_constraint.residual)):
+    for want in (separate, halfspace_reference(body, x)):
         assert ce.image.tobytes() == want[0].tobytes()
         assert float_bytes(ce.displacement_norm, ce.residual) == float_bytes(*want[1:])
 

@@ -57,6 +57,10 @@ def test_overrelaxation_validation():
         ConstantOverrelaxation(0.0)
     with pytest.raises(ConfigError):
         OverrelaxationList([1.0, 0.0])
+    listed = OverrelaxationList([1.0, 0.5])
+    assert listed.r(1) == 0.5
+    with pytest.raises(ConfigError, match="exhausted"):
+        listed.r(2)
     with pytest.raises(ConfigError):
         Geometric(1.0, 1.0)
     assert Geometric(1.0, 0.5).r(3) == 0.125
