@@ -371,7 +371,7 @@ def _a2_single_update(problem: Problem, x: Vector, r: float) -> Vector:
         overrelaxation=FromFunction(lambda j: r, divergent_sum=True),
         phi=PhiSubgradNorm(), weights=UniformOverActive(), x0=x,
         counter_mode="raw", max_iter=1)
-    x_next, _, _ = step(cfg, x, 0, 0, feasible_flag=False)
+    x_next, _, _ = step(cfg, x, 0, 0)
     return x_next
 
 

@@ -108,7 +108,7 @@ def _sweep_one(payload):
     over = run_doc["overrelaxation"]["kind"]
     k_feasible = {"feasible": str(result.k_feasible), "max_iter": "MAX",
                   "nonfinite": "NONFINITE"}[result.status]
-    row = [row_id, control["kind"], phi_kind, over, k_feasible,
+    row = [row_id, control["kind"], run.phi.kind, over, k_feasible,
            str(result.corrections)]
     row.append(f"{dt:.6f}" if timing else "")
     return row
@@ -116,12 +116,13 @@ def _sweep_one(payload):
 
 def cmd_sweep(args) -> int:
     grid = _load(args.config)
-    instances = grid.get("instances", [])
-    controls = grid.get("controls", [])
-    phis = grid.get("phis", ["one"])
-    base = grid.get("base", {})
+    instances = cfgmod._list(grid.get("instances", []), "instances")
+    controls = cfgmod._list(grid.get("controls", []), "controls")
+    phis = cfgmod._list(grid.get("phis", ["one"]), "phis")
+    base = cfgmod._object(grid.get("base", {}), "base")
     jobs = []
     for n, inst in enumerate(instances):
+        cfgmod._object(inst, f"instances[{n}]")
         for c in controls:
             for p in phis:
                 doc = dict(base)

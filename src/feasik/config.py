@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import numbers
 import reprlib
 from typing import Callable, NamedTuple, Optional
@@ -103,11 +104,23 @@ def _read(doc, key: str, where: str, ftype: Field, dim: int):
 
 
 def _number(value, where: str, dim: int = 0) -> float:
-    """A real number as a float; a boolean or a string is not a number."""
+    """A finite real number as a float; a boolean or a string is not a
+    number, and the NaN and Infinity that json reads are not finite."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):
-            return float(value)
+            if math.isfinite(value := float(value)):
+                return value
+        raise ConfigError(f"field '{where}' must be a finite number, "
+                          f"not {reprlib.repr(value)}")
     raise ConfigError(f"field '{where}' must be a number, not {reprlib.repr(value)}")
+
+
+def _flag(value, where: str, dim: int = 0) -> bool:
+    """A JSON boolean; "false", 0 or 0.5 is not a flag."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"field '{where}' must be true or false, "
+                          f"not {reprlib.repr(value)}")
+    return value
 
 
 def _integer(value, where: str, dim: int = 0) -> int:
@@ -155,7 +168,7 @@ INTEGER = Field(_integer)
 NUMBERS = listed(_number)
 INDICES = listed(_integer)
 INDEX_SETS = listed(INDICES.read)
-FLAG = Field(lambda value, where, dim: bool(value), default=False)
+FLAG = Field(_flag, default=False)
 VECTOR = Field(_vector)
 AXIS = Field(_axis)
 WEIGHT_TABLE = Field(_weight_table)

@@ -28,11 +28,10 @@ def _index_tuple(indices) -> tuple:
 
 class Control:
     """Base class.  ``indices(k, x, problem)`` returns the index set I_k;
-    every emission is a nonempty tuple with cardinality <= max_card."""
+    every emission is a nonempty tuple with cardinality <= the attribute
+    ``max_card``."""
 
-    @property
-    def max_card(self) -> int:
-        raise NotImplementedError
+    max_card: int
 
     def _select(self, k: int, x: Vector, problem: Problem,
                 stacked: Optional[RowPass] = None) -> tuple:
@@ -78,37 +77,8 @@ class _FixedSets(Control):
         family = [s for _, s in self._family()]
         return min(map(min, family)), max(map(max, family))
 
-    @functools.cached_property
-    def max_card(self) -> int:
-        return max(len(s) for _, s in self._family())
-
     def _emit(self, k, x, problem, stacked):
         return (self._select(k, x, problem, stacked), *self._range)
-
-
-class Cyclic(_FixedSets):
-    """Singleton control order[k mod s]."""
-
-    kind = "cyclic"
-
-    def __init__(self, order: Sequence[int]):
-        self.order = [as_integer(i) for i in order]
-        if not self.order:
-            raise ConfigError("cyclic order is empty")
-
-    def _family(self):
-        return [("order", self.order)]
-
-    @property
-    def max_card(self):
-        return 1
-
-    @functools.cached_property
-    def _singletons(self) -> list:
-        return [(i,) for i in self.order]  # at the first emission; shared
-
-    def _select(self, k, x, problem, stacked=None):
-        return self._singletons[k % len(self.order)]
 
 
 class Intermittent(_FixedSets):
@@ -121,12 +91,33 @@ class Intermittent(_FixedSets):
         self.blocks = [_index_tuple(b) for b in blocks]
         if not self.blocks:
             raise ConfigError("intermittent control needs at least one block")
+        self.max_card = max(map(len, self.blocks))
 
     def _family(self):
         return [(f"blocks[{n}]", b) for n, b in enumerate(self.blocks)]
 
     def _select(self, k, x, problem, stacked=None):
         return self.blocks[k % len(self.blocks)]
+
+
+class Cyclic(Intermittent):
+    """Singleton control order[k mod s]: the intermittent control of the
+    blocks (order[0],), ..., (order[s-1],)."""
+
+    kind = "cyclic"
+    max_card = 1
+
+    def __init__(self, order: Sequence[int]):
+        self.order = [as_integer(i) for i in order]
+        if not self.order:
+            raise ConfigError("cyclic order is empty")
+
+    def _family(self):
+        return [("order", self.order)]
+
+    @functools.cached_property
+    def blocks(self) -> list:
+        return [(i,) for i in self.order]  # at the first emission; shared
 
 
 class Repetitive(Control):
@@ -138,13 +129,9 @@ class Repetitive(Control):
 
     def __init__(self, schedule: Callable[[int], Sequence[int]], max_card: int = 1):
         self.schedule = schedule
-        self._max_card = as_integer(max_card, "max_card")
-        if self._max_card < 1:
+        self.max_card = as_integer(max_card, "max_card")
+        if self.max_card < 1:
             raise ConfigError("max_card must be >= 1")
-
-    @property
-    def max_card(self):
-        return self._max_card
 
     def _select(self, k, x, problem, stacked=None):
         return self.schedule(k)
@@ -159,6 +146,7 @@ class Explicit(_FixedSets):
         self.sets = [_index_tuple(s) for s in sets]
         if not self.sets:
             raise ConfigError("explicit control has no sets")
+        self.max_card = max(map(len, self.sets))
 
     def _family(self):
         return [(f"sets[{n}]", s) for n, s in enumerate(self.sets)]
@@ -170,9 +158,7 @@ class Explicit(_FixedSets):
 
 
 class _Maximal(Control):
-    @property
-    def max_card(self):
-        return 1
+    max_card = 1
 
     def _score(self, constraint, x) -> float:
         raise NotImplementedError
@@ -263,6 +249,7 @@ class RandomSets(_FixedSets):
         if abs(total - 1.0) > 1e-12:
             raise ConfigError(f"atom probabilities sum to {total}, not 1")
         self.seed = as_integer(seed, "seed") & (2 ** 64 - 1)
+        self.max_card = max(len(s) for s, _ in self.atoms)
         self._cum = np.cumsum([p for _, p in self.atoms])
         self._block_start, self._block = None, None
 

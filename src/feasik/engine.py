@@ -84,6 +84,12 @@ class RunConfig:
             raise ConfigError("x0 is not in the outer set Q")
         if self.feas_window is not None:
             self.feas_window = tuple(map(as_integer, self.feas_window))
+            if not self.feas_window:
+                raise ConfigError("feas_window is empty")
+            for j, i in enumerate(self.feas_window):
+                if not 0 <= i < self.problem.m:
+                    raise ConfigError(f"feas_window[{j}]: index {i} is outside "
+                                      f"the pool of {self.problem.m} constraints")
         elif not self.problem.is_finite:
             raise ConfigError("infinite pools need an explicit feas_window")
         self.max_iter = as_integer(self.max_iter, "max_iter")
@@ -99,8 +105,10 @@ class RunConfig:
 class TraceRecord:
     """Snapshot of iteration k.  ``per_index`` holds one
     (index, residual, displacement, beta, rho) tuple per active index, with
-    rho = r/phi.  The terminal record of a run has an empty active set.
-    ``x`` is the iterate itself, which ``solve`` makes read-only."""
+    rho = r/phi.  The terminal record of a run has an empty active set, and
+    only it can have ``feasible_flag`` set: ``solve`` steps only from an
+    iterate that failed the feasibility test.  ``x`` is the iterate itself,
+    which ``solve`` makes read-only."""
 
     k: int
     bracket_k: int
@@ -130,7 +138,6 @@ class RunResult:
 
 
 def step(cfg: RunConfig, x: Vector, k: int, count: int,
-         feasible_flag: Optional[bool] = None,
          stacked: Optional[RowPass] = None):
     """One iteration of the main method at step k, with the schedules
     indexed by ``count``: [k], the corrections so far, in bracketed mode
@@ -142,7 +149,8 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
     residual pass at x when the caller has taken it; the control scores
     with it, and active metric halfspaces it certifies as satisfied skip
     their cutter, whose image is x.  x is never written; the record holds
-    it, and a step that does not move returns it as x_next.
+    it, and a step that does not move returns it as x_next.  The step runs
+    no feasibility test, and its record's ``feasible_flag`` is False.
     """
     problem = cfg.problem
     active = cfg.control.indices(k, x, problem, stacked)
@@ -198,15 +206,12 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
     else:
         x_next, corrected = x, False
 
-    if feasible_flag is None:
-        feasible_flag = feasible(problem, x, cfg.feas_window, cfg.feas_tol,
-                                 stacked=stacked)
     record = TraceRecord(
         k=k, bracket_k=count, x=x, active=active,
         violated=violated, per_index=tuple(per_index),
         alpha_used=alpha, r_used=r,
         step_norm=0.0 if x_next is x else norm(x_next - x),
-        corrected=corrected, feasible_flag=bool(feasible_flag))
+        corrected=corrected, feasible_flag=False)
     return x_next, corrected, record
 
 
@@ -259,8 +264,7 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
                       "nonfinite" if nonfinite else "max_iter")
             return RunResult(status, k if feas else None, x, trace,
                              corrections, k)
-        x, corrected, record = step(cfg, x, k, count, feasible_flag=feas,
-                                    stacked=stacked)
+        x, corrected, record = step(cfg, x, k, count, stacked=stacked)
         x.flags.writeable = False
         emit(record)
         corrections += corrected

@@ -522,12 +522,6 @@ class Problem:
             return None
         return AffineRows.build(self)
 
-    def residual_pass(self, x: Vector) -> Optional["RowPass"]:
-        """The stacked residual pass at x; None without stacked rows, or
-        where ``AffineRows.at`` leaves x to the scalar tests."""
-        rows = self.affine_rows
-        return rows.at(x) if rows is not None else None
-
     def constraint(self, i: int) -> Constraint:
         if not 0 <= i < self.m:
             raise PoolIndexError(f"index out of pool: {i}")
@@ -673,51 +667,27 @@ class AffineRows:
         v -= self.b
         margin = self.scale * xinf
         margin += self.offset
-        return RowPass(self, x, v, margin)
+        return RowPass(self, v, margin)
 
 
 class RowPass:
     """One residual pass v = A @ x - b at an iterate x, with the certified
     bound |v_i - s_i| <= margin_i on the scalar violations s_i."""
 
-    def __init__(self, rows: AffineRows, x: Vector, v, margin):
+    def __init__(self, rows: AffineRows, v, margin):
         self.rows = rows
-        self.x = x
         self.v = v
         self.margin = margin
-        self._split = {}
-
-    def split(self, tol: float):
-        """Boolean masks over the pool: the violation certainly exceeds tol,
-        and it is certainly at most tol.  A row in neither is undecided."""
-        got = self._split.get(tol)
-        if got is None:
-            margin = self.margin
-            if tol:
-                # tol +- margin rounds; 2u|tol| more keeps the bound proven.
-                margin = margin + 2.0 * _U * abs(tol)
-                got = (self.v > tol + margin, self.v < tol - margin)
-            else:
-                got = (self.v > margin, self.v < -margin)
-            self._split[tol] = got
-        return got
-
-    def violations(self, problem: Problem, tol: float = 0.0):
-        """The pool positions, ascending, whose constraint x violates beyond
-        tol, generated lazily in the scalar loop's order: a certainly
-        violated row needs no test, and any other position that x does not
-        certainly satisfy is decided, and may raise, in its member test."""
-        violated, satisfied = self.split(tol)
-        for i in (~satisfied).nonzero()[0].tolist():
-            if violated[i] or not problem.constraint(i).member(self.x, tol):
-                yield i
+        # Masks over the pool: the violation is certainly positive, and it
+        # is certainly at most 0.  A row in neither is undecided.
+        self.violated, self.satisfied = v > margin, v < -margin
 
     @functools.cached_property
     def settled(self):
         """Mask over the pool: the metric halfspaces that x certainly
         satisfies.  There the cutter is the identity, with
         residual, displacement, beta and rho all 0.0."""
-        return self.split(0.0)[1] & self.rows.metric
+        return self.satisfied & self.rows.metric
 
     def unsettled(self, active: tuple) -> list:
         """(position, index) of the active rows that are not settled, in
@@ -739,19 +709,11 @@ class RowPass:
         return (score + band >= top).nonzero()[0].tolist()
 
 
-def violated_indices(problem: Problem, x: Vector, window=None,
-                     stacked: Optional[RowPass] = None) -> tuple:
-    """I_+(x) restricted to a finite window: indices whose set x is outside of.
-
-    Over the whole pool the stacked affine rows settle what they can;
-    ``stacked`` is a residual pass already taken at x.  x is read C-contiguous.
-    """
+def violated_indices(problem: Problem, x: Vector, window=None) -> tuple:
+    """I_+(x) restricted to a finite window, the whole pool by default:
+    indices whose set x is outside of.  x is read C-contiguous."""
     x = np.ascontiguousarray(x)
     if window is None:
-        if stacked is None:
-            stacked = problem.residual_pass(x)
-        if stacked is not None:
-            return tuple(stacked.violations(problem))
         window = problem.indices()
     return tuple(i for i in window if not problem.constraint(i).member(x))
 
@@ -762,24 +724,30 @@ def feasible(problem: Problem, x: Vector, window=None, tol: float = 0.0,
 
     Membership is the sign test violation(x) <= tol with tol = 0 by default.
     For infinite pools the caller must supply a finite witness window.
-    Over the whole pool the stacked affine rows settle what they can;
-    ``stacked`` is a residual pass already taken at x.  x is read C-contiguous.
+    Over the whole pool at tol = 0 the stacked affine rows settle what they
+    can; ``stacked`` is a residual pass already taken at x.  x is read
+    C-contiguous.
     """
     x = np.ascontiguousarray(x)
     if window is None:
         if not problem.is_finite:
             raise ConfigError("feasibility over an infinite pool needs a finite window")
-        if stacked is None:
-            stacked = problem.residual_pass(x)
-        if stacked is None:
-            window = problem.indices()
+        if stacked is None and not tol and problem.affine_rows is not None:
+            stacked = problem.affine_rows.at(x)
     else:
         stacked = None
     if not problem.outer.member(x, tol):
         return False
-    if stacked is not None:
-        return next(stacked.violations(problem, tol), None) is None
-    for i in window:
+    if stacked is not None and not tol:
+        # The rows x does not certainly satisfy, in the scalar loop's order:
+        # a certainly violated one needs no test, any other is decided, and
+        # may raise, in its member test.
+        violated = stacked.violated
+        for i in (~stacked.satisfied).nonzero()[0].tolist():
+            if violated[i] or not problem.constraint(i).member(x):
+                return False
+        return True
+    for i in problem.indices() if window is None else window:
         if not problem.constraint(i).member(x, tol):
             return False
     return True

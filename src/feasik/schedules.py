@@ -8,10 +8,9 @@ from array import array
 from bisect import bisect_left
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
-from .errors import ConfigError, InconsistentConstraintError
+from .errors import ConfigError
 from .model import Constraint, Sublevel, Vector, as_integer
+from .operators import project_subgradient
 
 
 def beta(r: float, phi_val: float, displacement: float) -> float:
@@ -217,8 +216,9 @@ class PhiOne:
 
 class PhiSubgradNorm:
     """phi_i(x) = ||g_i(x)|| when f_i(x) > 0, else 1 (sublevel bodies only).
-    A given ``subgrad_sq`` > 0 is g.g at a point with f(x) > 0, and its
-    square root is ``np.linalg.norm(g)`` bit for bit (see ``model.norm``)."""
+    Without a given ``subgrad_sq`` it takes g.g from the subgradient
+    projection at x, which raises on a zero subgradient; the square root
+    is ``np.linalg.norm(g)`` bit for bit (see ``model.norm``)."""
 
     kind = "subgrad_norm"
 
@@ -226,15 +226,9 @@ class PhiSubgradNorm:
         body = constraint.body
         if not isinstance(body, Sublevel):
             raise ConfigError("subgradient-norm phi needs sublevel constraints")
-        if subgrad_sq is not None:
-            return math.sqrt(subgrad_sq)
-        if body.f.value(x) <= 0.0:
-            return 1.0
-        n = float(np.linalg.norm(body.f.subgradient(x)))
-        if n == 0.0:
-            raise InconsistentConstraintError(
-                "inconsistent constraint: positive value with zero subgradient")
-        return n
+        if subgrad_sq is None:
+            subgrad_sq = project_subgradient(body.f, x).subgrad_sq
+        return 1.0 if subgrad_sq is None else math.sqrt(subgrad_sq)
 
 
 class PhiCustom:

@@ -343,7 +343,8 @@ def test_cli_validate_rejects_non_numeric_numbers(tmp_path):
 
 def unchecked_number_docs():
     """(document, field path) pairs: list members that do not convert,
-    fractions an integer field would truncate, and booleans as numbers."""
+    fractions an integer field would truncate, booleans as numbers, the
+    NaN and Infinity that json reads, and a string as a flag."""
     def control(**spec):
         return two_halfspace_doc(control=spec)
 
@@ -351,9 +352,12 @@ def unchecked_number_docs():
         return two_halfspace_doc(weights={"kind": "table", "table": weights,
                                           "floor": floor})
 
-    dim, b = two_halfspace_doc(), two_halfspace_doc()
+    dim, b, nan, inf = (two_halfspace_doc() for _ in range(4))
     dim["problem"]["dim"] = 2.5
     b["problem"]["constraints"][0]["b"] = True
+    # b = NaN ran to max_iter; b = Infinity dropped the constraint.
+    nan["problem"]["constraints"][0]["b"] = math.nan
+    inf["problem"]["constraints"][0]["b"] = math.inf
     return [
         (control(kind="cyclic", order=["x"]), "control.order[0]"),
         (control(kind="intermittent", blocks=[["x"]]), "control.blocks[0][0]"),
@@ -375,6 +379,13 @@ def unchecked_number_docs():
         (two_halfspace_doc(max_iter=True), "max_iter"),
         (b, "problem.constraints[0].b"),
         (two_halfspace_doc(feas_window=[0, "x"]), "feas_window[1]"),
+        (nan, "problem.constraints[0].b"),
+        (inf, "problem.constraints[0].b"),
+        (two_halfspace_doc(feas_tol=math.nan), "feas_tol"),
+        # bool("false") is True: a divergent sum, and no warning.
+        (two_halfspace_doc(overrelaxation={"kind": "list", "values": [1.0],
+                                           "divergent_sum": "false"}),
+         "overrelaxation.divergent_sum"),
     ]
 
 
@@ -389,6 +400,9 @@ def test_document_numbers_are_checked_not_coerced():
     assert run.max_iter == 10 and run.control.order == [0, 1]
     assert type(run.max_iter) is int and run.weights.floor(1) == 1
     assert type(run.weights.floor(1)) is int
+    run = build_run_config(two_halfspace_doc(overrelaxation={
+        "kind": "list", "values": [1.0], "divergent_sum": True}))
+    assert run.overrelaxation.divergent_sum is True
 
 
 def test_python_constructors_check_indices_as_documents_do():
@@ -433,6 +447,23 @@ def test_cli_validate_rejects_unchecked_numbers(tmp_path, capsys):
         assert cli.main(["validate", "--config", path]) == 1, field
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"'{field}'" in err, err
+
+
+def test_cli_validate_checks_the_feasibility_window(tmp_path, capsys):
+    # [] made solve report feasible at k = 0 from a point outside both
+    # sets; [0, 5] validated and failed only in solve.
+    for n, (window, expected) in enumerate([
+            ([], "feas_window is empty"),
+            ([5], "feas_window[0]: index 5 is outside the pool of 2"),
+            ([0, 5], "feas_window[1]: index 5 is outside the pool of 2"),
+            ([0, -1], "feas_window[1]: index -1 is outside the pool of 2")]):
+        path = write_doc(tmp_path, two_halfspace_doc(feas_window=window), f"w{n}.json")
+        for command in ("validate", "solve"):
+            assert cli.main([command, "--config", path]) == 1, window
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and expected in err, err
+    path = write_doc(tmp_path, two_halfspace_doc(feas_window=[1, 0]), "ok.json")
+    assert cli.main(["validate", "--config", path]) == 0
 
 
 def test_cli_main_does_not_mask_key_errors(monkeypatch):
@@ -650,6 +681,29 @@ def test_cli_sweep_empty_grid(tmp_path):
     out = run_cli(["sweep", "--config", path], tmp_path)
     assert out.returncode == 1
     assert "empty sweep grid" in out.stderr
+
+
+def test_cli_sweep_checks_the_shape_of_the_grid(tmp_path, capsys):
+    # These escaped as a ValueError or TypeError traceback, or iterated the
+    # letters of a string.
+    cases = [("instances", "x", "field 'instances' must be a list"),
+             ("instances", [1], "field 'instances[0]' must be an object"),
+             ("base", [1], "field 'base' must be an object"),
+             ("controls", {"kind": "remotest"}, "field 'controls' must be a list"),
+             ("phis", "one", "field 'phis' must be a list")]
+    for n, (key, value, expected) in enumerate(cases):
+        doc = sweep_doc()
+        doc[key] = value
+        path = write_doc(tmp_path, doc, f"g{n}.json")
+        assert cli.main(["sweep", "--config", path]) == 1, key
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and expected in err, err
+    # A phi given as a document is listed by its kind.
+    doc = sweep_doc()
+    doc["phis"] = [{"kind": "one"}]
+    assert cli.main(["sweep", "--config", write_doc(tmp_path, doc, "phi.json")]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(",")[2] for r in rows] == ["one"] * 6
 
 
 def test_cli_missing_file(tmp_path):

@@ -27,6 +27,22 @@ def test_cyclic_order(axis_halfspaces):
     assert c.indices(2, x, axis_halfspaces) == (0,)
 
 
+def test_cyclic_is_the_intermittent_control_of_singletons():
+    pool = Problem(1, [Constraint(i, Halfspace([1.0], float(i))) for i in range(5)])
+    x = np.zeros(1)
+    for order in ([0], [3, 1, 4, 1, 0], range(5), [np.int64(2), 4.0]):
+        cyclic = Cyclic(order)
+        inter = Intermittent([(i,) for i in cyclic.order])
+        assert cyclic.max_card == inter.max_card == 1
+        for k in range(12):
+            got = cyclic.indices(k, x, pool)
+            assert got == inter.indices(k, x, pool)
+            assert type(got) is tuple and type(got[0]) is int
+    assert (Cyclic.kind, Intermittent.kind) == ("cyclic", "intermittent")
+    assert Repetitive(lambda k: (0, 1), max_card=2).max_card == 2
+    assert RemotestSet().max_card == MaxViolation().max_card == 1
+
+
 def test_remotest_picks_largest_distance(axis_halfspaces):
     c = RemotestSet()
     assert c.indices(0, np.array([2.0, 1.0]), axis_halfspaces) == (0,)

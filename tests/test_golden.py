@@ -4,8 +4,9 @@ run's trace CSV and the ``per_index`` entries of four stacked runs, which
 no CSV holds.  The digests were recorded before the per-step fast paths
 went in (the first two ``per_index`` ones before the stacked pass was
 indexed by pool position, the two other block runs before the weight rules
-returned only the violated indices' weights); a speed-up must keep every
-one of these outputs byte for byte.
+returned only the violated indices' weights, and ``validate``'s stdout
+before the step layers kept one path per check); a speed-up must keep
+every one of these outputs byte for byte.
 
 To re-derive them on another revision, run this file as a script with that
 revision's ``src`` first on ``PYTHONPATH``; it prints one line per output.
@@ -37,6 +38,7 @@ GOLDEN = {
     "solve.output": "dacced7dcc71d917657a2685e5f3dc459512de6ba7c699264d5275adcae18a04",
     "certify.stdout": "7db7c541d612f45aefb9a0fe22e8b9294f6db8ba236b327a95c624fe884a02f9",
     "certify.output": "aea9fcd8c22b121f524cd58aecb5deb4fbf784979786b4dc9eefa15574f810ed",
+    "validate.stdout": "6bce35af7db8e69649866a5840902ee261609acd401c791612bc8498746544c7",
     "sweep": "b33a466b8da58b3ca55975156e20d713762c86ce3e23682ac3f48fc72085765c",
     "random_sets.csv": "4ac3929ccb1de82841ee88849f3a1cc5e8cfb345a642a9b73f4f07e3fefec196",
     "block.per_index": "a801d29a575ecc305105b332bb884fb59616e1d335635a1f69d1a61099eda126",
@@ -107,6 +109,7 @@ def outputs(tmp: Path) -> dict:
         stdout = _cli([command, "--config", demo, "--output", str(path)])
         out[f"{command}.stdout"] = stdout
         out[f"{command}.output"] = path.read_bytes()
+    out["validate.stdout"] = _cli(["validate", "--config", demo])
     out["sweep"] = _cli(["sweep", "--config", str(CONFIGS / "sweep_grid.json")])
     result = solve(random_sets_run())
     out["random_sets.csv"] = trace_csv_text(result.trace, 5).encode()

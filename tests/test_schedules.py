@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feasik import (ConfigError, ConstantOverrelaxation, ConstantRelaxation,
-                    Constraint, Cyclic, ExplicitTable, FromFunction,
-                    Geometric, Halfspace, Harmonic, MergedDecreasing,
+from feasik import (AbsCoordMinusC, ConfigError, ConstantOverrelaxation,
+                    ConstantRelaxation, Constraint, Cyclic, ExplicitTable,
+                    FromFunction, Geometric, Halfspace, Harmonic,
+                    InconsistentConstraintError, MaxAffine, MergedDecreasing,
                     OverrelaxationList, PhiCustom, PhiOne, PhiSubgradNorm,
                     QuadCoordMinusC, RandomSets, RelaxationList, RunConfig,
                     Sublevel, UniformOverActive, UniformOverViolated, beta,
@@ -215,3 +216,26 @@ def test_phi_kinds():
     assert custom.value(sub, x_out) == 2.0
     with pytest.raises(ConfigError):
         PhiCustom(lambda c, x: 1.0, delta=0.0, big_delta=1.0)
+
+
+def test_subgrad_norm_phi_of_a_metric_cutter_sublevel_body():
+    # The metric cutter hands phi no g.g, so phi takes it from the
+    # subgradient projection at x.
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        pieces = [(rng.standard_normal(3), float(rng.standard_normal()))
+                  for _ in range(3)]
+        f = MaxAffine(pieces)
+        con = Constraint(0, Sublevel(f), cutter="metric")
+        x = rng.standard_normal(3) * 10.0 ** rng.integers(-3, 4)
+        g = f.subgradient(x)
+        want = math.sqrt(float(g.dot(g))) if f.value(x) > 0.0 else 1.0
+        assert PhiSubgradNorm().value(con, x) == want
+        if f.value(x) > 0.0:
+            assert want == float(np.linalg.norm(g))
+    quad = Constraint(0, Sublevel(QuadCoordMinusC(axis=0, c=1.0)), cutter="metric")
+    assert PhiSubgradNorm().value(quad, np.array([3.0, 0.0])) == 6.0
+    # |x_1| - (-1) is positive at the origin with the subgradient 0 there.
+    empty = Constraint(0, Sublevel(AbsCoordMinusC(axis=1, c=-1.0)), cutter="metric")
+    with pytest.raises(InconsistentConstraintError, match="zero subgradient"):
+        PhiSubgradNorm().value(empty, np.zeros(2))

@@ -102,7 +102,7 @@ def test_stacked_decisions_match_scalar(case, duplicate):
     # The reference loop itself, spelled out.
     assert feasible(problem, x, tol=tol) == all(
         problem.constraint(i).member(x, tol) for i in problem.indices())
-    p = problem.residual_pass(x)
+    p = problem.affine_rows.at(x)
     for control in (RemotestSet(), MaxViolation()):
         assert control._select(0, x, problem, p) == control._select(0, x, problem)
     if p is None:
@@ -110,9 +110,7 @@ def test_stacked_decisions_match_scalar(case, duplicate):
     # A position outside the stack is never settled and always a candidate.
     outside = [i for i in problem.indices()
                if problem.constraint(i).body.affine_row() is None]
-    for t in (0.0, tol):
-        violated, satisfied = p.split(t)
-        assert not violated[outside].any() and not satisfied[outside].any()
+    assert not p.violated[outside].any() and not p.satisfied[outside].any()
     for control in (RemotestSet(), MaxViolation()):
         assert set(outside) <= set(p.candidates(*control._stacked_score(p)))
 
@@ -164,7 +162,7 @@ def rounded_otherwise(problem, x, rng):
                   for i, keep in enumerate(stacked)])
     t = rng.choice([-1.0, 1.0, 0.0, 0.5, -0.5], len(s)) * rng.uniform(0.9, 1.0, len(s))
     margin = np.where(stacked, p.margin, 0.0)
-    return RowPass(rows, x, s + t * margin * (1.0 - 2.0 ** -40), p.margin)
+    return RowPass(rows, s + t * margin * (1.0 - 2.0 ** -40), p.margin)
 
 
 @SETTINGS
@@ -177,8 +175,8 @@ def test_decisions_hold_for_any_rounding_within_the_margin(case, duplicate, seed
         problem = doubled(problem)
     scalar = lazy_twin(problem)
     p = rounded_otherwise(problem, x, np.random.default_rng(seed))
-    assert feasible(problem, x, tol=tol, stacked=p) == feasible(scalar, x, tol=tol)
-    assert violated_indices(problem, x, stacked=p) == violated_indices(scalar, x)
+    for t in {0.0, tol}:  # a nonzero tol takes the scalar loop
+        assert feasible(problem, x, tol=t, stacked=p) == feasible(scalar, x, tol=t)
     for control in (RemotestSet(), MaxViolation()):
         assert control._select(0, x, problem, p) == control._select(0, x, problem)
     every = tuple(problem.indices())
@@ -197,10 +195,9 @@ def test_feasible_keeps_the_scalar_scan_order():
               Halfspace([1.0, 0.0], -5.0)]
     bodies += [Halfspace([1.0, 0.0], 10.0)] * STACKED_MIN_ROWS
     problem = Problem(2, [Constraint(i, b) for i, b in enumerate(bodies)])
-    p = problem.residual_pass(x)
-    violated, satisfied = p.split(0.0)
-    assert not violated[0] and not satisfied[0] and violated[2]
-    assert p.margin[1] == math.inf and not violated[1] and not satisfied[1]
+    p = problem.affine_rows.at(x)
+    assert not p.violated[0] and not p.satisfied[0] and p.violated[2]
+    assert p.margin[1] == math.inf and not p.violated[1] and not p.satisfied[1]
     with pytest.raises(ValueError):
         problem.constraint(1).member(x)
     assert feasible(problem, x) is feasible(lazy_twin(problem), x) is False
