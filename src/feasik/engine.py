@@ -160,14 +160,17 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
         per_index, todo = list(active), enumerate(active)  # every entry is set below
     else:
         # Settled rows keep their shared zero entry; only the others are cut.
-        zero_entries, settled = stacked.rows.zero_entries, stacked.settled
+        rows, settled = stacked.rows, stacked.settled
         if len(active) < 32:  # below that, one walk beats a gather's fixed cost
             per_index, todo = [], []
             for p, i in enumerate(active):
-                per_index.append(zero_entries[i])
-                if not settled[i]:
+                if settled[i]:
+                    per_index.append(rows.zero_entries[i])
+                else:  # as a remotest row always is: its entry is set below
+                    per_index.append(None)
                     todo.append((p, i))
         else:
+            zero_entries = rows.zero_entries
             per_index = [zero_entries[i] for i in active]
             todo = stacked.unsettled(active)
     violated, diffs, betas = [], [], []

@@ -516,8 +516,9 @@ class Problem:
     @functools.cached_property
     def affine_rows(self) -> Optional["AffineRows"]:
         """The stacked affine rows of a finite listed pool, built on first
-        use; None for lazy pools and for pools with fewer than
-        ``STACKED_MIN_ROWS`` such rows, which keep the per-constraint loop."""
+        use, in float32 from ``FLOAT32_MIN_ENTRIES`` entries on; None for
+        lazy pools and for pools with fewer than ``STACKED_MIN_ROWS`` such
+        rows, which keep the per-constraint loop."""
         if self.is_lazy:
             return None
         return AffineRows.build(self)
@@ -572,10 +573,19 @@ class Problem:
 # a scan often stops at its first violated row.
 STACKED_MIN_ROWS = 16
 
+# Fewest matrix entries (rows times dim) for which the rows are stored in
+# float32, a measured crossover on whole solves (README, "Performance"):
+# below it the float64 pass is about as fast, and its tighter margin leaves
+# fewer rows to their scalar tests.
+FLOAT32_MIN_ENTRIES = 2 ** 16
+
 _U = 2.0 ** -53             # unit roundoff of binary64
 _SUBNORMAL = 2.0 ** -1074   # smallest positive binary64
 # Above this bound on sum |a_j x_j| + |b| a dot product could overflow.
 _SAFE = 2.0 ** 1000
+_U32 = 2.0 ** -24           # unit roundoff of binary32
+_TINY32 = 2.0 ** -150       # half the smallest positive binary32
+_SAFE32 = 2.0 ** 120        # as _SAFE, for float32 products and sums
 
 
 class AffineRows:
@@ -586,33 +596,62 @@ class AffineRows:
     always score.
 
     ``at(x)`` evaluates every row with one matvec.  BLAS may sum ``A @ x``
-    in another order than the scalar ``a @ x``, so the stacked residual
-    only filters: it settles a row's sign where a proven error bound
-    allows, and every other row is decided by its own scalar test.  The
-    constraints must not change once stacked.
+    in another order than the scalar ``a @ x``, and ``A`` may hold the
+    normals rounded to float32, so the stacked residual only filters: it
+    settles a row's sign where a proven error bound allows, and every other
+    row is decided by its own scalar test.  The constraints must not change
+    once stacked.
     """
 
-    def __init__(self, A, l1, b, metric, norms):
+    def __init__(self, A, b, metric, norms):
+        """A (float64 or float32; the margins follow its dtype), b, metric
+        and norms as the pool's rows; a row with ||a||_1 below 2^-900,
+        whose margin scale could underflow, becomes a zero row in place."""
+        l1 = np.abs(A).sum(axis=1, dtype=np.float64)
+        out = ~(l1 >= 2.0 ** -900)
+        A[out], l1[out], b[out], norms[out] = 0.0, 0.0, 0.0, 1.0
+        self.stacked = len(l1) - int(np.count_nonzero(out))  # not zero rows
         self.A = A
         self.b = b
         # Rows whose cutter is the metric projection onto a halfspace: the
         # identity, with zero distance, wherever the row holds.
-        self.metric = metric
+        self.metric = metric & ~out
         # ||a_i||, as the scalar distance divides by it; 1.0 for a zero row.
         self.norms = norms
-        # margin_i = 2 gamma_{d+1} (||a_i||_1 ||x||_inf + |b_i|) bounds
-        # |scalar - stacked| (see ``at``), with gamma_n = n u / (1 - n u).
-        # The factor 1 + 2^-20 absorbs the rounding of the margin itself
-        # (the sum for ||a_i||_1 is within gamma_d of it, below 2^-21 for
-        # d < 2^31) and the floor the gradual underflow of products.
+        # margin_i = scale_i ||x||_inf + offset_i bounds |scalar - stacked|
+        # (see ``at``), with gamma_n(u) = n u / (1 - n u).  The factor
+        # 1 + 2^-20 absorbs the rounding of the margin itself and of l1, a
+        # float64 sum within gamma_d(u64) of it, below 2^-21 for d < 2^31.
         d = A.shape[1]
-        two_gamma = 2.0 * (d + 1) * _U / (1.0 - (d + 1) * _U) * (1.0 + 2.0 ** -20)
-        self.scale = two_gamma * l1
+        gamma = (d + 1) * _U / (1.0 - (d + 1) * _U)  # the scalar's own bound
+        abs_b = np.abs(b)
+        if A.dtype == np.float64:
+            # Both sums are within gamma_{d+1}(u64); the floor absorbs the
+            # gradual underflow of products.
+            two_gamma = 2.0 * gamma * (1.0 + 2.0 ** -20)
+            scale = two_gamma * l1
+            offset = two_gamma * abs_b + (2 * d + 8) * _SUBNORMAL
+            self.safe, self.l1_max = _SAFE, float(l1.max())
+        else:
+            # v = float64(A32 @ float32(x)) - b.  Rounding a_ij and x_j to
+            # float32 errs by u32 relative, or _TINY32 absolute below its
+            # normal range; the float32 sum by gamma_d(u32) of sum |a_j x_j|
+            # plus _TINY32 per underflowing product; the float64
+            # subtraction by u64 |v|.  The _TINY32 terms, times 3 to cover
+            # their own propagation, bound all absolute errors, and
+            # ||a||_1 <= (l1 + d _TINY32) / (1 - u32).
+            g32 = d * _U32 / (1.0 - d * _U32)
+            rel = (gamma + 2.0 * _U32 + _U32 * _U32
+                   + (g32 + _U * (1.0 + g32)) * (1.0 + _U32) ** 2)
+            scale = (rel * (1.0 + 2.0 ** -20) / (1.0 - _U32)) * l1 + 3 * d * _TINY32
+            offset = ((gamma + _U) * (1.0 + 2.0 ** -20)) * abs_b + 3 * _TINY32 * l1 \
+                + 3 * d * _TINY32
+            # l1_max >= 1 keeps x itself in float32's range too.
+            self.safe, self.l1_max = _SAFE32, max(float(l1.max()), 1.0)
+        self.scale = scale
         # A zero row, with l1 = 0, has an infinite margin.
-        self.offset = np.where(l1 > 0.0, two_gamma * np.abs(b) + (2 * d + 8) * _SUBNORMAL,
-                               math.inf)
-        self.l1_max = float(l1.max())
-        self.b_max = float(np.abs(b).max())
+        self.offset = np.where(l1 > 0.0, offset, math.inf)
+        self.b_max = float(abs_b.max())
 
     @functools.cached_property
     def zero_entries(self) -> list:
@@ -623,47 +662,56 @@ class AffineRows:
     @classmethod
     def build(cls, problem: Problem) -> Optional["AffineRows"]:
         """None when the pool has fewer than ``STACKED_MIN_ROWS`` affine
-        rows.  A row with ||a||_1 below 2^-900, whose margin scale could
-        underflow, is a zero row too."""
+        rows.  Pools of at least ``FLOAT32_MIN_ENTRIES`` entries are stored
+        in float32 when their entries fit it."""
         dim = problem.dim
         zero = np.zeros(dim)
-        gathered = []
+        normals, rhs, metric, norms = [], [], [], []
+        zeros = 0
         for c in problem._constraints:
-            body, row = c.body, c.body.affine_row()
+            body = c.body
+            row = body.affine_row()
             if row is None or row[0].shape != (dim,):
-                gathered.append((zero, 0.0, False, 1.0))
+                a, b, halfspace, n = zero, 0.0, False, 1.0
+                zeros += 1
             else:
-                halfspace = isinstance(body, Halfspace)
-                gathered.append((*row, halfspace,
-                                 body.a_norm if halfspace else norm(row[0])))
-        normals, rhs, metric, norms = zip(*gathered)
-        if sum(a is not zero for a in normals) < STACKED_MIN_ROWS:
+                (a, b), halfspace = row, isinstance(body, Halfspace)
+                n = body.a_norm if halfspace else norm(a)
+            normals.append(a)
+            rhs.append(b)
+            metric.append(halfspace)
+            norms.append(n)
+        if len(normals) - zeros < STACKED_MIN_ROWS:
             return None  # counted before any array is built
-        A = np.array(normals)
-        l1 = np.abs(A).sum(axis=1)
-        stacked = l1 >= 2.0 ** -900
-        if np.count_nonzero(stacked) < STACKED_MIN_ROWS:
-            return None
-        b, norms = np.array(rhs), np.array(norms)
-        out = ~stacked
-        A[out], l1[out], b[out], norms[out] = 0.0, 0.0, 0.0, 1.0
-        return cls(A, l1, b, stacked & np.array(metric), norms)
+
+        # dim < 2^22 keeps gamma_d(u32) below 1/3, as the margin assumes.
+        large = len(normals) * dim >= FLOAT32_MIN_ENTRIES and dim < 2 ** 22
+        for dtype in [np.float32, np.float64] if large else [np.float64]:
+            with np.errstate(over="ignore"):  # an entry past float32's range
+                A = np.concatenate(normals, dtype=dtype).reshape(len(normals), dim)
+            rows = cls(A, np.array(rhs), np.array(metric), np.array(norms))
+            if dtype is np.float64 or rows.l1_max + rows.b_max < _SAFE32:
+                break  # else float32 rows would be past their range: take float64
+        return rows if rows.stacked >= STACKED_MIN_ROWS else None
 
     def at(self, x: Vector) -> Optional["RowPass"]:
         """The residual pass at x, or None when x is not finite or so large
-        that a dot product could overflow; the scalar tests then decide.
+        that a dot product could overflow, in float64 or in float32 as
+        ``A`` is stored; the scalar tests then decide.
 
         The scalar violation s_i and the stacked v_i both sum the d + 1
         terms a_ij x_j and -b_i in some order, each within
         gamma_{d+1} * (sum_j |a_ij x_j| + |b_i|) of the exact value for any
         order, with or without FMA (Higham, Accuracy and Stability of
-        Numerical Algorithms, 2nd ed., section 3.1).  Hoelder's
-        sum_j |a_ij x_j| <= ||a_i||_1 ||x||_inf gives |s_i - v_i| <= margin_i.
+        Numerical Algorithms, 2nd ed., section 3.1); float32 rows add the
+        errors of their conversions and of the float32 sum (see
+        ``__init__``).  Hoelder's sum_j |a_ij x_j| <= ||a_i||_1 ||x||_inf
+        gives |s_i - v_i| <= margin_i.
         """
         xinf = float(np.abs(x).max())
-        if not xinf * self.l1_max + self.b_max < _SAFE:
+        if not xinf * self.l1_max + self.b_max < self.safe:
             return None
-        v = self.A @ x
+        v = (self.A @ x.astype(self.A.dtype, copy=False)).astype(np.float64, copy=False)
         v -= self.b
         margin = self.scale * xinf
         margin += self.offset
@@ -681,13 +729,10 @@ class RowPass:
         # Masks over the pool: the violation is certainly positive, and it
         # is certainly at most 0.  A row in neither is undecided.
         self.violated, self.satisfied = v > margin, v < -margin
-
-    @functools.cached_property
-    def settled(self):
-        """Mask over the pool: the metric halfspaces that x certainly
-        satisfies.  There the cutter is the identity, with
-        residual, displacement, beta and rho all 0.0."""
-        return self.satisfied & self.rows.metric
+        # The metric halfspaces that x certainly satisfies.  There the
+        # cutter is the identity, with residual, displacement, beta and rho
+        # all 0.0.
+        self.settled = self.satisfied & rows.metric
 
     def unsettled(self, active: tuple) -> list:
         """(position, index) of the active rows that are not settled, in

@@ -4,9 +4,10 @@ run's trace CSV and the ``per_index`` entries of four stacked runs, which
 no CSV holds.  The digests were recorded before the per-step fast paths
 went in (the first two ``per_index`` ones before the stacked pass was
 indexed by pool position, the two other block runs before the weight rules
-returned only the violated indices' weights, and ``validate``'s stdout
-before the step layers kept one path per check); a speed-up must keep
-every one of these outputs byte for byte.
+returned only the violated indices' weights, ``validate``'s stdout
+before the step layers kept one path per check, and the 2000-row
+remotest-set run before large pools were stacked in float32); a speed-up
+must keep every one of these outputs byte for byte.
 
 To re-derive them on another revision, run this file as a script with that
 revision's ``src`` first on ``PYTHONPATH``; it prints one line per output.
@@ -18,6 +19,7 @@ import io
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from feasik import (ConstantRelaxation, ExplicitTable, Harmonic, Intermittent,
@@ -45,6 +47,9 @@ GOLDEN = {
     "remotest.per_index": "a2f8d2f0d26b56cf74c7afc5bd64775ba410af0d891d71b90e974ee885d5fbed",
     "block_active.per_index": "312313e092fe5696ceccff0422e534f91ab9d0d3a8241b38147ad2351b58fde9",
     "block_table.per_index": "ba327fe62b62638e8d101b2bd88332bfd3068b41bf66e1dc681ca530ccdf83f9",
+    "remotest_2000.result": "1e234b351a4cc2b7dbc9c5411f20c8f711f50a84d29df1bfdf8da77d7bdcaff5",
+    "remotest_2000.csv": "014c9a4dec449618799257783a2ed3f9a7fa7818aff00bb146671cd25cab8f2b",
+    "remotest_2000.per_index": "12e684f1438ecc1090fdb48e00ef191f4cd11035ac1217dc3d33f58750efd593",
 }
 
 
@@ -89,6 +94,17 @@ def per_index_runs() -> dict:
     }
 
 
+def remotest_2000_run():
+    """A seeded remotest-set run on a 2000-row halfspace polyhedron in
+    200-D, the shape of the benchmark's largest pools: 36 steps."""
+    problem, x0 = random_slater_polyhedron(
+        5, dim=200, m=2000, interior_radius=0.5, sublevel=False)
+    return RunConfig(problem=problem, control=RemotestSet(),
+                     relaxation=ConstantRelaxation(1.0), overrelaxation=Harmonic(),
+                     phi=PhiOne(), weights=UniformOverActive(), x0=x0,
+                     max_iter=5000)
+
+
 def per_index_bytes(trace) -> bytes:
     """Every record's entries, each packed as (index, the four floats'
     bytes), so signed zeros and NaN payloads count."""
@@ -115,6 +131,11 @@ def outputs(tmp: Path) -> dict:
     out["random_sets.csv"] = trace_csv_text(result.trace, 5).encode()
     for name, cfg in per_index_runs().items():
         out[name] = per_index_bytes(solve(cfg).trace)
+    result = solve(remotest_2000_run())
+    out["remotest_2000.result"] = (f"{result.status} {result.steps}\n".encode()
+                                   + result.final.tobytes())
+    out["remotest_2000.csv"] = trace_csv_text(result.trace, 200).encode()
+    out["remotest_2000.per_index"] = per_index_bytes(result.trace)
     return out
 
 
@@ -136,6 +157,13 @@ def test_per_index_runs_stack_and_converge(name):
     assert cfg.problem.affine_rows is not None
     result = solve(cfg)
     assert result.status == "feasible" and result.k_feasible >= 5
+
+
+def test_remotest_2000_run_takes_the_float32_pass():
+    cfg = remotest_2000_run()
+    assert cfg.problem.affine_rows.A.dtype == np.float32
+    result = solve(cfg)
+    assert result.status == "feasible" and result.k_feasible >= 20
 
 
 @pytest.fixture(scope="module")

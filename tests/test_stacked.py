@@ -19,8 +19,10 @@ from feasik import (Affine, Ball, ConstantRelaxation, Constraint, Cyclic,
                     ExplicitTable, Halfspace, Harmonic, Intermittent,
                     MaxViolation, PhiOne, Problem, RandomSets, RemotestSet,
                     RunConfig, Sublevel, UniformOverActive, UniformOverViolated,
-                    feasible, solve, violated_indices, write_trace_csv)
-from feasik.model import STACKED_MIN_ROWS, RowPass, norm
+                    feasible, random_slater_polyhedron, solve, violated_indices,
+                    write_trace_csv)
+from feasik.model import (FLOAT32_MIN_ENTRIES, STACKED_MIN_ROWS, AffineRows,
+                          RowPass, norm)
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -81,6 +83,56 @@ def pools_and_points(draw):
     return problem, x, tol
 
 
+@st.composite
+def wide_pools_and_points(draw):
+    """A pool of affine rows in up to 300 dimensions whose entries span
+    1e-40 to 1e30, some of them binary32 subnormals, with a point whose
+    coordinates may be subnormal in binary32 too.  The point lies on each
+    facet as float64 rounds a @ x, or near it, or anywhere."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    dim = draw(st.one_of(st.integers(1, 8), st.integers(9, 300)))
+    m = draw(st.integers(STACKED_MIN_ROWS, STACKED_MIN_ROWS + 8))
+    lo, hi = sorted(draw(st.integers(-40, 30)) for _ in range(2))
+    x_exponent = draw(st.integers(-46, 3))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(dim) * 10.0 ** (x_exponent + rng.uniform(-1.0, 1.0, dim))
+    bodies = []
+    for n in range(m):
+        a = rng.standard_normal(dim) * 10.0 ** rng.uniform(lo, hi, dim)
+        # binary32 subnormals, the ties halfway between them included
+        tiny = rng.random(dim) < 0.2
+        a[tiny] = rng.choice([-1.0, 1.0], tiny.sum()) * rng.integers(
+            1, 2 ** 24, tiny.sum()) * 2.0 ** -150
+        if not a.dot(a) > 0.0:
+            a[0] = 1.0
+        s = float(a @ x)
+        b = s + draw(st.sampled_from([0.0, 0.0, 1e-7, -1e-7, 1.0])) * (abs(s) + 1e-300)
+        bodies.append(affine_body(a, b, rng.random() < 0.3))
+    problem = Problem(dim, [Constraint(i, body) for i, body in enumerate(bodies)])
+    return problem, x, 0.0
+
+
+def stacked_rows(problem, dtype):
+    """The pool's stacked rows; for float32, the same rows rounded to
+    float32 through the constructor, which takes its margins from the
+    dtype of A."""
+    rows = problem.affine_rows
+    if dtype is np.float64:
+        return rows
+    return AffineRows(rows.A.astype(np.float32), rows.b.copy(), rows.metric.copy(),
+                      rows.norms.copy())
+
+
+def out_of_range(rows, x) -> bool:
+    """x is not finite, or past the range where ``rows.at`` could overflow:
+    2^1000 for float64 rows, 2^120 for float32 ones."""
+    assert rows.safe == (2.0 ** 120 if rows.A.dtype == np.float32 else 2.0 ** 1000)
+    return not float(np.abs(x).max()) * rows.l1_max + rows.b_max < rows.safe
+
+
+DTYPES = [np.float64, np.float32]
+
+
 def doubled(problem):
     """Every row twice, the copy at a higher index: exact ties."""
     bodies = [problem.constraint(i).body for i in problem.indices()]
@@ -115,14 +167,16 @@ def test_stacked_decisions_match_scalar(case, duplicate):
         assert set(outside) <= set(p.candidates(*control._stacked_score(p)))
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
 @SETTINGS
-@given(pools_and_points())
-def test_margin_bounds_the_scalar_residual(case):
+@given(st.one_of(pools_and_points(), wide_pools_and_points()))
+def test_margin_bounds_the_scalar_residual(dtype, case):
     problem, x, _ = case
-    rows = problem.affine_rows
+    rows = stacked_rows(problem, dtype)
+    assert rows.A.dtype == dtype
     p = rows.at(x)
-    if not np.isfinite(x).all():
-        assert p is None
+    assert (p is None) == out_of_range(rows, x)
+    if p is None:
         return
     for i in problem.indices():
         s = problem.constraint(i).violation(x)
@@ -151,30 +205,33 @@ def test_sign_tests_ignore_the_layout_of_x(seed, dim, stride):
     assert problem.affine_rows is not None
 
 
-def rounded_otherwise(problem, x, rng):
+def rounded_otherwise(problem, rows, x, rng):
     """A residual pass as another summation order might have rounded it:
     each stacked v_i anywhere within its margin of the scalar violation,
     often at the edge.  A zero row, with its infinite margin, keeps v_i = 0."""
-    rows = problem.affine_rows
     p = rows.at(x)
     stacked = np.isfinite(p.margin)
     s = np.array([problem.constraint(i).violation(x) if keep else 0.0
                   for i, keep in enumerate(stacked)])
     t = rng.choice([-1.0, 1.0, 0.0, 0.5, -0.5], len(s)) * rng.uniform(0.9, 1.0, len(s))
     margin = np.where(stacked, p.margin, 0.0)
+    assert (np.abs(p.v - s) <= margin).all()  # the pass itself is one of them
     return RowPass(rows, s + t * margin * (1.0 - 2.0 ** -40), p.margin)
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
 @SETTINGS
-@given(pools_and_points(), st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_decisions_hold_for_any_rounding_within_the_margin(case, duplicate, seed):
+@given(st.one_of(pools_and_points(), wide_pools_and_points()), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_decisions_hold_for_any_rounding_within_the_margin(dtype, case, duplicate, seed):
     problem, x, tol = case
-    if not np.isfinite(x).all():
-        return
     if duplicate:
         problem = doubled(problem)
+    rows = stacked_rows(problem, dtype)
+    if out_of_range(rows, x):
+        return
     scalar = lazy_twin(problem)
-    p = rounded_otherwise(problem, x, np.random.default_rng(seed))
+    p = rounded_otherwise(problem, rows, x, np.random.default_rng(seed))
     for t in {0.0, tol}:  # a nonzero tol takes the scalar loop
         assert feasible(problem, x, tol=t, stacked=p) == feasible(scalar, x, tol=t)
     for control in (RemotestSet(), MaxViolation()):
@@ -203,7 +260,8 @@ def test_feasible_keeps_the_scalar_scan_order():
     assert feasible(problem, x) is feasible(lazy_twin(problem), x) is False
 
 
-def test_margin_survives_cancellation():
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_margin_survives_cancellation(dtype):
     # Terms of 1e16 cancel to a residual of order one: any summation order
     # may round it differently, and the margin must cover the gap.
     rng = np.random.default_rng(3)
@@ -215,10 +273,10 @@ def test_margin_survives_cancellation():
             a = rng.standard_normal(dim) * 1e8
             cons.append(Constraint(i, Halfspace(a, float(a @ x))))
         problem = Problem(dim, cons)
-        p = problem.affine_rows.at(x)
+        p = stacked_rows(problem, dtype).at(x)
         for i in range(STACKED_MIN_ROWS):
             assert abs(cons[i].body.violation(x) - p.v[i]) <= p.margin[i]
-        assert feasible(problem, x) == feasible(lazy_twin(problem), x)
+        assert feasible(problem, x, stacked=p) == feasible(lazy_twin(problem), x)
 
 
 def test_ties_break_to_the_lowest_index():
@@ -439,3 +497,83 @@ def test_settled_cutters_record_zero_entries():
     first = result.trace[0]
     held = [e for e in first.per_index if e[0] not in first.violated]
     assert held and all(e[1:] == (0.0, 0.0, 0.0, 0.0) for e in held)
+
+
+def large_pool(seed, dim=32, m=FLOAT32_MIN_ENTRIES // 32):
+    """A random polyhedron of ``FLOAT32_MIN_ENTRIES`` entries around its
+    certified interior B(z, 2R), every third facet an affine sublevel set,
+    with a ball containing B(z, 2R), a zero row, at a middle position.  A
+    smaller ball would be the remotest set at the start, and its projection
+    feasible."""
+    pool, x0 = random_slater_polyhedron(seed, dim=dim, m=m - 1, interior_radius=0.5,
+                                        sublevel=False)
+    bodies = [pool.constraint(i).body for i in pool.indices()]
+    bodies = [Sublevel(Affine(b.a, b.b)) if i % 3 == 0 else b
+              for i, b in enumerate(bodies)]
+    z, big_r = pool.interior
+    u = np.random.default_rng(seed).standard_normal(dim)
+    bodies.insert(m // 2, Ball(z + 0.1 * u / np.linalg.norm(u), 2.0 * big_r + 3.0))
+    problem = Problem(dim, [Constraint(i, b) for i, b in enumerate(bodies)],
+                      interior=pool.interior)
+    return problem, x0
+
+
+def test_pools_from_the_size_threshold_on_are_stored_in_float32():
+    dim = 64
+    m = FLOAT32_MIN_ENTRIES // dim
+    for rows, dtype in ((m - 1, np.float64), (m, np.float32), (m + 1, np.float32)):
+        problem, _ = slater_pool(0, dim, rows)
+        assert problem.affine_rows.A.dtype == dtype
+    problem, _ = large_pool(0)
+    rows = problem.affine_rows
+    assert rows.A.dtype == np.float32 and rows.stacked == problem.m - 1
+    assert rows.offset[int(problem.m) // 2] == math.inf
+
+
+def decide_as_the_lazy_twin(problem, x):
+    scalar = lazy_twin(problem)
+    assert feasible(problem, x) == feasible(scalar, x)
+    assert violated_indices(problem, x) == violated_indices(scalar, x)
+    p = problem.affine_rows.at(x)
+    for control in (RemotestSet(), MaxViolation()):
+        assert control._select(0, x, problem, p) == control._select(0, x, scalar)
+    return p
+
+
+def test_iterates_past_float32_range_decide_as_the_lazy_twin():
+    # 2^120 (1.3e36) bounds ||x||_inf ||a_i||_1 + |b_i| on float32 rows,
+    # whose unit normals have ||a_i||_1 between 1 and sqrt(32) here: past it
+    # the pass is None, the scalar tests decide, and float64 still computes
+    # every violation.
+    problem, x0 = large_pool(1)
+    rows = problem.affine_rows
+    assert rows.A.dtype == np.float32
+    u = x0 / np.abs(x0).max()
+    for scale in (1.0, 1e30, 1e35, 1e36, 1e37, 1e39, 1e150):
+        p = decide_as_the_lazy_twin(problem, scale * u)
+        assert (p is None) == (scale >= 1e36)
+    assert decide_as_the_lazy_twin(problem, 1e-3 * u) is not None
+
+
+@pytest.mark.parametrize("entry", [1e37, 1e39, -3e38])
+def test_entries_past_float32_range_keep_float64(entry):
+    # 1e39 and -3e38 round to infinity in float32, 1e37 is past the safe
+    # range of its sums; the pool keeps float64 rows and decides as before.
+    problem, x0 = large_pool(2)
+    bodies = [problem.constraint(i).body for i in problem.indices()]
+    a = np.zeros(problem.dim)
+    a[3] = entry
+    bodies[7] = Sublevel(Affine(a, 0.0))
+    big = Problem(problem.dim, [Constraint(i, b) for i, b in enumerate(bodies)])
+    assert big.affine_rows.A.dtype == np.float64
+    for x in (x0, -x0, np.zeros(problem.dim), np.sign(entry) * np.eye(problem.dim)[3]):
+        assert decide_as_the_lazy_twin(big, x) is not None
+
+
+@pytest.mark.parametrize("control_kind", CONTROL_KINDS)
+def test_solve_on_float32_rows_matches_lazy_pool(control_kind):
+    problem, x0 = large_pool(4)
+    assert problem.affine_rows.A.dtype == np.float32
+    problem.spot_check_interior(n_dirs=4)
+    stacked = solve_both(problem, x0, control_kind)
+    assert stacked.k_feasible >= 10
