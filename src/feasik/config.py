@@ -29,10 +29,7 @@ parse(emit(doc)) == doc bit for bit.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import math
-import numbers
 import reprlib
 from typing import Callable, NamedTuple, Optional
 
@@ -42,7 +39,7 @@ from .engine import RunConfig
 from .errors import ConfigError
 from .model import (AbsCoordMinusC, Affine, Ball, Box, Constraint, Halfspace,
                     MaxAffine, OuterSet, Problem, QuadCoordMinusC,
-                    SquaredDistToBall, Sublevel, as_integer)
+                    SquaredDistToBall, Sublevel, as_integer, as_real)
 
 
 def parse_document(text: str) -> dict:
@@ -104,15 +101,8 @@ def _read(doc, key: str, where: str, ftype: Field, dim: int):
 
 
 def _number(value, where: str, dim: int = 0) -> float:
-    """A finite real number as a float; a boolean or a string is not a
-    number, and the NaN and Infinity that json reads are not finite."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        with contextlib.suppress(OverflowError):
-            if math.isfinite(value := float(value)):
-                return value
-        raise ConfigError(f"field '{where}' must be a finite number, "
-                          f"not {reprlib.repr(value)}")
-    raise ConfigError(f"field '{where}' must be a number, not {reprlib.repr(value)}")
+    """A finite real number as a float (``as_real``)."""
+    return as_real(value, f"field '{where}'")
 
 
 def _flag(value, where: str, dim: int = 0) -> bool:

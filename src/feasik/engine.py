@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .model import (Problem, RowPass, Vector, as_integer, as_vector, feasible,
-                    norm)
+from .model import (Problem, RowPass, Vector, as_integer, as_real, as_vector,
+                    feasible, norm)
 from .operators import evaluate_cutter
 from .schedules import beta
 
@@ -95,6 +95,7 @@ class RunConfig:
         self.max_iter = as_integer(self.max_iter, "max_iter")
         if self.max_iter < 0:
             raise ConfigError("max_iter must be nonnegative")
+        self.feas_tol = as_real(self.feas_tol, "feas_tol")
         if not getattr(self.overrelaxation, "divergent_sum", False):
             warnings.warn(
                 "overrelaxation schedule is not declared divergent; "
@@ -230,8 +231,10 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
     and the run keeps none.  Iterates are read-only arrays, shared by the
     records and ``RunResult.final``.
 
-    For a pool with stacked affine rows, each iterate gets one residual
-    pass, shared by the feasibility test, the control and the cutters.
+    Each iterate is tested once.  For a pool with stacked affine rows it
+    gets one residual pass, shared by the feasibility test, the control and
+    the cutters.  A step that leaves x in place returns x itself, and the
+    next step reuses its pass and its failed verdict.
     """
     problem = cfg.problem
     rows = problem.affine_rows
@@ -254,10 +257,13 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
 
     k = 0
     nonfinite = False
+    tested = None  # the iterate whose pass and failed test are at hand
     while True:
-        stacked = rows.at(x) if rows is not None else None
-        feas = not nonfinite and feasible(problem, x, window, cfg.feas_tol,
-                                          stacked=stacked)
+        if x is not tested:  # by identity: an equal copy is tested again
+            stacked = rows.at(x) if rows is not None else None
+            feas = not nonfinite and feasible(problem, x, window, cfg.feas_tol,
+                                              stacked=stacked)
+            tested = x
         if feas or nonfinite or k >= cfg.max_iter:
             emit(TraceRecord(
                 k=k, bracket_k=count, x=x, active=(),

@@ -7,6 +7,7 @@ Points are plain 1-D ``numpy.float64`` arrays.  Constraint indices are
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import numbers
@@ -41,6 +42,20 @@ def as_integer(value, what: str = "index") -> int:
             or isinstance(value, float) and value.is_integer()):
         return int(value)
     raise ConfigError(f"{what} must be an integer, not {reprlib.repr(value)}")
+
+
+def as_real(value, what: str) -> float:
+    """A finite real number as a float; a boolean or a string is not a
+    number, and NaN and the infinities are not finite.  Raises ConfigError
+    naming ``what``."""
+    if type(value) is float and math.isfinite(value):  # skips the ABC check
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(value := float(value)):
+                return value
+        raise ConfigError(f"{what} must be a finite number, not {reprlib.repr(value)}")
+    raise ConfigError(f"{what} must be a number, not {reprlib.repr(value)}")
 
 
 def norm(v: Vector) -> float:
@@ -743,7 +758,8 @@ class RowPass:
     def candidates(self, score, spread) -> Optional[list]:
         """Pool positions, ascending, whose scalar score may be the largest,
         given stacked scores with |scalar - stacked| <= spread per row up to
-        one rounding each.  None when the scores are not finite."""
+        one rounding each, and a scalar score of exactly 0.0 on every row
+        the pass certainly satisfies.  None when the scores are not finite."""
         # 16u (score + spread) covers the roundings of score, lo and hi,
         # 2^-1060 their underflow.
         band = spread + 16.0 * _U * (score + spread) + 2.0 ** -1060
@@ -751,7 +767,10 @@ class RowPass:
         top = float(lo.max())
         if not math.isfinite(top):
             return None
-        return (score + band >= top).nonzero()[0].tolist()
+        keep = score + band >= top
+        if top > 0.0:  # some score is positive: a satisfied row's 0.0 loses
+            keep &= ~self.satisfied
+        return keep.nonzero()[0].tolist()
 
 
 def violated_indices(problem: Problem, x: Vector, window=None) -> tuple:

@@ -40,12 +40,40 @@ def test_tracer_hooks_see_a_full_block_solve(monkeypatch):
     assert tr.calls["operators.evaluate_cutter"] >= 1
     assert tr.calls["engine.compensated_sum"] >= 1
     assert tr.calls["controls.indices.intermittent"] == result.k_feasible
+    # Every full-block step moves x, and each iterate is tested once.
+    assert tr.calls["model.feasible"] == result.k_feasible + 1
     assert (engine.solve, engine.compensated_sum, operators.evaluate_cutter,
             controls.Control.indices) == originals
     subclasses = [cls for cls in vars(controls).values() if inspect.isclass(cls)
                   and issubclass(cls, controls.Control) and cls is not controls.Control]
     assert subclasses
     assert all("indices" not in cls.__dict__ for cls in subclasses)
+
+
+def test_tracer_counts_one_feasibility_test_per_iterate(monkeypatch):
+    # A cyclic step that meets a satisfied constraint leaves x in place,
+    # and solve does not test that same iterate again.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    tr = tracer.Tracer()
+    patches = tracer.install(tr)
+    try:
+        problem, x0 = instances.random_slater_polyhedron(
+            3, dim=4, m=40, interior_radius=0.5, sublevel=False)
+        assert problem.affine_rows is not None
+        cfg = engine.RunConfig(
+            problem=problem, control=controls.Cyclic(range(40)),
+            relaxation=sch.ConstantRelaxation(1.0), overrelaxation=sch.Harmonic(),
+            phi=sch.PhiOne(), weights=sch.UniformOverActive(), x0=x0)
+        result = engine.solve(cfg)
+    finally:
+        patches.undo()
+    assert result.status == "feasible"
+    trace = result.trace
+    moved = sum(b.x is not a.x for a, b in zip(trace, trace[1:]))
+    assert 0 < moved < result.steps
+    assert tr.calls["model.feasible"] == 1 + moved
 
 
 def test_solve_log_times_a_streamed_reproduction_as_one_solve(monkeypatch):

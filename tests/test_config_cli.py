@@ -439,6 +439,26 @@ def test_python_constructors_check_indices_as_documents_do():
     assert cfg.max_iter == 7 and type(cfg.max_iter) is int
 
 
+def test_python_constructor_checks_feas_tol_as_documents_do():
+    # feas_tol="x" used to raise a TypeError in the first feasibility test,
+    # and an infinite feas_tol reported any x0 feasible at k = 0.
+    from feasik import RunConfig
+    run = build_run_config(two_halfspace_doc(x0=[5.0, 5.0]))
+    base = dict(problem=run.problem, control=run.control,
+                relaxation=run.relaxation, overrelaxation=run.overrelaxation,
+                phi=run.phi, weights=run.weights, x0=run.x0)
+    for tol in ("x", None, True, [0.0], math.inf, -math.inf, math.nan, 10 ** 400):
+        with pytest.raises(ConfigError, match="^feas_tol must be a"):
+            RunConfig(**base, feas_tol=tol)
+        with pytest.raises(ConfigError, match="^field 'feas_tol' must be a"):
+            build_run_config(two_halfspace_doc(x0=[5.0, 5.0], feas_tol=tol))
+    for tol in (0, np.float32(0.5), 1e300):
+        cfg = RunConfig(**base, feas_tol=tol)
+        assert cfg.feas_tol == tol and type(cfg.feas_tol) is float
+    assert solve(RunConfig(**base, feas_tol=1e300)).k_feasible == 0
+    assert solve(RunConfig(**base, feas_tol=1.0)).k_feasible >= 1
+
+
 def test_cli_validate_rejects_unchecked_numbers(tmp_path, capsys):
     # These raised a raw ValueError or TypeError, or validated with the
     # number truncated.

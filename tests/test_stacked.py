@@ -4,6 +4,8 @@ per-constraint path.
 The reference is always the library's own scalar loop: a lazy ``pool=``
 problem with the same constraints never stacks, and a control's
 ``_select`` without a residual pass scores one constraint at a time.
+``solve``, which tests an iterate once however many steps leave it in
+place, is compared with a loop that runs the scalar test at every iterate.
 """
 
 import io
@@ -15,12 +17,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from feasik import (Affine, Ball, ConstantRelaxation, Constraint, Cyclic,
-                    ExplicitTable, Halfspace, Harmonic, Intermittent,
-                    MaxViolation, PhiOne, Problem, RandomSets, RemotestSet,
-                    RunConfig, Sublevel, UniformOverActive, UniformOverViolated,
-                    feasible, random_slater_polyhedron, solve, violated_indices,
-                    write_trace_csv)
+from feasik import (Affine, Ball, Box, ConstantRelaxation, Constraint, Cyclic,
+                    Explicit, ExplicitTable, Halfspace, Harmonic, Intermittent,
+                    MaxViolation, OuterSet, PhiOne, Problem, RandomSets,
+                    RemotestSet, Repetitive, RunConfig, Sublevel, TraceRecord,
+                    UniformOverActive, UniformOverViolated, feasible,
+                    random_slater_polyhedron, solve, step, trace_csv_text,
+                    violated_indices, write_trace_csv)
 from feasik.model import (FLOAT32_MIN_ENTRIES, STACKED_MIN_ROWS, AffineRows,
                           RowPass, norm)
 
@@ -577,3 +580,171 @@ def test_solve_on_float32_rows_matches_lazy_pool(control_kind):
     problem.spot_check_interior(n_dirs=4)
     stacked = solve_both(problem, x0, control_kind)
     assert stacked.k_feasible >= 10
+
+
+@st.composite
+def near_zero_pools(draw):
+    """A pool of at least STACKED_MIN_ROWS affine rows that x satisfies by a
+    wide margin, but for a few rows whose violation is a small multiple of
+    their own margin, of either sign: the largest stacked violation lies
+    within a margin or two of zero.  Some pools add a ball around x, a zero
+    row of score 0.0."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    dim = draw(st.one_of(st.integers(1, 8), st.integers(9, 120)))
+    m = draw(st.integers(STACKED_MIN_ROWS, STACKED_MIN_ROWS + 24))
+    dtype = draw(st.sampled_from(DTYPES))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(dim) * 10.0 ** rng.integers(-2, 3)
+    normals = rng.standard_normal((m, dim)) * 10.0 ** rng.integers(-1, 2, (m, 1))
+    s = normals @ x
+    rhs = s + rng.uniform(1.0, 10.0, m) * (np.abs(s) + 1.0)
+    near = rng.choice(m, draw(st.integers(0, 4)), replace=False)
+    margin = stacked_rows(Problem(dim, [Constraint(i, Halfspace(a, b)) for i, (a, b)
+                                        in enumerate(zip(normals, rhs))]),
+                          dtype).at(x).margin
+    times = rng.choice([-2.0, -0.5, 0.5, 1.0, 1.5, 2.0, 3.0], len(near))
+    rhs[near] = [float(normals[i].dot(x)) - t * margin[i] for i, t in zip(near, times)]
+    bodies = [affine_body(a, b, rng.random() < 0.3) for a, b in zip(normals, rhs)]
+    if draw(st.booleans()):
+        bodies.insert(int(rng.integers(0, m + 1)), Ball(x, 1.0))
+    problem = Problem(dim, [Constraint(i, body) for i, body in enumerate(bodies)])
+    return problem, stacked_rows(problem, dtype), x
+
+
+@SETTINGS
+@given(near_zero_pools(), st.integers(0, 2 ** 32 - 1))
+def test_maximal_controls_pick_the_scalar_argmax_near_zero(case, seed):
+    problem, rows, x = case
+    passes = [rows.at(x), rounded_otherwise(problem, rows, x, np.random.default_rng(seed))]
+    for control in (RemotestSet(), MaxViolation()):
+        scores = [control._score(problem.constraint(i), x) for i in problem.indices()]
+        argmax = (scores.index(max(scores)),)  # ties go to the lowest index
+        for p in passes:
+            assert control._select(0, x, problem, p) == argmax
+
+
+def test_a_near_zero_remotest_step_rescores_few_rows():
+    # As in ladder_scan's remotest runs: 2000 unit rows in 200 dimensions,
+    # stored in float32.  x satisfies all of them by 0.5 or more but row 7,
+    # which it violates by 1.5 of its margin, so the best lower bound is
+    # about half a margin: below the band of every satisfied row, whose
+    # scalar score is 0.0 and can therefore not be the largest.
+    rng = np.random.default_rng(5)
+    dim, m, j = 200, 2000, 7
+    normals = rng.standard_normal((m, dim))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    x = rng.standard_normal(dim) / math.sqrt(dim)
+    rhs = normals @ x + rng.uniform(0.5, 1.0, m)
+
+    def pool():
+        return Problem(dim, [Constraint(i, Halfspace(a, b))
+                             for i, (a, b) in enumerate(zip(normals, rhs))])
+
+    rhs[j] = float(normals[j].dot(x)) - 1.5 * pool().affine_rows.at(x).margin[j]
+    problem = pool()
+    assert problem.affine_rows.A.dtype == np.float32
+    p = problem.affine_rows.at(x)
+    assert p.satisfied.sum() == m - 1 and p.violated[j]
+    control = RemotestSet()
+    assert len(p.candidates(*control._stacked_score(p))) <= 3
+    assert control._select(0, x, problem, p) == control._select(0, x, problem) == (j,)
+
+
+def solve_testing_every_iterate(cfg):
+    """The reference for ``solve``: its loop with the scalar feasibility
+    test (an explicit window) at every iterate, whether or not the step
+    before it moved x, and each step taken without a residual pass.  At
+    every iterate the step's violated rows are among the scalar
+    ``violated_indices``.  Returns (status, k_feasible, corrections, trace)."""
+    problem = cfg.problem
+    window = cfg.feas_window or tuple(problem.indices())
+    x = np.array(cfg.x0)
+    x.flags.writeable = False
+    trace, count, corrections, k = [], 0, 0, 0
+    while True:
+        feas = feasible(problem, x, window, cfg.feas_tol)
+        if feas or k >= cfg.max_iter:
+            trace.append(TraceRecord(
+                k=k, bracket_k=count, x=x, active=(), violated=(), per_index=(),
+                alpha_used=None, r_used=None, step_norm=0.0, corrected=False,
+                feasible_flag=feas))
+            return ("feasible" if feas else "max_iter", k if feas else None,
+                    corrections, trace)
+        x, corrected, record = step(cfg, x, k, count)
+        x.flags.writeable = False
+        assert set(record.violated) <= set(violated_indices(problem, record.x,
+                                                            record.active))
+        trace.append(record)
+        corrections += corrected
+        count += cfg.counter_mode == "raw" or corrected
+        k += 1
+
+
+@st.composite
+def runs(draw):
+    """A factory of fresh, equal run configurations on a random polyhedron
+    around B(0, 0.5): stacked or lazy pools, above or below
+    STACKED_MIN_ROWS rows, in the whole space or in a box that may clip the
+    steps; cyclic, repetitive, random, explicit, remotest or full-block
+    control; either counter; the whole pool or a window; tol 0 or not."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    dim = draw(st.integers(2, 5))
+    m = draw(st.sampled_from([6, STACKED_MIN_ROWS, 2 * STACKED_MIN_ROWS]))
+    control_kind = draw(st.sampled_from(["cyclic", "repetitive", "random_sets",
+                                         "explicit", "remotest", "block"]))
+    max_iter = draw(st.sampled_from([40, 400]))
+    problem, x0 = slater_pool(seed, dim, m)
+    box = draw(st.sampled_from([None, 1.0, 3.0]))
+    if box is not None:
+        cons = [problem.constraint(i) for i in problem.indices()]
+        problem = Problem(dim, cons, outer=OuterSet(Box(-box * np.ones(dim),
+                                                        box * np.ones(dim))),
+                          interior=problem.interior)
+        x0 = np.clip(x0, -box, box)
+    if draw(st.booleans()):
+        problem = lazy_twin(problem)
+    window = draw(st.one_of(st.none(), st.lists(st.integers(0, m - 1), min_size=1,
+                                                max_size=m, unique=True).map(tuple)))
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(m).tolist()
+    sets = [tuple(rng.choice(m, rng.integers(1, 4), replace=False).tolist())
+            for _ in range(max_iter)]
+    cuts = list(range(0, m, 3)) + [m]
+    atoms = [tuple(range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+
+    def control():
+        return {"cyclic": lambda: Cyclic(order),
+                # each index twice in a row: the second visit follows a move
+                "repetitive": lambda: Repetitive(lambda k: (order[k // 2 % m],)),
+                "random_sets": lambda: RandomSets(
+                    [(a, 1.0 / len(atoms)) for a in atoms], seed=seed),
+                "explicit": lambda: Explicit(sets),
+                "remotest": RemotestSet,
+                "block": lambda: Intermittent([range(m)])}[control_kind]()
+
+    weights = UniformOverViolated if control_kind == "block" else UniformOverActive
+    counter_mode = draw(st.sampled_from(["bracketed", "raw"]))
+    alpha = draw(st.sampled_from([1.0, 1.5]))
+    tol = draw(st.sampled_from([0.0, 0.0, 1e-9, 0.05]))
+    return lambda: RunConfig(
+        problem=problem, control=control(), relaxation=ConstantRelaxation(alpha),
+        overrelaxation=Harmonic(), phi=PhiOne(), weights=weights(), x0=x0,
+        counter_mode=counter_mode, max_iter=max_iter, feas_window=window,
+        feas_tol=tol)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(runs())
+def test_solve_tests_each_iterate_once_with_the_reference_verdicts(make):
+    # solve takes no pass and no test at an iterate a step left in place;
+    # the reference tests every iterate, and the runs must agree bit for bit.
+    result = solve(make())
+    status, k_feasible, corrections, trace = solve_testing_every_iterate(make())
+    assert (result.status, result.k_feasible, result.corrections) == \
+        (status, k_feasible, corrections)
+    assert result.steps == len(trace) - 1
+    assert [entry_bytes(r) for r in result.trace] == [entry_bytes(r) for r in trace]
+    dim = result.final.shape[0]
+    assert trace_csv_text(result.trace, dim).encode() == \
+        trace_csv_text(trace, dim).encode()
