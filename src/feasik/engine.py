@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .model import (Problem, RowPass, Vector, as_integer, as_real, as_vector,
-                    feasible, norm)
+from .model import (CUT_MIN_ROWS, Halfspace, Problem, RowPass, Vector,
+                    as_integer, as_real, as_vector, feasible, norm)
 from .operators import evaluate_cutter
 from .schedules import beta
 
@@ -148,15 +148,16 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
     active constraint was violated and the combined step vector is nonzero;
     that is the event the bracketed counter counts.  ``stacked`` is the
     residual pass at x when the caller has taken it; the control scores
-    with it, and active metric halfspaces it certifies as satisfied skip
-    their cutter, whose image is x.  x is never written; the record holds
-    it, and a step that does not move returns it as x_next.  The step runs
-    no feasibility test, and its record's ``feasible_flag`` is False.
+    with it, active metric halfspaces it settles skip their cutter, and
+    ``CUT_MIN_ROWS`` or more others on float64 halfspace rows are cut as
+    one batch.  x is never written; the record holds it, and a step that
+    does not move returns it.  No feasibility test: ``feasible_flag`` is False.
     """
     problem = cfg.problem
     active = cfg.control.indices(k, x, problem, stacked)
     alpha = cfg.relaxation.alpha(count)
     r = cfg.overrelaxation.r(count)
+    violated, diffs, betas = [], [], []
     if stacked is None:
         per_index, todo = list(active), enumerate(active)  # every entry is set below
     else:
@@ -173,8 +174,23 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
         else:
             zero_entries = rows.zero_entries
             per_index = [zero_entries[i] for i in active]
-            todo = stacked.unsettled(active)
-    violated, diffs, betas = [], [], []
+            pos, idx = stacked.unsettled(active)
+            todo = [(p, active[p]) for p in pos.tolist()]
+        if len(todo) >= CUT_MIN_ROWS and rows.aa is not None:
+            # One batch, with the scalar loop's entries and phi calls, in order.
+            if len(active) < 32:
+                idx = [i for _, i in todo]
+            residual, D, dn = Halfspace.cut_rows(rows, idx, x)
+            for (p, i), res, n in zip(todo, residual.tolist(), dn.tolist()):
+                if n > 0.0:
+                    phi_val = cfg.phi.value(problem.constraint(i), x, None)
+                    b, rho = beta(r, phi_val, n), r / phi_val
+                    violated.append(i)
+                    betas.append(b)
+                else:
+                    b = rho = 0.0
+                per_index[p] = (i, res, n, b, rho)
+            diffs, todo = D[dn > 0.0], ()
     for p, i in todo:
         constraint = problem.constraint(i)
         ce = evaluate_cutter(constraint, x)
@@ -193,13 +209,13 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
     weights = cfg.weights.weights(active, violated)
     # The overshoot terms (w_i beta_i)(T_i(x) - x) of nonzero weight, summed.
     if len(diffs) > 1:
-        terms = np.array(diffs)
+        terms = np.asarray(diffs)  # the moved rows of D are already a copy
         coef = np.multiply(weights, betas)
         if 0.0 in weights:
             keep = np.array(weights) != 0.0
             terms, coef = terms[keep], coef[keep]
         terms *= coef[:, None]
-    elif diffs and weights[0] != 0.0:
+    elif betas and weights[0] != 0.0:  # diffs may be an array
         terms = [(weights[0] * betas[0]) * diffs[0]]
     else:
         terms = ()

@@ -318,6 +318,22 @@ class Halfspace(Body):
         v = self.violation(x)
         return self._project(x, v), self._distance(v)
 
+    @staticmethod
+    def cut_rows(rows: "AffineRows", idx, x) -> tuple:
+        """``cut`` of the float64 halfspace rows ``idx`` of a stack at x:
+        (residuals, T(x) - x as rows, their norms), bit for bit as ``cut``
+        and ``norm`` give them row by row: ``np.vecdot`` rounds as
+        ``ndarray.dot`` (a test pins it) bar a zero's sign at d = 1."""
+        idx = np.asarray(idx, np.intp)
+        N = rows.A[idx]
+        s = np.vecdot(N, x)
+        s -= rows.b[idx]
+        v = np.maximum(s, 0.0, out=s)  # else the image is x, the distance 0.0
+        v += 0.0  # -0.0 to +0.0, as the scalar cut's 0.0 for any v <= 0
+        D = x - (v / rows.aa[idx])[:, None] * N
+        D -= x
+        return v / rows.norms[idx], D, np.sqrt(np.vecdot(D, D))
+
     def _distance(self, v):
         return 0.0 if v <= 0.0 else v / self.a_norm
 
@@ -594,6 +610,11 @@ STACKED_MIN_ROWS = 16
 # fewer rows to their scalar tests.
 FLOAT32_MIN_ENTRIES = 2 ** 16
 
+# Fewest unsettled active rows that a step on float64 metric halfspace rows
+# cuts as one batch (``Halfspace.cut_rows``), a measured crossover (README,
+# "Performance"): below it the batch's fixed numpy calls cost more.
+CUT_MIN_ROWS = 4
+
 _U = 2.0 ** -53             # unit roundoff of binary64
 _SUBNORMAL = 2.0 ** -1074   # smallest positive binary64
 # Above this bound on sum |a_j x_j| + |b| a dot product could overflow.
@@ -606,8 +627,8 @@ _SAFE32 = 2.0 ** 120        # as _SAFE, for float32 products and sums
 class AffineRows:
     """One row per position of a finite pool, stacked as (A, b, ||a_i||):
     the row of a body whose violation is ``float(a @ x) - b`` (halfspaces
-    and affine sublevel sets), or a zero row with an infinite margin for
-    any other body, which the pass never settles and the maximal controls
+    and affine sublevel sets whose a.a is not 0), or a zero row with an
+    infinite margin, which the pass never settles and the maximal controls
     always score.
 
     ``at(x)`` evaluates every row with one matvec.  BLAS may sum ``A @ x``
@@ -620,10 +641,10 @@ class AffineRows:
 
     def __init__(self, A, b, metric, norms):
         """A (float64 or float32; the margins follow its dtype), b, metric
-        and norms as the pool's rows; a row with ||a||_1 below 2^-900,
-        whose margin scale could underflow, becomes a zero row in place."""
+        and norms as the pool's rows; a row with ||a||_1 below 2^-900, whose
+        margin scale could underflow, or norm 0 becomes a zero row in place."""
         l1 = np.abs(A).sum(axis=1, dtype=np.float64)
-        out = ~(l1 >= 2.0 ** -900)
+        out = ~((l1 >= 2.0 ** -900) & (norms > 0.0))
         A[out], l1[out], b[out], norms[out] = 0.0, 0.0, 0.0, 1.0
         self.stacked = len(l1) - int(np.count_nonzero(out))  # not zero rows
         self.A = A
@@ -667,6 +688,13 @@ class AffineRows:
         # A zero row, with l1 = 0, has an infinite margin.
         self.offset = np.where(l1 > 0.0, offset, math.inf)
         self.b_max = float(abs_b.max())
+
+    @functools.cached_property
+    def aa(self) -> Optional[np.ndarray]:
+        """Each row's a.a, ``Halfspace.aa`` bit for bit, for ``cut_rows``, at
+        the first batch; None for float32 rows and pools with another row."""
+        batch = self.A.dtype == np.float64 and self.metric.all()
+        return np.vecdot(self.A, self.A) if batch else None
 
     @functools.cached_property
     def zero_entries(self) -> list:
@@ -749,11 +777,12 @@ class RowPass:
         # all 0.0.
         self.settled = self.satisfied & rows.metric
 
-    def unsettled(self, active: tuple) -> list:
-        """(position, index) of the active rows that are not settled, in
-        order, from one gather of the flags at the active indices."""
-        pos = (~self.settled[np.fromiter(active, np.intp, len(active))]).nonzero()[0]
-        return [(p, active[p]) for p in pos.tolist()]
+    def unsettled(self, active: tuple) -> tuple:
+        """The positions in ``active`` of the rows that are not settled and
+        their indices, as arrays from one gather of the flags at ``active``."""
+        act = np.fromiter(active, np.intp, len(active))
+        pos = (~self.settled[act]).nonzero()[0]
+        return pos, act[pos]
 
     def candidates(self, score, spread) -> Optional[list]:
         """Pool positions, ascending, whose scalar score may be the largest,

@@ -8,6 +8,8 @@ import contextlib
 import inspect
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from feasik import (certificates, cli, config, controls, engine, instances,
@@ -127,3 +129,23 @@ def test_tracer_counts_the_replays_beside_the_streaming_cli(monkeypatch, tmp_pat
     assert f"steps={len(cert.entries)} " in stdout.getvalue()
     assert tr.counts["engine.write_trace_csv.bytes"] == len(csv_path.read_bytes()) \
         == len(buf.getvalue().encode())
+
+
+def test_trace_report_runs_on_ladder_scan():
+    """``bench/run.py --trace 1`` divides by the count of
+    ``operators.evaluate_cutter`` calls.  Full-block steps on float64
+    halfspace rows cut their rows as one batch inside ``engine.step``, so
+    on ``ladder_scan`` that function now sees the remotest runs' singleton
+    cuts and the few block steps below the crossover; the report must still
+    come out whole and correct."""
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", "ladder_scan",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True and report["failed"] == 0
+    metrics = report["metrics"]
+    cuts = metrics["operators.evaluate_cutter.calls"]["value"]
+    terms = metrics["engine.compensated_sum.terms"]["value"]
+    assert 0 < cuts < terms

@@ -11,21 +11,24 @@ place, is compared with a loop that runs the scalar test at every iterate.
 import io
 import math
 import struct
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from feasik import (Affine, Ball, Box, ConstantRelaxation, Constraint, Cyclic,
-                    Explicit, ExplicitTable, Halfspace, Harmonic, Intermittent,
-                    MaxViolation, OuterSet, PhiOne, Problem, RandomSets,
-                    RemotestSet, Repetitive, RunConfig, Sublevel, TraceRecord,
-                    UniformOverActive, UniformOverViolated, feasible,
+from feasik import (Affine, Ball, Box, ConfigError, ConstantRelaxation,
+                    Constraint, Cyclic, Explicit, ExplicitTable, Halfspace,
+                    Harmonic, Intermittent, MaxViolation, OuterSet, PhiCustom,
+                    PhiOne, Problem, RandomSets, RemotestSet, Repetitive,
+                    RunConfig, Sublevel, TraceRecord, UniformOverActive,
+                    UniformOverViolated, engine, evaluate_cutter, feasible,
                     random_slater_polyhedron, solve, step, trace_csv_text,
                     violated_indices, write_trace_csv)
-from feasik.model import (FLOAT32_MIN_ENTRIES, STACKED_MIN_ROWS, AffineRows,
-                          RowPass, norm)
+from feasik.model import (CUT_MIN_ROWS, FLOAT32_MIN_ENTRIES, STACKED_MIN_ROWS,
+                          AffineRows, RowPass, norm)
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -324,6 +327,29 @@ def test_rows_whose_margin_could_underflow_stay_scalar():
         assert violated_indices(problem, x) == violated_indices(lazy_twin(problem), x)
 
 
+def test_affine_rows_whose_square_underflows_are_zero_rows():
+    # ||a||_1 = 2e-170 is above 2^-900, but a.a underflows to 0.0, so the
+    # row has no usable distance.  It is a zero row: the remotest control
+    # rescores it and meets the lazy twin's ConfigError, with no numpy
+    # warning from a division by its norm on the way.
+    rng = np.random.default_rng(0)
+    bodies = [Halfspace(a, -1.0) for a in rng.standard_normal((STACKED_MIN_ROWS, 3))]
+    bodies.insert(8, Sublevel(Affine([1e-170, 1e-170, 0.0], -1.0)))
+    problem = Problem(3, [Constraint(i, b) for i, b in enumerate(bodies)])
+    rows = problem.affine_rows
+    assert rows.stacked == STACKED_MIN_ROWS and rows.offset[8] == math.inf
+    assert rows.norms[8] == 1.0 and not rows.A[8].any() and rows.aa is None
+    for p in (problem, lazy_twin(problem)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = RunConfig(problem=p, control=RemotestSet(),
+                            relaxation=ConstantRelaxation(1.0),
+                            overrelaxation=Harmonic(), phi=PhiOne(),
+                            weights=UniformOverActive(), x0=np.zeros(3))
+            with pytest.raises(ConfigError, match="halfspace normal must be nonzero"):
+                solve(cfg)
+
+
 def slater_pool(seed, dim, m, sublevel_every=3):
     """A random polyhedron around z = 0 with a certified interior, mixing
     halfspaces and affine sublevel sets, and a start outside it."""
@@ -482,6 +508,11 @@ def test_stored_normal_products_are_the_computed_ones(seed, dim, exponent, strid
             assert body.aa.hex() == float(a.dot(a)).hex()
             assert body.a_norm.hex() == norm(a).hex()
         assert float(rows.norms[i]).hex() == norm(a).hex()
+    # A pool of halfspaces only keeps each a.a for the batched cuts, as the
+    # halfspace computed it.
+    halfspaces = [Halfspace(a, 1.0) for a in normals]
+    rows = Problem(dim, [Constraint(i, b) for i, b in enumerate(halfspaces)]).affine_rows
+    assert [float(v).hex() for v in rows.aa] == [h.aa.hex() for h in halfspaces]
 
 
 def entry_bytes(record):
@@ -748,3 +779,154 @@ def test_solve_tests_each_iterate_once_with_the_reference_verdicts(make):
     dim = result.final.shape[0]
     assert trace_csv_text(result.trace, dim).encode() == \
         trace_csv_text(trace, dim).encode()
+
+
+def wide_floats(rng, shape, lo, hi):
+    """Floats of either sign with magnitudes 10^lo to 10^hi, a tenth of them
+    subnormal and a tenth signed zeros."""
+    v = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(lo, hi, shape)
+    kind = rng.random(shape)
+    tiny = kind < 0.1
+    v[tiny] = rng.choice([-1.0, 1.0], tiny.sum()) * rng.integers(
+        1, 2 ** 52, tiny.sum()) * 2.0 ** -1074
+    zeros = (kind >= 0.1) & (kind < 0.2)
+    v[zeros] = rng.choice([-0.0, 0.0], zeros.sum())
+    return v
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 64), st.integers(1, 300),
+       st.integers(-300, 300), st.integers(-300, 300))
+def test_vecdot_is_the_row_dot_bit_for_bit(seed, rows, dim, lo, hi):
+    # Halfspace.cut_rows, and so every batched step, rests on np.vecdot over
+    # rows gathered from a stack rounding as each row's ndarray.dot does:
+    # both reach the same BLAS dot kernel.  A numpy or BLAS where they do
+    # not fails here by name.  At d = 1 ndarray.dot returns the lone
+    # product, -0.0 included, where vecdot adds it to +0.0; a cut treats
+    # both zeros alike, as v <= 0, and adding 0.0 makes them one.
+    lo, hi = sorted((lo, hi))
+    rng = np.random.default_rng(seed)
+    A = wide_floats(rng, (rows + 3, dim), lo, hi)
+    x = wide_floats(rng, dim, lo, hi)
+    N = A[rng.integers(0, rows + 3, rows)]  # a gather: repeated, unsorted
+    with np.errstate(all="ignore"):  # products may overflow, in both
+        got, want = np.vecdot(N, x), np.array([row.dot(x) for row in N])
+        if dim == 1:
+            got, want = got + 0.0, want + 0.0
+        assert got.tobytes() == want.tobytes()
+        # A square is never -0.0: here every bit agrees at every d.
+        assert np.vecdot(N, N).tobytes() == \
+            np.array([row.dot(row) for row in N]).tobytes()
+
+
+class PhiLog:
+    """A phi that varies by row and logs each call: (index, x bytes)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, constraint, x):
+        self.calls.append((constraint.index, x.tobytes()))
+        return 1.0 + 0.5 * (constraint.index % 3)
+
+
+@st.composite
+def batched_steps(draw):
+    """A halfspace pool, a point x and an active set that holds ``cut``
+    rows x does not certainly satisfy: violated ones, ones x lies on
+    exactly (s = 0.0, never settled, not cut), and ones violated by 1e-170
+    whose displacement underflows to zero.  ``cut`` lies just below or
+    above CUT_MIN_ROWS, or at 32 and more; the rest of the active set, and
+    of the pool, x satisfies by a wide margin.  The rows are stored in
+    float64, in float32, or beside an affine sublevel row outside the
+    active set (a mixed pool)."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    dim = draw(st.integers(1, 40))
+    cut = draw(st.sampled_from([CUT_MIN_ROWS - 1, CUT_MIN_ROWS, CUT_MIN_ROWS + 1,
+                                12, 32, 40]))
+    held = draw(st.integers(0, 30))
+    pool = draw(st.sampled_from(["float64", "float64", "float32", "mixed"]))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+    x[0] = 0.0  # the underflowing rows cut along it
+    # float32 rows cannot hold 1e80, so a float32 pool has no tiny rows
+    tiny = 0.0 if pool == "float32" else 0.15
+    kinds = rng.choice(["violated", "facet", "tiny"], cut, p=[0.75 - tiny, 0.25, tiny])
+    kinds = list(kinds) + ["held"] * (held + max(0, STACKED_MIN_ROWS - cut - held) + 3)
+    bodies = []
+    for kind in kinds:
+        a = rng.standard_normal(dim) * 10.0 ** rng.integers(-2, 3)
+        s = float(a.dot(x))
+        wide = float(np.abs(a).sum() * np.abs(x).max()) + abs(s) + 1.0
+        if kind == "tiny":
+            a = np.zeros(dim)
+            a[0] = 1e80
+            b = -1e-170  # s = 1e-170, s / a.a = 1e-330 rounds to 0.0
+        elif kind == "facet":
+            b = s
+        else:
+            b = s + rng.uniform(1.0, 3.0) * wide * (1.0 if kind == "held" else -0.1)
+        bodies.append(Halfspace(a, b))
+    order = rng.permutation(len(bodies)).tolist()
+    bodies = [bodies[j] for j in order]
+    if pool == "mixed":
+        bodies.append(Sublevel(Affine(np.ones(dim), 1e9)))
+    problem = Problem(dim, [Constraint(i, b) for i, b in enumerate(bodies)])
+    position = {j: n for n, j in enumerate(order)}
+    active = [position[j] for j in range(cut + held)]  # the cut and the held rows
+    rng.shuffle(active)
+    return problem, pool, x, tuple(active), cut
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(batched_steps(), st.sampled_from(sorted(WEIGHT_RULES)), st.booleans())
+def test_batched_steps_match_the_lazy_pool(case, weight_kind, custom_phi):
+    # Three steps from x on the stacked pool and on its lazy twin, with the
+    # same active set each step, must give the same iterates, violated sets,
+    # per_index bytes and phi calls; the first step cuts as one batch
+    # exactly when its rows are float64 metric halfspaces, none other in
+    # the pool, and CUT_MIN_ROWS or more of them are unsettled.
+    problem, pool, x, active, cut = case
+    rows = stacked_rows(problem, np.float32 if pool == "float32" else np.float64)
+    assert (rows.aa is not None) == (pool == "float64")
+    scalar = lazy_twin(problem)
+    table = ExplicitTable({i: 1.0 + i % 3 for i in problem.indices()}, 1e-6)
+    weights = {**WEIGHT_RULES, "table": table}[weight_kind]
+    logs = []
+
+    def config(p):
+        phi = PhiCustom(PhiLog(), 0.5, 2.0) if custom_phi else PhiOne()
+        logs.append(phi.fn.calls if custom_phi else [])
+        return RunConfig(problem=p, control=Explicit([active] * 3),
+                         relaxation=ConstantRelaxation(1.5), overrelaxation=Harmonic(),
+                         phi=phi, weights=weights, x0=x)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg_stacked, cfg_scalar = config(problem), config(scalar)
+        x = np.array(x)
+        x.flags.writeable = False
+        count = 0
+        for k in range(3):
+            p = rows.at(x)
+            assert p is not None
+            with mock.patch.object(engine, "evaluate_cutter",
+                                   wraps=evaluate_cutter) as spy:
+                got = step(cfg_stacked, x, k, count, stacked=p)
+            want = step(cfg_scalar, x, k, count)
+            if k == 0:
+                unsettled = int((~p.settled[list(active)]).sum())
+                assert unsettled == cut
+                batched = pool == "float64" and cut >= CUT_MIN_ROWS
+                assert spy.call_count == (0 if batched else cut)
+            (x_got, corrected, rec), (x_want, corrected_want, rec_want) = got, want
+            assert x_got.tobytes() == x_want.tobytes()
+            assert corrected == corrected_want
+            assert rec.violated == rec_want.violated
+            assert entry_bytes(rec) == entry_bytes(rec_want)
+            assert float(rec.step_norm).hex() == float(rec_want.step_norm).hex()
+            assert logs[0] == logs[1]
+            x = x_got
+            x.flags.writeable = False
+            count += corrected
