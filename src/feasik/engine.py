@@ -174,13 +174,10 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
         else:
             zero_entries = rows.zero_entries
             per_index = [zero_entries[i] for i in active]
-            pos, idx = stacked.unsettled(active)
-            todo = [(p, active[p]) for p in pos.tolist()]
+            todo = stacked.unsettled(active)
         if len(todo) >= CUT_MIN_ROWS and rows.aa is not None:
             # One batch, with the scalar loop's entries and phi calls, in order.
-            if len(active) < 32:
-                idx = [i for _, i in todo]
-            residual, D, dn = Halfspace.cut_rows(rows, idx, x)
+            residual, D, dn = Halfspace.cut_rows(rows, [i for _, i in todo], x)
             for (p, i), res, n in zip(todo, residual.tolist(), dn.tolist()):
                 if n > 0.0:
                     phi_val = cfg.phi.value(problem.constraint(i), x, None)

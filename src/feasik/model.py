@@ -330,9 +330,11 @@ class Halfspace(Body):
         s -= rows.b[idx]
         v = np.maximum(s, 0.0, out=s)  # else the image is x, the distance 0.0
         v += 0.0  # -0.0 to +0.0, as the scalar cut's 0.0 for any v <= 0
-        D = x - (v / rows.aa[idx])[:, None] * N
+        with np.errstate(over="ignore"):  # a subnormal a.a: inf, as on floats
+            coef, residual = v / rows.aa[idx], v / rows.norms[idx]
+        D = x - coef[:, None] * N
         D -= x
-        return v / rows.norms[idx], D, np.sqrt(np.vecdot(D, D))
+        return residual, D, np.sqrt(np.vecdot(D, D))
 
     def _distance(self, v):
         return 0.0 if v <= 0.0 else v / self.a_norm
@@ -777,12 +779,11 @@ class RowPass:
         # all 0.0.
         self.settled = self.satisfied & rows.metric
 
-    def unsettled(self, active: tuple) -> tuple:
-        """The positions in ``active`` of the rows that are not settled and
-        their indices, as arrays from one gather of the flags at ``active``."""
-        act = np.fromiter(active, np.intp, len(active))
-        pos = (~self.settled[act]).nonzero()[0]
-        return pos, act[pos]
+    def unsettled(self, active: tuple) -> list:
+        """(position, index) of the active rows that are not settled, in
+        order, from one gather of the flags at the active indices."""
+        pos = (~self.settled[np.fromiter(active, np.intp, len(active))]).nonzero()[0]
+        return [(p, active[p]) for p in pos.tolist()]
 
     def candidates(self, score, spread) -> Optional[list]:
         """Pool positions, ascending, whose scalar score may be the largest,

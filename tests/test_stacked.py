@@ -834,8 +834,10 @@ class PhiLog:
 def batched_steps(draw):
     """A halfspace pool, a point x and an active set that holds ``cut``
     rows x does not certainly satisfy: violated ones, ones x lies on
-    exactly (s = 0.0, never settled, not cut), and ones violated by 1e-170
-    whose displacement underflows to zero.  ``cut`` lies just below or
+    exactly (s = 0.0, never settled, not cut), ones violated by 1e-170
+    whose displacement underflows to zero, and in a quarter of the pools
+    with float64 rows one whose a.a is subnormal, so that s / a.a overflows
+    to inf, as it does silently in the scalar cut.  ``cut`` lies just below or
     above CUT_MIN_ROWS, or at 32 and more; the rest of the active set, and
     of the pool, x satisfies by a wide margin.  The rows are stored in
     float64, in float32, or beside an affine sublevel row outside the
@@ -851,8 +853,10 @@ def batched_steps(draw):
     x[0] = 0.0  # the underflowing rows cut along it
     # float32 rows cannot hold 1e80, so a float32 pool has no tiny rows
     tiny = 0.0 if pool == "float32" else 0.15
-    kinds = rng.choice(["violated", "facet", "tiny"], cut, p=[0.75 - tiny, 0.25, tiny])
-    kinds = list(kinds) + ["held"] * (held + max(0, STACKED_MIN_ROWS - cut - held) + 3)
+    kinds = rng.choice(["violated", "facet", "tiny"], cut, p=[0.75 - tiny, 0.25, tiny]).tolist()
+    if pool != "float32" and draw(st.integers(0, 3)) == 0:
+        kinds[0] = "subnormal"
+    kinds += ["held"] * (held + max(0, STACKED_MIN_ROWS - cut - held) + 3)
     bodies = []
     for kind in kinds:
         a = rng.standard_normal(dim) * 10.0 ** rng.integers(-2, 3)
@@ -862,6 +866,9 @@ def batched_steps(draw):
             a = np.zeros(dim)
             a[0] = 1e80
             b = -1e-170  # s = 1e-170, s / a.a = 1e-330 rounds to 0.0
+        elif kind == "subnormal":
+            a = np.full(dim, 1e-160)  # a.a <= 4e-319, no zero entry
+            b = -1.0  # s near 1.0, s / a.a = inf
         elif kind == "facet":
             b = s
         else:
@@ -927,6 +934,8 @@ def test_batched_steps_match_the_lazy_pool(case, weight_kind, custom_phi):
             assert entry_bytes(rec) == entry_bytes(rec_want)
             assert float(rec.step_norm).hex() == float(rec_want.step_norm).hex()
             assert logs[0] == logs[1]
+            if not np.isfinite(x_got).all():  # a subnormal a.a's step: NaN
+                break
             x = x_got
             x.flags.writeable = False
             count += corrected
