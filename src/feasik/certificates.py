@@ -15,7 +15,7 @@ from .controls import Cyclic, Explicit, Repetitive
 from .engine import RunConfig, RunResult, step, solve
 from .errors import CertificateError, ConfigError
 from .model import (AbsCoordMinusC, Constraint, Halfspace, OuterSet, Problem,
-                    QuadCoordMinusC, Sublevel, Vector, as_vector)
+                    QuadCoordMinusC, Sublevel, Vector, as_vector, norm)
 from .operators import evaluate_cutter
 from .schedules import (ConstantRelaxation, FromFunction, Harmonic,
                         MergedDecreasing, PhiOne, PhiSubgradNorm,
@@ -26,7 +26,7 @@ from .schedules import (ConstantRelaxation, FromFunction, Harmonic,
 # Descent certificate along a trace
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class DescentEntry:
     k: int
     lhs: float
@@ -91,8 +91,8 @@ class DescentMonitor:
     def __init__(self, z, big_r: float, lam: float,
                  outer: Optional[OuterSet] = None, rtol: float = 1e-9):
         z = as_vector(z)
-        if big_r <= 0.0 or lam <= 0.0:
-            raise CertificateError("R and lambda must be positive")
+        if not (0.0 < big_r < math.inf and 0.0 < lam < math.inf):
+            raise CertificateError("R and lambda must be positive and finite")
         if outer is not None and not outer.member(z):
             raise CertificateError("z is not in the outer set Q")
         self.certificate = DescentCertificate(z, big_r, lam, [], rtol)
@@ -106,8 +106,8 @@ class DescentMonitor:
         if last is None:
             return
         rec, base = last
-        violated = set(rec.violated) if rec.violated else ()
-        rhos = [rho for (i, _res, _disp, _b, rho) in rec.per_index if i in violated]
+        # The moved entries are exactly those of the violated rows.
+        rhos = [rho for (_res, disp, _b, rho) in rec.per_index if disp > 0.0]
         rho = max(rhos) if rhos else 0.0
         applicable = bool(rec.corrected and rho <= cert.big_r)
         rhs = base - 2.0 * rec.alpha_used * cert.lam * cert.big_r * rho \
@@ -140,16 +140,16 @@ def check_single_operator(T, x, y, rho_val: float, alpha: float,
     Returns (lhs, rhs, ok)."""
     image = evaluate_cutter(T, x).image if isinstance(T, Constraint) else T(x)
     diff = image - x
-    d = float(np.linalg.norm(diff))
+    d = norm(diff)
     if d == 0.0:
         raise CertificateError("inequality hypothesis violated: x is a fixed point")
     if rho_val <= 0.0:
         raise CertificateError("rho must be positive")
     b = (rho_val + d) / d
     u = x + (alpha * b) * diff
-    lhs = float(np.linalg.norm(u - y) ** 2)
+    lhs = norm(u - y) ** 2
     du = u - x
-    rhs = float(np.linalg.norm(x - y) ** 2) - ((2.0 - alpha) / alpha) * float(du @ du)
+    rhs = norm(x - y) ** 2 - ((2.0 - alpha) / alpha) * float(du @ du)
     return lhs, rhs, lhs <= rhs + rtol * (1.0 + abs(rhs))
 
 

@@ -243,7 +243,7 @@ class RandomSets(_FixedSets):
         if not atoms:
             raise ConfigError("random control needs at least one atom")
         self.atoms = [(_index_tuple(s), float(p)) for s, p in atoms]
-        if any(p < 0.0 for _, p in self.atoms):
+        if any(not p >= 0.0 for _, p in self.atoms):
             raise ConfigError("atom probabilities must be nonnegative")
         total = sum(p for _, p in self.atoms)
         if abs(total - 1.0) > 1e-12:

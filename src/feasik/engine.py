@@ -27,6 +27,10 @@ from .model import (CUT_MIN_ROWS, Halfspace, Problem, RowPass, Vector,
 from .operators import evaluate_cutter
 from .schedules import beta
 
+# The per_index entry of an active row that the residual pass settles: one
+# tuple, shared by every settled row of every pool and step.
+ZERO_ENTRY = (0.0, 0.0, 0.0, 0.0)
+
 
 def compensated_sum(vectors) -> Vector:
     """Neumaier-compensated sum of one or more vectors; keeps certificate
@@ -104,12 +108,13 @@ class RunConfig:
 
 @dataclass(slots=True)
 class TraceRecord:
-    """Snapshot of iteration k.  ``per_index`` holds one
-    (index, residual, displacement, beta, rho) tuple per active index, with
-    rho = r/phi.  The terminal record of a run has an empty active set, and
-    only it can have ``feasible_flag`` set: ``solve`` steps only from an
-    iterate that failed the feasibility test.  ``x`` is the iterate itself,
-    which ``solve`` makes read-only."""
+    """Snapshot of iteration k.  ``per_index[p]`` is the (residual,
+    displacement, beta, rho) tuple of ``active[p]``, with rho = r/phi, and
+    ``ZERO_ENTRY`` itself where the residual pass settled the row.  The
+    terminal record of a run has an empty active set, and only it can have
+    ``feasible_flag`` set: ``solve`` steps only from an iterate that failed
+    the feasibility test.  ``x`` is the iterate itself, which ``solve``
+    makes read-only."""
 
     k: int
     bracket_k: int
@@ -158,26 +163,20 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
     alpha = cfg.relaxation.alpha(count)
     r = cfg.overrelaxation.r(count)
     violated, diffs, betas = [], [], []
+    per_index = [ZERO_ENTRY] * len(active)  # kept by the rows the pass settles
     if stacked is None:
-        per_index, todo = list(active), enumerate(active)  # every entry is set below
+        todo = enumerate(active)
     else:
-        # Settled rows keep their shared zero entry; only the others are cut.
-        rows, settled = stacked.rows, stacked.settled
         if len(active) < 32:  # below that, one walk beats a gather's fixed cost
-            per_index, todo = [], []
+            settled, todo = stacked.settled, []
             for p, i in enumerate(active):
-                if settled[i]:
-                    per_index.append(rows.zero_entries[i])
-                else:  # as a remotest row always is: its entry is set below
-                    per_index.append(None)
+                if not settled[i]:
                     todo.append((p, i))
         else:
-            zero_entries = rows.zero_entries
-            per_index = [zero_entries[i] for i in active]
             todo = stacked.unsettled(active)
-        if len(todo) >= CUT_MIN_ROWS and rows.aa is not None:
+        if len(todo) >= CUT_MIN_ROWS and stacked.rows.aa is not None:
             # One batch, with the scalar loop's entries and phi calls, in order.
-            residual, D, dn = Halfspace.cut_rows(rows, [i for _, i in todo], x)
+            residual, D, dn = Halfspace.cut_rows(stacked.rows, [i for _, i in todo], x)
             for (p, i), res, n in zip(todo, residual.tolist(), dn.tolist()):
                 if n > 0.0:
                     phi_val = cfg.phi.value(problem.constraint(i), x, None)
@@ -186,7 +185,7 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
                     betas.append(b)
                 else:
                     b = rho = 0.0
-                per_index[p] = (i, res, n, b, rho)
+                per_index[p] = (res, n, b, rho)
             diffs, todo = D[dn > 0.0], ()
     for p, i in todo:
         constraint = problem.constraint(i)
@@ -200,7 +199,7 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
             betas.append(b)
         else:
             b = rho = 0.0
-        per_index[p] = (i, ce.residual, ce.displacement_norm, b, rho)
+        per_index[p] = (ce.residual, ce.displacement_norm, b, rho)
 
     violated = tuple(violated)
     weights = cfg.weights.weights(active, violated)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import (Affine, Box, Constraint, Halfspace, OuterSet, Problem,
-                    Sublevel)
+                    Sublevel, norm)
 
 
 def random_slater_polyhedron(seed: int, dim: int = None, m: int = None,
@@ -34,7 +34,7 @@ def random_slater_polyhedron(seed: int, dim: int = None, m: int = None,
     constraints = []
     for i in range(m):
         a = rng.standard_normal(dim)
-        a /= np.linalg.norm(a)
+        a /= norm(a)
         margin = interior_radius * rng.uniform(1.05, 3.0)
         b = float(a @ z) + margin
         body = Sublevel(Affine(a, b)) if sublevel else Halfspace(a, b)
@@ -46,6 +46,6 @@ def random_slater_polyhedron(seed: int, dim: int = None, m: int = None,
     problem = Problem(dim, constraints, outer=outer,
                       interior=(z, interior_radius / 2.0))
     direction = rng.standard_normal(dim)
-    direction /= np.linalg.norm(direction)
+    direction /= norm(direction)
     x0 = outer.project(z + rng.uniform(3.0, 8.0) * direction)
     return problem, x0

@@ -106,7 +106,7 @@ class Affine(ConvexFunction):
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_vector(self.a))
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", as_real(self.b, "b"))
 
     def value(self, x):
         return float(self.a.dot(x)) - self.b
@@ -132,6 +132,9 @@ class Affine(ConvexFunction):
 class _CoordSlab(ConvexFunction):
     """A function of x[axis] whose sublevel set, for c >= 0, is the slab
     |x[axis]| <= h with h = ``_half_width()``; empty for c < 0."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "c", as_real(self.c, "c"))
 
     def sublevel_distance(self, x):
         if not self.c >= 0.0:
@@ -198,8 +201,8 @@ class MaxAffine(ConvexFunction):
     def __post_init__(self):
         if not self.pieces:
             raise ConfigError("MaxAffine needs at least one piece")
-        norm = tuple((as_vector(a), float(b)) for a, b in self.pieces)
-        object.__setattr__(self, "pieces", norm)
+        pieces = tuple((as_vector(a), as_real(b, "b")) for a, b in self.pieces)
+        object.__setattr__(self, "pieces", pieces)
 
     def _active(self, x):
         vals = [float(a.dot(x)) - b for a, b in self.pieces]
@@ -223,17 +226,17 @@ class SquaredDistToBall(ConvexFunction):
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center))
-        if self.radius <= 0:
+        object.__setattr__(self, "radius", as_real(self.radius, "ball radius"))
+        if self.radius <= 0.0:
             raise ConfigError("ball radius must be positive")
 
     def value(self, x):
-        d = float(np.linalg.norm(x - self.center))
-        e = max(0.0, d - self.radius)
+        e = max(0.0, norm(x - self.center) - self.radius)
         return e * e
 
     def subgradient(self, x):
         diff = x - self.center
-        d = float(np.linalg.norm(diff))
+        d = norm(diff)
         if d <= self.radius:
             return np.zeros_like(x)
         return (2.0 * (d - self.radius) / d) * diff
@@ -298,7 +301,7 @@ class Halfspace(Body):
         if not aa > 0.0:
             raise ConfigError("halfspace normal must be nonzero")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", as_real(self.b, "b"))
         object.__setattr__(self, "aa", aa)
         object.__setattr__(self, "a_norm", math.sqrt(aa))
 
@@ -357,19 +360,19 @@ class Ball(Body):
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", as_real(self.radius, "ball radius"))
         if self.radius <= 0.0:
             raise ConfigError("ball radius must be positive")
 
     def violation(self, x):
-        return float(np.linalg.norm(x - self.center)) - self.radius
+        return norm(x - self.center) - self.radius
 
     def distance(self, x):
         return max(0.0, self.violation(x))
 
     def project(self, x):
         diff = x - self.center
-        d = float(np.linalg.norm(diff))
+        d = norm(diff)
         if d <= self.radius:
             return np.array(x, dtype=np.float64)
         return self.center + (self.radius / d) * diff
@@ -394,7 +397,7 @@ class Box(Body):
         return float(np.max(np.maximum(self.lo - x, x - self.hi)))
 
     def distance(self, x):
-        return float(np.linalg.norm(x - self.project(x)))
+        return norm(x - self.project(x))
 
     def project(self, x):
         return np.minimum(np.maximum(x, self.lo), self.hi)
@@ -529,7 +532,7 @@ class Problem:
         if interior is not None:
             z, big_r = interior
             z = as_vector(z, dim=self.dim)
-            big_r = float(big_r)
+            big_r = as_real(big_r, "interior radius")
             if big_r <= 0.0:
                 raise ConfigError("interior radius must be positive")
             if not self.outer.member(z):
@@ -697,12 +700,6 @@ class AffineRows:
         the first batch; None for float32 rows and pools with another row."""
         batch = self.A.dtype == np.float64 and self.metric.all()
         return np.vecdot(self.A, self.A) if batch else None
-
-    @functools.cached_property
-    def zero_entries(self) -> list:
-        """Per pool position, the trace entry (i, 0.0, 0.0, 0.0, 0.0) of a
-        settled metric halfspace: one tuple, shared by every step."""
-        return [(i, 0.0, 0.0, 0.0, 0.0) for i in range(len(self.b))]
 
     @classmethod
     def build(cls, problem: Problem) -> Optional["AffineRows"]:

@@ -9,7 +9,7 @@ from bisect import bisect_left
 from typing import Callable, Optional, Sequence
 
 from .errors import ConfigError
-from .model import Constraint, Sublevel, Vector, as_integer
+from .model import Constraint, Sublevel, Vector, as_integer, as_real
 from .operators import project_subgradient
 
 
@@ -73,9 +73,9 @@ class ConstantOverrelaxation(Overrelaxation):
     divergent_sum = True
 
     def __init__(self, value: float):
-        if value <= 0.0:
+        self.value = as_real(value, "overrelaxation")
+        if self.value <= 0.0:
             raise ConfigError("overrelaxation must be positive")
-        self.value = float(value)
 
     def r(self, j):
         return self.value
@@ -96,10 +96,10 @@ class Geometric(Overrelaxation):
     divergent_sum = False
 
     def __init__(self, r0: float, ratio: float):
-        if r0 <= 0.0 or not (0.0 < ratio < 1.0):
+        self.r0 = as_real(r0, "r0")
+        self.ratio = as_real(ratio, "ratio")
+        if self.r0 <= 0.0 or not (0.0 < self.ratio < 1.0):
             raise ConfigError("geometric schedule needs r0 > 0 and ratio in (0,1)")
-        self.r0 = float(r0)
-        self.ratio = float(ratio)
 
     def r(self, j):
         return self.r0 * self.ratio ** j
@@ -107,7 +107,7 @@ class Geometric(Overrelaxation):
 
 class OverrelaxationList(Overrelaxation):
     def __init__(self, values: Sequence[float], divergent_sum: bool = False):
-        vals = [float(v) for v in values]
+        vals = [as_real(v, "overrelaxation value") for v in values]
         if not vals or any(v <= 0.0 for v in vals):
             raise ConfigError("overrelaxation values must be positive")
         self.values = vals
@@ -299,7 +299,7 @@ class ExplicitTable(WeightRule):
     def __init__(self, table: dict, floor_value: float):
         if not (0.0 < floor_value <= 1.0):
             raise ConfigError("weight floor must be in (0,1]")
-        self.table = {as_integer(i): float(w) for i, w in table.items()}
+        self.table = {as_integer(i): as_real(w, "table weight") for i, w in table.items()}
         if any(w <= 0.0 for w in self.table.values()):
             raise ConfigError("table weights must be positive")
         self._floor = floor_value

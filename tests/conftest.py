@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,12 @@ def axis_halfspaces():
         Constraint(0, Halfspace([1.0, 0.0], 0.0)),
         Constraint(1, Halfspace([0.0, 1.0], 0.0)),
     ], interior=([-3.0, -3.0], 1.0))
+
+
+def packed_entries(record) -> list:
+    """A record's ``per_index`` as (index, the entry's four floats as
+    bytes) pairs, so that signed zeros and NaN payloads count."""
+    return [(i, struct.pack("4d", *e)) for i, e in zip(record.active, record.per_index)]
 
 
 def random_metric_body(rng, dim):

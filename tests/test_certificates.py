@@ -35,6 +35,13 @@ def test_check_descent_two_halfspaces(axis_halfspaces):
     assert d["violations"] == [] and d["applicable"] == cert.applicable_count
 
 
+def test_descent_entries_are_slotted(axis_halfspaces):
+    # A certificate keeps one entry per step, so an entry carries no __dict__.
+    result = solve(cyclic_cfg(axis_halfspaces, [1.0, 1.0]))
+    entry = check_descent(result, [-3.0, -3.0], 1.0, 1.0).entries[0]
+    assert not hasattr(entry, "__dict__")
+
+
 def test_check_descent_skips_non_corrections(axis_halfspaces):
     # the iterate satisfies the first constraint, so step 0 does not move
     result = solve(cyclic_cfg(axis_halfspaces, [-1.0, 1.0]))

@@ -220,7 +220,8 @@ def test_fejer_monotone_once_applicable(axis_halfspaces):
     cfg = make_cfg(axis_halfspaces, [4.0, 2.0])
     result = solve(cfg)
     for rec, nxt in zip(result.trace, result.trace[1:]):
-        rhos = [rho for (i, _, _, _, rho) in rec.per_index if i in rec.violated]
+        rhos = [rho for i, (_, _, _, rho) in zip(rec.active, rec.per_index)
+                if i in rec.violated]
         if rhos and max(rhos) <= big_r:
             assert (np.linalg.norm(nxt.x - z)
                     <= np.linalg.norm(rec.x - z) + 1e-10)

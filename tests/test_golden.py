@@ -16,12 +16,12 @@ revision's ``src`` first on ``PYTHONPATH``; it prints one line per output.
 import contextlib
 import hashlib
 import io
-import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import packed_entries
 from feasik import (ConstantRelaxation, ExplicitTable, Harmonic, Intermittent,
                     PhiOne, RandomSets, RemotestSet, RunConfig, UniformOverActive,
                     UniformOverViolated, cli, random_slater_polyhedron, solve,
@@ -106,10 +106,8 @@ def remotest_2000_run():
 
 
 def per_index_bytes(trace) -> bytes:
-    """Every record's entries, each packed as (index, the four floats'
-    bytes), so signed zeros and NaN payloads count."""
-    return repr([[(e[0], struct.pack("4d", *e[1:])) for e in rec.per_index]
-                 for rec in trace]).encode()
+    """Every record's entries, packed by ``packed_entries``."""
+    return repr([packed_entries(rec) for rec in trace]).encode()
 
 
 def outputs(tmp: Path) -> dict:

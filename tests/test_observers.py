@@ -5,13 +5,13 @@ leaves no file behind a failed run, and a streamed run's memory does not
 grow with its step count."""
 
 import io
-import struct
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import packed_entries
 from feasik import (ConstantRelaxation, CsvStream, Cyclic, DescentMonitor,
                     Harmonic, Intermittent, MergedDecreasing, PhiOne,
                     RandomSets, RemotestSet, RunConfig, UniformOverActive,
@@ -25,8 +25,7 @@ def record_bytes(rec) -> bytes:
     """Every field of a record, with x and the per_index floats as their
     bytes, so that signed zeros and NaN payloads count."""
     return repr((rec.k, rec.bracket_k, rec.x.tobytes(), rec.active,
-                 rec.violated,
-                 [(e[0], struct.pack("4d", *e[1:])) for e in rec.per_index],
+                 rec.violated, packed_entries(rec),
                  rec.alpha_used, rec.r_used, rec.step_norm, rec.corrected,
                  rec.feasible_flag)).encode()
 

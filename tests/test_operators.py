@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from feasik import (AbsCoordMinusC, Affine, Ball, Box, ConfigError, Constraint,
                     Halfspace, InconsistentConstraintError, QuadCoordMinusC,
-                    Sublevel, check_cutter_property, evaluate_cutter,
-                    project_subgradient)
+                    SquaredDistToBall, Sublevel, check_cutter_property,
+                    check_single_operator, evaluate_cutter, project_subgradient,
+                    random_slater_polyhedron)
 
 from feasik.model import norm
 
@@ -217,3 +218,53 @@ def test_norm_is_numpy_norm_bit_for_bit(seed, n, stride):
     with np.errstate(all="ignore"):
         for v in (big, big[::stride], big[::-stride]):
             assert float_bytes(norm(v)) == float_bytes(float(np.linalg.norm(v)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12))
+def test_norm_sites_are_numpy_norm_bit_for_bit(seed, dim):
+    # Each body that takes a vector norm, against its np.linalg.norm form,
+    # kept here as the reference.  Magnitudes stay where squares are finite.
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-100, 100)
+    x, c, y = (rng.standard_normal(dim) * scale for _ in range(3))
+    r = float(rng.uniform(0.1, 3.0)) * scale
+    d = float(np.linalg.norm(x - c))
+    ball, sq = Ball(c, r), SquaredDistToBall(c, r)
+    assert float_bytes(ball.violation(x)) == float_bytes(d - r)
+    want = np.array(x) if d <= r else c + (r / d) * (x - c)
+    assert ball.project(x).tobytes() == want.tobytes()
+    e = max(0.0, d - r)
+    assert float_bytes(sq.value(x)) == float_bytes(e * e)
+    want = np.zeros_like(x) if d <= r else (2.0 * (d - r) / d) * (x - c)
+    assert sq.subgradient(x).tobytes() == want.tobytes()
+    box = Box(np.minimum(c, y), np.maximum(c, y))
+    want = float(np.linalg.norm(x - box.project(x)))
+    assert float_bytes(box.distance(x)) == float_bytes(want)
+
+    # pow(d, 2) need not be correctly rounded, so d ** 2 and d * d can
+    # differ in the last bit: the certificate's squares get many draws.
+    for _ in range(50):
+        t, y = (rng.standard_normal(dim) * scale for _ in range(2))
+        alpha = float(rng.uniform(0.1, 2.0))
+        dt = float(np.linalg.norm(t - x))
+        u = x + (alpha * ((r + dt) / dt)) * (t - x)
+        du = u - x
+        lhs = float(np.linalg.norm(u - y) ** 2)
+        rhs = float(np.linalg.norm(x - y) ** 2) - ((2.0 - alpha) / alpha) * float(du @ du)
+        got = check_single_operator(lambda v: t, x, y, r, alpha)
+        assert float_bytes(*got[:2]) == float_bytes(lhs, rhs)
+
+    problem, x0 = random_slater_polyhedron(seed, dim=dim, m=3, interior_radius=0.5,
+                                           sublevel=False)
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-2.0, 2.0, size=dim)
+    for i in range(3):
+        a = rng.standard_normal(dim)
+        a /= np.linalg.norm(a)
+        b = float(a @ z) + 0.5 * rng.uniform(1.05, 3.0)
+        body = problem.constraint(i).body
+        assert (body.a.tobytes(), float_bytes(body.b)) == (a.tobytes(), float_bytes(b))
+    u = rng.standard_normal(dim)
+    u /= np.linalg.norm(u)
+    assert x0.tobytes() == (z + rng.uniform(3.0, 8.0) * u).tobytes()

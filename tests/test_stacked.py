@@ -10,7 +10,6 @@ place, is compared with a loop that runs the scalar test at every iterate.
 
 import io
 import math
-import struct
 import warnings
 from unittest import mock
 
@@ -19,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import packed_entries
 from feasik import (Affine, Ball, Box, ConfigError, ConstantRelaxation,
                     Constraint, Cyclic, Explicit, ExplicitTable, Halfspace,
                     Harmonic, Intermittent, MaxViolation, OuterSet, PhiCustom,
@@ -27,6 +27,7 @@ from feasik import (Affine, Ball, Box, ConfigError, ConstantRelaxation,
                     UniformOverViolated, engine, evaluate_cutter, feasible,
                     random_slater_polyhedron, solve, step, trace_csv_text,
                     violated_indices, write_trace_csv)
+from feasik.engine import ZERO_ENTRY
 from feasik.model import (CUT_MIN_ROWS, FLOAT32_MIN_ENTRIES, STACKED_MIN_ROWS,
                           AffineRows, RowPass, norm)
 
@@ -407,8 +408,8 @@ def solve_both(problem, x0, control_kind, weights=None):
     assert [r.violated for r in stacked.trace] == [r.violated for r in scalar.trace]
     assert [r.per_index for r in stacked.trace] == [r.per_index for r in scalar.trace]
     # Every entry to the bit, signed zeros included, and the CSV bytes.
-    assert [entry_bytes(r) for r in stacked.trace] == \
-        [entry_bytes(r) for r in scalar.trace]
+    assert [packed_entries(r) for r in stacked.trace] == \
+        [packed_entries(r) for r in scalar.trace]
     assert csv_stacked.encode() == csv_scalar.encode()
     return stacked
 
@@ -420,13 +421,15 @@ def test_solve_stacked_matches_lazy_pool(seed, control_kind):
     problem, x0 = slater_pool(seed, dim, m)
     assert problem.affine_rows is not None
     stacked = solve_both(problem, x0, control_kind)
-    if control_kind == "block":
-        # A settled halfspace's entry is its row's one shared tuple.
-        rows = problem.affine_rows
-        shared = [e for r in stacked.trace for e in r.per_index
-                  if e is rows.zero_entries[e[0]]]
-        assert shared
-        assert all(e == (e[0], 0.0, 0.0, 0.0, 0.0) for e in shared)
+    # A settled halfspace's entry is the one shared zero entry, and every
+    # other entry is its own tuple.  A maximal control's row is never settled.
+    shared = 0
+    for r in stacked.trace[:-1]:
+        settled = problem.affine_rows.at(r.x).settled
+        for i, e in zip(r.active, r.per_index):
+            assert (e is ZERO_ENTRY) == settled[i]
+            shared += e is ZERO_ENTRY
+    assert bool(shared) == (control_kind in ("block", "cyclic"))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -515,10 +518,6 @@ def test_stored_normal_products_are_the_computed_ones(seed, dim, exponent, strid
     assert [float(v).hex() for v in rows.aa] == [h.aa.hex() for h in halfspaces]
 
 
-def entry_bytes(record):
-    return [(e[0], struct.pack("4d", *e[1:])) for e in record.per_index]
-
-
 def test_settled_cutters_record_zero_entries():
     # Late in a cyclic run most active halfspaces hold: the step records
     # them as (i, 0.0, 0.0, 0.0, 0.0) without calling their cutter.
@@ -529,8 +528,8 @@ def test_settled_cutters_record_zero_entries():
                     phi=PhiOne(), weights=UniformOverActive(), x0=x0)
     result = solve(cfg)
     first = result.trace[0]
-    held = [e for e in first.per_index if e[0] not in first.violated]
-    assert held and all(e[1:] == (0.0, 0.0, 0.0, 0.0) for e in held)
+    held = [e for i, e in zip(first.active, first.per_index) if i not in first.violated]
+    assert held and all(e == ZERO_ENTRY for e in held)
 
 
 def large_pool(seed, dim=32, m=FLOAT32_MIN_ENTRIES // 32):
@@ -775,7 +774,7 @@ def test_solve_tests_each_iterate_once_with_the_reference_verdicts(make):
     assert (result.status, result.k_feasible, result.corrections) == \
         (status, k_feasible, corrections)
     assert result.steps == len(trace) - 1
-    assert [entry_bytes(r) for r in result.trace] == [entry_bytes(r) for r in trace]
+    assert [packed_entries(r) for r in result.trace] == [packed_entries(r) for r in trace]
     dim = result.final.shape[0]
     assert trace_csv_text(result.trace, dim).encode() == \
         trace_csv_text(trace, dim).encode()
@@ -931,7 +930,7 @@ def test_batched_steps_match_the_lazy_pool(case, weight_kind, custom_phi):
             assert x_got.tobytes() == x_want.tobytes()
             assert corrected == corrected_want
             assert rec.violated == rec_want.violated
-            assert entry_bytes(rec) == entry_bytes(rec_want)
+            assert packed_entries(rec) == packed_entries(rec_want)
             assert float(rec.step_norm).hex() == float(rec_want.step_norm).hex()
             assert logs[0] == logs[1]
             if not np.isfinite(x_got).all():  # a subnormal a.a's step: NaN
