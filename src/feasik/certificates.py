@@ -15,7 +15,7 @@ from .controls import Cyclic, Explicit, Repetitive
 from .engine import RunConfig, RunResult, step, solve
 from .errors import CertificateError, ConfigError
 from .model import (AbsCoordMinusC, Constraint, Halfspace, OuterSet, Problem,
-                    QuadCoordMinusC, Sublevel, Vector, as_vector, norm)
+                    QuadCoordMinusC, Sublevel, Vector, as_real, as_vector, norm)
 from .operators import evaluate_cutter
 from .schedules import (ConstantRelaxation, FromFunction, Harmonic,
                         MergedDecreasing, PhiOne, PhiSubgradNorm,
@@ -91,8 +91,11 @@ class DescentMonitor:
     def __init__(self, z, big_r: float, lam: float,
                  outer: Optional[OuterSet] = None, rtol: float = 1e-9):
         z = as_vector(z)
-        if not (0.0 < big_r < math.inf and 0.0 < lam < math.inf):
-            raise CertificateError("R and lambda must be positive and finite")
+        try:  # R and lambda are kept as given: the certificate prints them
+            if not (as_real(big_r, "R") > 0.0 and as_real(lam, "lambda") > 0.0):
+                raise ConfigError("R and lambda must be positive and finite")
+        except ConfigError as e:
+            raise CertificateError(str(e)) from None
         if outer is not None and not outer.member(z):
             raise CertificateError("z is not in the outer set Q")
         self.certificate = DescentCertificate(z, big_r, lam, [], rtol)

@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, ControlError
-from .model import Problem, RowPass, Vector, as_integer, violated_indices
+from .model import Problem, RowPass, Vector, as_integer, as_real, violated_indices
 from .operators import evaluate_cutter
 
 
@@ -242,7 +242,7 @@ class RandomSets(_FixedSets):
     def __init__(self, atoms: Sequence[tuple], seed: int):
         if not atoms:
             raise ConfigError("random control needs at least one atom")
-        self.atoms = [(_index_tuple(s), float(p)) for s, p in atoms]
+        self.atoms = [(_index_tuple(s), as_real(p, "atom probability")) for s, p in atoms]
         if any(not p >= 0.0 for _, p in self.atoms):
             raise ConfigError("atom probabilities must be nonnegative")
         total = sum(p for _, p in self.atoms)

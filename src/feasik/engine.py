@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .model import (CUT_MIN_ROWS, Halfspace, Problem, RowPass, Vector,
-                    as_integer, as_real, as_vector, feasible, norm)
+from .model import (Problem, RowPass, Vector, as_integer, as_real, as_vector,
+                    feasible, norm)
 from .operators import evaluate_cutter
 from .schedules import beta
 
@@ -154,9 +154,9 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
     that is the event the bracketed counter counts.  ``stacked`` is the
     residual pass at x when the caller has taken it; the control scores
     with it, active metric halfspaces it settles skip their cutter, and
-    ``CUT_MIN_ROWS`` or more others on float64 halfspace rows are cut as
-    one batch.  x is never written; the record holds it, and a step that
-    does not move returns it.  No feasibility test: ``feasible_flag`` is False.
+    the others are cut as one batch where ``AffineRows.cut_rows`` allows.
+    x is never written; the record holds it, and a step that does not move
+    returns it.  No feasibility test: ``feasible_flag`` is False.
     """
     problem = cfg.problem
     active = cfg.control.indices(k, x, problem, stacked)
@@ -167,16 +167,11 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
     if stacked is None:
         todo = enumerate(active)
     else:
-        if len(active) < 32:  # below that, one walk beats a gather's fixed cost
-            settled, todo = stacked.settled, []
-            for p, i in enumerate(active):
-                if not settled[i]:
-                    todo.append((p, i))
-        else:
-            todo = stacked.unsettled(active)
-        if len(todo) >= CUT_MIN_ROWS and stacked.rows.aa is not None:
+        todo = stacked.unsettled(active)
+        batch = stacked.rows.cut_rows(todo, x) if todo else None
+        if batch is not None:
             # One batch, with the scalar loop's entries and phi calls, in order.
-            residual, D, dn = Halfspace.cut_rows(stacked.rows, [i for _, i in todo], x)
+            residual, D, dn = batch
             for (p, i), res, n in zip(todo, residual.tolist(), dn.tolist()):
                 if n > 0.0:
                     phi_val = cfg.phi.value(problem.constraint(i), x, None)

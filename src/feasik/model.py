@@ -92,10 +92,6 @@ class ConvexFunction:
     def sublevel_project(self, x: Vector) -> Optional[Vector]:
         return None
 
-    def affine_row(self) -> Optional[tuple]:
-        """(a, b) when f(x) is float(a @ x) - b, else None."""
-        return None
-
 
 @dataclass(frozen=True)
 class Affine(ConvexFunction):
@@ -124,9 +120,6 @@ class Affine(ConvexFunction):
 
     def sublevel_project(self, x):
         return self._halfspace.project(x)
-
-    def affine_row(self):
-        return self.a, self.b
 
 
 class _CoordSlab(ConvexFunction):
@@ -282,10 +275,6 @@ class Body:
         """(project(x), distance(x)): the metric cutter's image and residual."""
         return self.project(x), self.distance(x)
 
-    def affine_row(self) -> Optional[tuple]:
-        """(a, b) when the violation is float(a @ x) - b, else None."""
-        return None
-
 
 @dataclass(frozen=True)
 class Halfspace(Body):
@@ -321,24 +310,6 @@ class Halfspace(Body):
         v = self.violation(x)
         return self._project(x, v), self._distance(v)
 
-    @staticmethod
-    def cut_rows(rows: "AffineRows", idx, x) -> tuple:
-        """``cut`` of the float64 halfspace rows ``idx`` of a stack at x:
-        (residuals, T(x) - x as rows, their norms), bit for bit as ``cut``
-        and ``norm`` give them row by row: ``np.vecdot`` rounds as
-        ``ndarray.dot`` (a test pins it) bar a zero's sign at d = 1."""
-        idx = np.asarray(idx, np.intp)
-        N = rows.A[idx]
-        s = np.vecdot(N, x)
-        s -= rows.b[idx]
-        v = np.maximum(s, 0.0, out=s)  # else the image is x, the distance 0.0
-        v += 0.0  # -0.0 to +0.0, as the scalar cut's 0.0 for any v <= 0
-        with np.errstate(over="ignore"):  # a subnormal a.a: inf, as on floats
-            coef, residual = v / rows.aa[idx], v / rows.norms[idx]
-        D = x - coef[:, None] * N
-        D -= x
-        return residual, D, np.sqrt(np.vecdot(D, D))
-
     def _distance(self, v):
         return 0.0 if v <= 0.0 else v / self.a_norm
 
@@ -346,9 +317,6 @@ class Halfspace(Body):
         if v <= 0.0:
             return x
         return x - (v / self.aa) * self.a
-
-    def affine_row(self):
-        return self.a, self.b
 
 
 @dataclass(frozen=True)
@@ -426,9 +394,6 @@ class Sublevel(Body):
     def cut(self, x):
         # The image of the metric cutter; its residual is f(x).
         return self.project(x), self.violation(x)
-
-    def affine_row(self):
-        return self.f.affine_row()
 
 
 METRIC_BODIES = (Halfspace, Ball, Box)
@@ -615,10 +580,12 @@ STACKED_MIN_ROWS = 16
 # fewer rows to their scalar tests.
 FLOAT32_MIN_ENTRIES = 2 ** 16
 
-# Fewest unsettled active rows that a step on float64 metric halfspace rows
-# cuts as one batch (``Halfspace.cut_rows``), a measured crossover (README,
-# "Performance"): below it the batch's fixed numpy calls cost more.
+# Measured crossovers of a stacked step (README, "Performance"): the fewest
+# unsettled float64 metric halfspace rows that ``AffineRows.cut_rows`` cuts
+# as one batch, and the fewest active rows whose settled flags
+# ``RowPass.unsettled`` gathers; below each, Python's row loop is cheaper.
 CUT_MIN_ROWS = 4
+GATHER_MIN_ROWS = 32
 
 _U = 2.0 ** -53             # unit roundoff of binary64
 _SUBNORMAL = 2.0 ** -1074   # smallest positive binary64
@@ -701,6 +668,26 @@ class AffineRows:
         batch = self.A.dtype == np.float64 and self.metric.all()
         return np.vecdot(self.A, self.A) if batch else None
 
+    def cut_rows(self, todo: list, x) -> Optional[tuple]:
+        """None below ``CUT_MIN_ROWS`` (position, index) pairs ``todo`` or
+        unless every row is a float64 metric halfspace; else ``Halfspace.cut``
+        at x of their rows as one batch: (residuals, T(x) - x as rows, their
+        norms), bit for bit as ``cut`` and ``norm`` give them row by row, as
+        ``np.vecdot`` rounds as ``ndarray.dot`` bar a zero's sign at d = 1."""
+        if len(todo) < CUT_MIN_ROWS or self.aa is None:
+            return None
+        idx = np.array([i for _, i in todo], np.intp)
+        N = self.A[idx]
+        s = np.vecdot(N, x)
+        s -= self.b[idx]
+        v = np.maximum(s, 0.0, out=s)  # else the image is x, the distance 0.0
+        v += 0.0  # -0.0 to +0.0, as the scalar cut's 0.0 for any v <= 0
+        with np.errstate(over="ignore"):  # a subnormal a.a: inf, as on floats
+            coef, residual = v / self.aa[idx], v / self.norms[idx]
+        D = x - coef[:, None] * N
+        D -= x
+        return residual, D, np.sqrt(np.vecdot(D, D))
+
     @classmethod
     def build(cls, problem: Problem) -> Optional["AffineRows"]:
         """None when the pool has fewer than ``STACKED_MIN_ROWS`` affine
@@ -712,13 +699,14 @@ class AffineRows:
         zeros = 0
         for c in problem._constraints:
             body = c.body
-            row = body.affine_row()
-            if row is None or row[0].shape != (dim,):
+            f = body.f if isinstance(body, Sublevel) else body
+            halfspace = isinstance(body, Halfspace)
+            if (halfspace or isinstance(f, Affine)) and f.a.shape == (dim,):
+                a, b = f.a, f.b
+                n = body.a_norm if halfspace else norm(a)
+            else:
                 a, b, halfspace, n = zero, 0.0, False, 1.0
                 zeros += 1
-            else:
-                (a, b), halfspace = row, isinstance(body, Halfspace)
-                n = body.a_norm if halfspace else norm(a)
             normals.append(a)
             rhs.append(b)
             metric.append(halfspace)
@@ -778,7 +766,16 @@ class RowPass:
 
     def unsettled(self, active: tuple) -> list:
         """(position, index) of the active rows that are not settled, in
-        order, from one gather of the flags at the active indices."""
+        order: from one gather of the flags at the active indices, or from
+        a walk over fewer than ``GATHER_MIN_ROWS`` of them."""
+        if len(active) == 1:  # a singleton control's step skips the loop's set-up
+            return [] if self.settled[active[0]] else [(0, active[0])]
+        if len(active) < GATHER_MIN_ROWS:
+            settled, todo = self.settled, []
+            for p, i in enumerate(active):
+                if not settled[i]:
+                    todo.append((p, i))
+            return todo
         pos = (~self.settled[np.fromiter(active, np.intp, len(active))]).nonzero()[0]
         return [(p, active[p]) for p in pos.tolist()]
 

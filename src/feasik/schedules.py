@@ -29,7 +29,7 @@ def beta(r: float, phi_val: float, displacement: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_alpha(a: float) -> float:
-    a = float(a)
+    a = as_real(a, "relaxation")
     if not (0.0 < a <= 2.0):
         raise ConfigError("relaxation outside (0,2]")
     return a
@@ -164,6 +164,8 @@ class MergedDecreasing(Overrelaxation):
                 self._a = float(self.a_fn(self._ai))
             if self._b is None:
                 self._b = float(self.b_fn(self._bi))
+            if not (math.isfinite(self._a) and math.isfinite(self._b)):
+                raise ConfigError(f"merged schedule input not finite: {self._a}, {self._b}")
             if self._a >= self._b:
                 v, self._a = self._a, None
                 self._ai += 1
@@ -239,11 +241,11 @@ class PhiCustom:
 
     def __init__(self, fn: Callable[[Constraint, Vector], float],
                  delta: float, big_delta: float):
-        if not (0.0 < delta <= big_delta < math.inf):
+        self.delta = as_real(delta, "phi delta")
+        self.big_delta = as_real(big_delta, "phi Delta")
+        if not (0.0 < self.delta <= self.big_delta):
             raise ConfigError("phi bounds need 0 < delta <= Delta < inf")
         self.fn = fn
-        self.delta = delta
-        self.big_delta = big_delta
 
     def value(self, constraint, x, subgrad_sq=None):
         v = float(self.fn(constraint, x))
@@ -291,13 +293,13 @@ class UniformOverViolated(WeightRule):
 
 
 class ExplicitTable(WeightRule):
-    """Per-index positive weights, normalized over each active set; the
-    declared floor is validated against emitted weights."""
+    """Per-index positive weights, normalized over each active set; each
+    emitted weight must be positive and at least the declared floor."""
 
     kind = "table"
 
     def __init__(self, table: dict, floor_value: float):
-        if not (0.0 < floor_value <= 1.0):
+        if not (0.0 < as_real(floor_value, "weight floor") <= 1.0):
             raise ConfigError("weight floor must be in (0,1]")
         self.table = {as_integer(i): as_real(w, "table weight") for i, w in table.items()}
         if any(w <= 0.0 for w in self.table.values()):
@@ -311,7 +313,7 @@ class ExplicitTable(WeightRule):
             raise ConfigError(f"no table weight for index {e.args[0]}") from None
         out = [self.table[i] / total for i in violated]
         for i, w in zip(violated, out):
-            if w < self._floor - 1e-12:
+            if w <= 0.0 or w < self._floor - 1e-12:
                 raise ConfigError(
                     f"weight {w} for violated index {i} below declared floor")
         return out

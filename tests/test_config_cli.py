@@ -528,6 +528,22 @@ def test_cli_solve_feasible(tmp_path):
     assert header.startswith("k,bracket_k,alpha,r,active,violated,step_norm,feasible")
 
 
+def test_cli_solve_verbose_prints_the_final_iterate(tmp_path, capsys):
+    # Each coordinate is printed as its shortest round-trip repr, which
+    # keeps every bit of the raw A.1 run's y = 3.87...e-121.
+    doc = a1_doc()
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["solve", "--config", path]) == 2
+    quiet = capsys.readouterr().out
+    assert cli.main(["solve", "--config", path, "--verbose"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == quiet.splitlines() and "final" not in quiet
+    final = solve(build_run_config(doc)).final
+    assert lines[-1] == "final=[" + ", ".join(repr(float(v)) for v in final) + "]"
+    printed = lines[-1].removeprefix("final=[").removesuffix("]").split(", ")
+    assert [float(t).hex() for t in printed] == [float(v).hex() for v in final]
+
+
 def test_cli_solve_a1_raw_hits_budget(tmp_path):
     path = write_doc(tmp_path, a1_doc())
     out = run_cli(["solve", "--config", path], tmp_path)
@@ -664,6 +680,19 @@ def test_cli_sweep_deterministic(tmp_path):
     assert lines[0] == "instance,control,phi,overrelaxation,k_feasible,corrections,wall_time"
     assert len(lines) == 1 + 2 * 3
     assert all(line.split(",")[4] != "MAX" for line in lines[1:])
+
+
+def test_cli_sweep_timing_fills_the_wall_time_column(tmp_path, capsys):
+    path = write_doc(tmp_path, sweep_doc(), "grid.json")
+    assert cli.main(["sweep", "--config", path]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert cli.main(["sweep", "--config", path, "--timing"]) == 0
+    timed = capsys.readouterr().out.splitlines()
+    assert timed[0] == plain[0] and len(timed) == len(plain) == 1 + 2 * 3
+    for row, untimed in zip(timed[1:], plain[1:]):
+        *fields, wall_time = row.split(",")
+        assert fields == untimed.split(",")[:-1] and untimed.endswith(",")
+        assert re.fullmatch(r"\d+\.\d{6}", wall_time) and float(wall_time) < 60.0
 
 
 def test_cli_sweep_parallel_matches_serial(tmp_path):

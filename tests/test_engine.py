@@ -17,6 +17,8 @@ from feasik import (AbsCoordMinusC, Affine, Box, ConfigError,
                     random_slater_polyhedron, solve, step, trace_csv_text)
 from feasik.certificates import build_a2_config
 from feasik.engine import compensated_sum
+from feasik.model import STACKED_MIN_ROWS
+from feasik.schedules import WeightRule
 
 
 def make_cfg(problem, x0, control=None, alpha=1.0, over=None, phi=None,
@@ -142,6 +144,56 @@ def test_step_paths_agree():
         xb, cb = subgradient_form(p, x, active, cfg.relaxation.alpha(0), rval)
         assert ca == cb
         np.testing.assert_allclose(xa, xb, rtol=1e-12, atol=1e-12)
+
+
+class DropOneRow(WeightRule):
+    """Weight (i + 1) / 10 on each violated row i but ``dropped``, whose
+    weight is 0.0."""
+
+    def __init__(self, dropped):
+        self.dropped = dropped
+
+    def weights(self, active, violated):
+        return [0.0 if i == self.dropped else (i + 1) / 10 for i in violated]
+
+    def floor(self, max_card):
+        return 0.0
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_a_zero_weight_drops_its_term_bit_for_bit(stacked):
+    # Rows 0-4 of a halfspace pool are violated at x and row 2 has the
+    # weight 0.0: the step, by the scalar loop or by the residual pass and
+    # one batched cut, is bit for bit the step over the other four rows.  A
+    # lone moved row of weight 0.0 leaves x in place, uncorrected.  Row 2's
+    # a.a is subnormal, so its cut moves x by inf and its beta is NaN: a
+    # term scaled by 0.0 rather than dropped would make the step NaN.
+    rng = np.random.default_rng(17)
+    dim, m = 5, STACKED_MIN_ROWS
+    x = rng.standard_normal(dim)
+    x.flags.writeable = False
+    normals = rng.standard_normal((m, dim))
+    normals[2] = 1e-160
+    gaps = np.where(np.arange(m) < 5, -1.0, 1.0) * rng.uniform(0.5, 1.5, m)
+    problem = Problem(dim, [Constraint(i, Halfspace(a, float(a @ x) + g))
+                            for i, (a, g) in enumerate(zip(normals, gaps))])
+    assert problem.affine_rows.aa is not None  # float64 halfspaces: batched
+
+    def run(active):
+        cfg = RunConfig(problem=problem, control=Explicit([active]),
+                        relaxation=ConstantRelaxation(1.5), overrelaxation=Harmonic(),
+                        phi=PhiOne(), weights=DropOneRow(2), x0=x)
+        return step(cfg, x, 0, 0, stacked=problem.affine_rows.at(x) if stacked else None)
+
+    x_drop, corrected, rec = run((0, 1, 2, 3, 4))
+    x_want, corrected_want, rec_want = run((0, 1, 3, 4))
+    assert rec.violated == (0, 1, 2, 3, 4) and rec_want.violated == (0, 1, 3, 4)
+    assert x_drop.tobytes() == x_want.tobytes() and np.isfinite(x_drop).all()
+    assert not math.isfinite(rec.per_index[2][1])
+    assert corrected and corrected_want
+    assert float(rec.step_norm).hex() == float(rec_want.step_norm).hex()
+    x_lone, corrected, rec = run((2,))
+    assert rec.violated == (2,) and x_lone is x and not corrected
 
 
 def read_only_cases():

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feasik import (AbsCoordMinusC, Affine, Ball, Box, ConfigError, Constraint,
-                    ConstantOverrelaxation, DescentMonitor, ExplicitTable,
-                    FeasikError, Geometric, Halfspace, MaxAffine, OuterSet,
-                    OverrelaxationList, PoolIndexError, Problem,
-                    QuadCoordMinusC, RandomSets, SquaredDistToBall, Sublevel,
-                    as_vector, check_descent, feasible, solve,
-                    violated_indices)
+                    ConstantOverrelaxation, ConstantRelaxation, DescentMonitor,
+                    ExplicitTable, FeasikError, Geometric, Halfspace, MaxAffine,
+                    OuterSet, OverrelaxationList, PhiCustom, PoolIndexError,
+                    Problem, QuadCoordMinusC, RandomSets, RelaxationList,
+                    SquaredDistToBall, Sublevel, as_vector, check_descent,
+                    feasible, solve, violated_indices)
 from feasik.certificates import build_a1_config
 from feasik.model import STACKED_MIN_ROWS
 
@@ -45,11 +45,13 @@ def _function_samples(rng, dim):
     ]
 
 
-# Each constructor, given one non-finite number where a finite one belongs.
+# Each constructor, given one non-finite number, a string or a boolean where
+# a finite number belongs.
 NON_FINITE_SITES = {
     # Under a NaN R no step is applicable, and the certificate passes vacuously.
     "check_descent.R": lambda v: check_descent(
         solve(build_a1_config("bracketed")).trace, [-2.0, -2.0], v, 1.0),
+    "DescentMonitor.R": lambda v: DescentMonitor([0.0, 0.0], v, 1.0),
     "DescentMonitor.lambda": lambda v: DescentMonitor([0.0, 0.0], 1.0, v),
     "Problem.interior_R": lambda v: Problem(
         2, [Constraint(0, Halfspace([1.0, 0.0], 0.0))], interior=([-1.0, 0.0], v)),
@@ -64,11 +66,17 @@ NON_FINITE_SITES = {
     "Geometric.r0": lambda v: Geometric(v, 0.5),
     "OverrelaxationList.values": lambda v: OverrelaxationList([1.0, v]),
     "ExplicitTable.table": lambda v: ExplicitTable({0: 1.0, 1: v}, 0.1),
+    "ExplicitTable.floor": lambda v: ExplicitTable({0: 1.0}, v),
     "RandomSets.atoms": lambda v: RandomSets([((0,), 1.0), ((1,), v)], 0),
+    "RandomSets.lone_atom": lambda v: RandomSets([((0,), v)], 0),
+    "ConstantRelaxation.alpha": ConstantRelaxation,
+    "RelaxationList.values": lambda v: RelaxationList([1.0, v]),
+    "PhiCustom.delta": lambda v: PhiCustom(lambda c, x: 1.0, v, 1.0),
+    "PhiCustom.Delta": lambda v: PhiCustom(lambda c, x: 1.0, 0.5, v),
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1.0", True])
 @pytest.mark.parametrize("site", sorted(NON_FINITE_SITES))
 def test_constructors_reject_non_finite_numbers(site, value):
     with pytest.raises(FeasikError):

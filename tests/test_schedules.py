@@ -118,6 +118,27 @@ def test_merged_decreasing_rejects_increasing_input():
         sched.r(3)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_merged_decreasing_rejects_non_finite_inputs(side, value):
+    # A NaN passed both order checks, and an inf at position 0 had no
+    # earlier value to exceed.  FromFunction.r rejects both, and so does
+    # the merge, at the first position and at a later one.
+    with pytest.raises(ConfigError):
+        FromFunction(lambda k: value).r(0)
+    for at in (0, 3):
+        def bad(k):
+            return value if k == at else 1.0 / (k + 1)
+
+        def good(k):
+            return 2.0 ** -(k + 1)
+
+        sched = MergedDecreasing(bad, good) if side == "a" else MergedDecreasing(good, bad)
+        with pytest.raises(ConfigError, match="not finite"):
+            for j in range(10):
+                sched.r(j)
+
+
 def test_weight_rules_sum_to_one():
     # weights(active, active) is the whole convex combination; weights of a
     # violated subtuple are those of its indices, in its order.
@@ -155,6 +176,16 @@ def test_weight_floors():
     skewed = ExplicitTable({0: 1.0, 1: 9.0}, floor_value=0.5)
     with pytest.raises(ConfigError, match="below declared floor"):
         skewed.weights((0, 1), (0,))
+
+
+def test_explicit_table_rejects_a_weight_that_underflows_to_zero():
+    # 1e-300 / (1e-300 + 1e300) is 0.0, which the floor test alone let
+    # through at a floor of 1e-12 or less: certify assumes every weight of a
+    # violated row is at least the floor, and a weight of 0.0 drops its row.
+    table = ExplicitTable({0: 1e-300, 1: 1e300}, 1e-12)
+    assert table.weights((0, 1), (1,)) == [1.0]
+    with pytest.raises(ConfigError, match="weight 0.0 for violated index 0"):
+        table.weights((0, 1), (0, 1))
 
 
 def counter_trace(mode: str, seed: int) -> list:

@@ -167,8 +167,8 @@ def test_stacked_decisions_match_scalar(case, duplicate):
     if p is None:
         return
     # A position outside the stack is never settled and always a candidate.
-    outside = [i for i in problem.indices()
-               if problem.constraint(i).body.affine_row() is None]
+    outside = [i for i in problem.indices() if not isinstance(
+        getattr(b := problem.constraint(i).body, "f", b), (Halfspace, Affine))]
     assert not p.violated[outside].any() and not p.satisfied[outside].any()
     for control in (RemotestSet(), MaxViolation()):
         assert set(outside) <= set(p.candidates(*control._stacked_score(p)))
@@ -505,7 +505,7 @@ def test_stored_normal_products_are_the_computed_ones(seed, dim, exponent, strid
     rows = problem.affine_rows
     assert rows is not None
     for i, body in enumerate(bodies):
-        a = body.affine_row()[0]
+        a = getattr(body, "f", body).a
         if isinstance(body, Halfspace):
             assert body.a.flags.c_contiguous
             assert body.aa.hex() == float(a.dot(a)).hex()
@@ -797,7 +797,7 @@ def wide_floats(rng, shape, lo, hi):
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 64), st.integers(1, 300),
        st.integers(-300, 300), st.integers(-300, 300))
 def test_vecdot_is_the_row_dot_bit_for_bit(seed, rows, dim, lo, hi):
-    # Halfspace.cut_rows, and so every batched step, rests on np.vecdot over
+    # AffineRows.cut_rows, and so every batched step, rests on np.vecdot over
     # rows gathered from a stack rounding as each row's ndarray.dot does:
     # both reach the same BLAS dot kernel.  A numpy or BLAS where they do
     # not fails here by name.  At d = 1 ndarray.dot returns the lone
