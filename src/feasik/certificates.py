@@ -16,7 +16,7 @@ from .engine import RunConfig, RunResult, step, solve
 from .errors import CertificateError, ConfigError
 from .model import (AbsCoordMinusC, Constraint, Halfspace, OuterSet, Problem,
                     QuadCoordMinusC, Sublevel, Vector, as_real, as_vector, norm)
-from .operators import evaluate_cutter
+from .operators import INEQUALITY_RTOL, evaluate_cutter
 from .schedules import (ConstantRelaxation, FromFunction, Harmonic,
                         MergedDecreasing, PhiOne, PhiSubgradNorm,
                         UniformOverActive)
@@ -25,6 +25,9 @@ from .schedules import (ConstantRelaxation, FromFunction, Harmonic,
 # ---------------------------------------------------------------------------
 # Descent certificate along a trace
 # ---------------------------------------------------------------------------
+
+DESCENT_RTOL = 1e-9  # relative: a step passes if slack >= -DESCENT_RTOL (1 + ||x_k - z||^2)
+
 
 @dataclass(slots=True)
 class DescentEntry:
@@ -50,7 +53,6 @@ class DescentCertificate:
     big_r: float
     lam: float
     entries: list
-    rtol: float = 1e-9
 
     @property
     def applicable_count(self) -> int:
@@ -89,7 +91,7 @@ class DescentMonitor:
     constraint set; z in Q is checked here when ``outer`` is supplied."""
 
     def __init__(self, z, big_r: float, lam: float,
-                 outer: Optional[OuterSet] = None, rtol: float = 1e-9):
+                 outer: Optional[OuterSet] = None):
         z = as_vector(z)
         try:  # R and lambda are kept as given: the certificate prints them
             if not (as_real(big_r, "R") > 0.0 and as_real(lam, "lambda") > 0.0):
@@ -98,7 +100,7 @@ class DescentMonitor:
             raise CertificateError(str(e)) from None
         if outer is not None and not outer.member(z):
             raise CertificateError("z is not in the outer set Q")
-        self.certificate = DescentCertificate(z, big_r, lam, [], rtol)
+        self.certificate = DescentCertificate(z, big_r, lam, [])
         self._last = None  # the previous record and its ||x - z||^2
 
     def __call__(self, nxt) -> None:
@@ -116,24 +118,22 @@ class DescentMonitor:
         rhs = base - 2.0 * rec.alpha_used * cert.lam * cert.big_r * rho \
             if rec.corrected else base
         slack = rhs - lhs
-        ok = (not applicable) or slack >= -cert.rtol * (1.0 + base)
+        ok = (not applicable) or slack >= -DESCENT_RTOL * (1.0 + base)
         cert.entries.append(DescentEntry(rec.k, lhs, rhs, slack, rho, applicable, ok))
 
 
 def check_descent(trace, z, big_r: float, lam: float,
-                  outer: Optional[OuterSet] = None,
-                  rtol: float = 1e-9) -> DescentCertificate:
+                  outer: Optional[OuterSet] = None) -> DescentCertificate:
     """Replay a recorded trace (or ``RunResult``) through a ``DescentMonitor``."""
     if isinstance(trace, RunResult):
         trace = trace.trace
-    monitor = DescentMonitor(z, big_r, lam, outer, rtol)
+    monitor = DescentMonitor(z, big_r, lam, outer)
     for rec in trace:
         monitor(rec)
     return monitor.certificate
 
 
-def check_single_operator(T, x, y, rho_val: float, alpha: float,
-                          rtol: float = 1e-10):
+def check_single_operator(T, x, y, rho_val: float, alpha: float):
     """Overrelaxed single-operator inequality: with
     U(x) = x + alpha * ((rho + d)/d) * (T(x) - x), d = ||T(x) - x|| > 0,
     and B(y, rho) inside fix T,
@@ -150,10 +150,11 @@ def check_single_operator(T, x, y, rho_val: float, alpha: float,
         raise CertificateError("rho must be positive")
     b = (rho_val + d) / d
     u = x + (alpha * b) * diff
-    lhs = norm(u - y) ** 2
+    n_uy, n_xy = norm(u - y), norm(x - y)
+    lhs = n_uy * n_uy
     du = u - x
-    rhs = norm(x - y) ** 2 - ((2.0 - alpha) / alpha) * float(du @ du)
-    return lhs, rhs, lhs <= rhs + rtol * (1.0 + abs(rhs))
+    rhs = n_xy * n_xy - ((2.0 - alpha) / alpha) * float(du @ du)
+    return lhs, rhs, lhs <= rhs + INEQUALITY_RTOL * (1.0 + abs(rhs))
 
 
 def slater_delta(fs: Sequence, z, r: float) -> float:
@@ -327,7 +328,8 @@ def a2_b(k: int) -> float:
     b = a2_b(k - 1)
     if b == 0.0:
         return 0.0
-    return b / (2.0 * math.sqrt(2.0) / math.sqrt(b) + 4.0) ** 2
+    t = 2.0 * math.sqrt(2.0) / math.sqrt(b) + 4.0
+    return b / (t * t)
 
 
 def oracle_a2(k: int):

@@ -124,6 +124,15 @@ def listed(read) -> Field:
         read(v, f"{where}[{n}]", dim) for n, v in enumerate(_list(items, where))])
 
 
+def choice(noun: str, *names: str) -> Field:
+    """One of the strings ``names``, the first when the member is left out."""
+    def read(value, where, dim):
+        if value not in names:
+            raise ConfigError(f"field '{where}': unknown {noun} {reprlib.repr(value)}")
+        return value
+    return Field(read, names[0])
+
+
 def _vector(value, where: str, dim: int) -> list:
     if not isinstance(value, list) or len(value) != dim:
         raise ConfigError(f"field '{where}' must be a list of length {dim}")
@@ -250,11 +259,12 @@ def build_problem(doc: dict, where: str = "problem") -> Problem:
         outer = OuterSet.whole_space()
     else:
         outer = OuterSet(BODIES.build(outer_doc, where + ".outer", dim))
-    constraints = []
+    constraints, cutter = [], choice("cutter kind", "", "metric", "subgradient")
     for pos, cdoc in enumerate(_list(_need(doc, "constraints", where),
                                      where + ".constraints")):
-        body = BODIES.build(cdoc, f"{where}.constraints[{pos}]", dim)
-        constraints.append(Constraint(pos, body, cdoc.get("cutter", "")))
+        path = f"{where}.constraints[{pos}]"
+        body = BODIES.build(cdoc, path, dim)
+        constraints.append(Constraint(pos, body, _read(cdoc, "cutter", path, cutter, dim)))
     interior = None
     if "interior" in doc:
         interior = (_read(doc["interior"], "z", where + ".interior", VECTOR, dim),
@@ -285,7 +295,8 @@ def build_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfi
         weights=WEIGHTS.build(doc.get("weights", {"kind": "uniform_active"}),
                               "weights", dim),
         x0=VECTOR.read(_need(doc, "x0", "run"), "x0", dim),
-        counter_mode=doc.get("counter_mode", "bracketed"),
+        counter_mode=choice("counter mode", "bracketed", "raw").read(
+            doc.get("counter_mode", "bracketed"), "counter_mode", dim),
         max_iter=INTEGER.read(doc.get("max_iter", 1_000_000), "max_iter", dim),
         feas_window=(None if doc.get("feas_window") is None
                      else INDICES.read(doc["feas_window"], "feas_window", dim)),

@@ -245,9 +245,6 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
     """
     problem = cfg.problem
     rows = problem.affine_rows
-    window = cfg.feas_window
-    if window is None and rows is None:
-        window = problem.indices()  # no rows to stack: the scalar loop
     x = np.array(cfg.x0, dtype=np.float64)
     x.flags.writeable = False
     count = 0
@@ -268,7 +265,7 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
     while True:
         if x is not tested:  # by identity: an equal copy is tested again
             stacked = rows.at(x) if rows is not None else None
-            feas = not nonfinite and feasible(problem, x, window, cfg.feas_tol,
+            feas = not nonfinite and feasible(problem, x, cfg.feas_window, cfg.feas_tol,
                                               stacked=stacked)
             tested = x
         if feas or nonfinite or k >= cfg.max_iter:

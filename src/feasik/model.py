@@ -580,12 +580,10 @@ STACKED_MIN_ROWS = 16
 # fewer rows to their scalar tests.
 FLOAT32_MIN_ENTRIES = 2 ** 16
 
-# Measured crossovers of a stacked step (README, "Performance"): the fewest
-# unsettled float64 metric halfspace rows that ``AffineRows.cut_rows`` cuts
-# as one batch, and the fewest active rows whose settled flags
-# ``RowPass.unsettled`` gathers; below each, Python's row loop is cheaper.
+# Fewest unsettled float64 metric halfspace rows that ``AffineRows.cut_rows``
+# cuts as one batch, a measured crossover of a stacked step (README,
+# "Performance"): below it Python's row loop is cheaper.
 CUT_MIN_ROWS = 4
-GATHER_MIN_ROWS = 32
 
 _U = 2.0 ** -53             # unit roundoff of binary64
 _SUBNORMAL = 2.0 ** -1074   # smallest positive binary64
@@ -756,26 +754,17 @@ class RowPass:
         self.rows = rows
         self.v = v
         self.margin = margin
-        # Masks over the pool: the violation is certainly positive, and it
-        # is certainly at most 0.  A row in neither is undecided.
-        self.violated, self.satisfied = v > margin, v < -margin
-        # The metric halfspaces that x certainly satisfies.  There the
-        # cutter is the identity, with residual, displacement, beta and rho
-        # all 0.0.
+        # The rows whose violation is certainly at most 0, and of them the
+        # metric halfspaces, whose cutter there is the identity, with
+        # residual, displacement, beta and rho all 0.0.
+        self.satisfied = v < -margin
         self.settled = self.satisfied & rows.metric
 
     def unsettled(self, active: tuple) -> list:
         """(position, index) of the active rows that are not settled, in
-        order: from one gather of the flags at the active indices, or from
-        a walk over fewer than ``GATHER_MIN_ROWS`` of them."""
-        if len(active) == 1:  # a singleton control's step skips the loop's set-up
+        order, from one gather of the flags at the active indices."""
+        if len(active) == 1:  # a singleton control's step skips the gather
             return [] if self.settled[active[0]] else [(0, active[0])]
-        if len(active) < GATHER_MIN_ROWS:
-            settled, todo = self.settled, []
-            for p, i in enumerate(active):
-                if not settled[i]:
-                    todo.append((p, i))
-            return todo
         pos = (~self.settled[np.fromiter(active, np.intp, len(active))]).nonzero()[0]
         return [(p, active[p]) for p in pos.tolist()]
 
@@ -822,20 +811,12 @@ def feasible(problem: Problem, x: Vector, window=None, tol: float = 0.0,
             raise ConfigError("feasibility over an infinite pool needs a finite window")
         if stacked is None and not tol and problem.affine_rows is not None:
             stacked = problem.affine_rows.at(x)
-    else:
-        stacked = None
+        # With a pass, the rows x does not certainly satisfy, in pool order.
+        window = (problem.indices() if stacked is None or tol
+                  else (~stacked.satisfied).nonzero()[0].tolist())
     if not problem.outer.member(x, tol):
         return False
-    if stacked is not None and not tol:
-        # The rows x does not certainly satisfy, in the scalar loop's order:
-        # a certainly violated one needs no test, any other is decided, and
-        # may raise, in its member test.
-        violated = stacked.violated
-        for i in (~stacked.satisfied).nonzero()[0].tolist():
-            if violated[i] or not problem.constraint(i).member(x):
-                return False
-        return True
-    for i in problem.indices() if window is None else window:
+    for i in window:
         if not problem.constraint(i).member(x, tol):
             return False
     return True

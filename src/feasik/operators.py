@@ -55,7 +55,10 @@ def evaluate_cutter(constraint: Constraint, x: Vector) -> CutterEval:
     return CutterEval(image, norm(d), residual, None, d)
 
 
-def check_cutter_property(T, x: Vector, z: Vector, rtol: float = 1e-10):
+INEQUALITY_RTOL = 1e-10  # relative, of the cutter and single-operator checks
+
+
+def check_cutter_property(T, x: Vector, z: Vector):
     """Check <T(x)-x, z-x> >= ||T(x)-x||^2 for z in fix T.
 
     ``T`` is a Constraint or a point map.  Returns (lhs, rhs, ok); the caller
@@ -65,4 +68,4 @@ def check_cutter_property(T, x: Vector, z: Vector, rtol: float = 1e-10):
     d = image - x
     lhs = float(d @ (z - x))
     rhs = float(d @ d)
-    return lhs, rhs, lhs >= rhs - rtol * (1.0 + rhs)
+    return lhs, rhs, lhs >= rhs - INEQUALITY_RTOL * (1.0 + rhs)

@@ -132,7 +132,8 @@ class FromFunction(Overrelaxation):
         self.divergent_sum = divergent_sum
 
     def r(self, j):
-        v = float(self.fn(j))
+        v = self.fn(j)
+        v = v if type(v) is float else as_real(v, "overrelaxation value")
         if not (v >= 0.0) or math.isinf(v):
             raise ConfigError(f"overrelaxation value {v} at index {j}")
         return v
@@ -161,9 +162,11 @@ class MergedDecreasing(Overrelaxation):
     def _extend(self, upto: int) -> None:
         while len(self._values) <= upto:
             if self._a is None:
-                self._a = float(self.a_fn(self._ai))
+                a = self.a_fn(self._ai)
+                self._a = a if type(a) is float else as_real(a, "merged schedule input")
             if self._b is None:
-                self._b = float(self.b_fn(self._bi))
+                b = self.b_fn(self._bi)
+                self._b = b if type(b) is float else as_real(b, "merged schedule input")
             if not (math.isfinite(self._a) and math.isfinite(self._b)):
                 raise ConfigError(f"merged schedule input not finite: {self._a}, {self._b}")
             if self._a >= self._b:
@@ -248,7 +251,8 @@ class PhiCustom:
         self.fn = fn
 
     def value(self, constraint, x, subgrad_sq=None):
-        v = float(self.fn(constraint, x))
+        v = self.fn(constraint, x)
+        v = v if type(v) is float else as_real(v, "phi value")
         if not (v > 0.0) or math.isinf(v):
             raise ConfigError(f"phi value {v} outside (0, inf)")
         return v
@@ -302,8 +306,9 @@ class ExplicitTable(WeightRule):
         if not (0.0 < as_real(floor_value, "weight floor") <= 1.0):
             raise ConfigError("weight floor must be in (0,1]")
         self.table = {as_integer(i): as_real(w, "table weight") for i, w in table.items()}
-        if any(w <= 0.0 for w in self.table.values()):
-            raise ConfigError("table weights must be positive")
+        weights = self.table.values()
+        if any(w <= 0.0 for w in weights) or not math.isfinite(sum(weights)):
+            raise ConfigError("table weights must be positive, with a finite sum")
         self._floor = floor_value
 
     def weights(self, active, violated):

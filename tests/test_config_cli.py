@@ -341,6 +341,22 @@ def test_cli_validate_rejects_non_numeric_numbers(tmp_path):
         assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("value", [5, "rawx", None, []])
+def test_counter_mode_and_cutter_are_read_with_their_paths(value):
+    # Both raised without a field path, and a null or [] cutter silently
+    # took the body's default.
+    doc = two_halfspace_doc(counter_mode=value)
+    with pytest.raises(ConfigError, match=re.escape("field 'counter_mode': unknown")):
+        build_run_config(doc)
+    doc = two_halfspace_doc()
+    doc["problem"]["constraints"][1]["cutter"] = value
+    path = "problem.constraints[1].cutter"
+    with pytest.raises(ConfigError, match=re.escape(f"field '{path}': unknown")):
+        build_run_config(doc)
+    doc["problem"]["constraints"][1]["cutter"] = "metric"
+    assert build_run_config(doc).problem.constraint(1).cutter == "metric"
+
+
 def unchecked_number_docs():
     """(document, field path) pairs: list members that do not convert,
     fractions an integer field would truncate, booleans as numbers, the

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from feasik import (AbsCoordMinusC, Affine, Ball, Box, ConfigError, Constraint,
                     ConstantOverrelaxation, ConstantRelaxation, DescentMonitor,
-                    ExplicitTable, FeasikError, Geometric, Halfspace, MaxAffine,
-                    OuterSet, OverrelaxationList, PhiCustom, PoolIndexError,
-                    Problem, QuadCoordMinusC, RandomSets, RelaxationList,
-                    SquaredDistToBall, Sublevel, as_vector, check_descent,
-                    feasible, solve, violated_indices)
+                    ExplicitTable, FeasikError, FromFunction, Geometric, Halfspace,
+                    MaxAffine, MergedDecreasing, OuterSet, OverrelaxationList,
+                    PhiCustom, PoolIndexError, Problem, QuadCoordMinusC,
+                    RandomSets, RelaxationList, SquaredDistToBall, Sublevel,
+                    as_vector, check_descent, feasible, solve, violated_indices)
 from feasik.certificates import build_a1_config
 from feasik.model import STACKED_MIN_ROWS
 
@@ -45,8 +45,9 @@ def _function_samples(rng, dim):
     ]
 
 
-# Each constructor, given one non-finite number, a string or a boolean where
-# a finite number belongs.
+# Each constructor, or a schedule reading a user callable's result, given one
+# non-finite number, a string or a boolean where a finite number belongs.
+# float() took "1.0" and True from the callables.
 NON_FINITE_SITES = {
     # Under a NaN R no step is applicable, and the certificate passes vacuously.
     "check_descent.R": lambda v: check_descent(
@@ -73,6 +74,10 @@ NON_FINITE_SITES = {
     "RelaxationList.values": lambda v: RelaxationList([1.0, v]),
     "PhiCustom.delta": lambda v: PhiCustom(lambda c, x: 1.0, v, 1.0),
     "PhiCustom.Delta": lambda v: PhiCustom(lambda c, x: 1.0, 0.5, v),
+    "PhiCustom.value": lambda v: PhiCustom(lambda c, x: v, 0.5, 1.0).value(None, None),
+    "FromFunction.r": lambda v: FromFunction(lambda k: v).r(0),
+    "MergedDecreasing.a": lambda v: MergedDecreasing(lambda k: v, lambda k: 0.5).r(0),
+    "MergedDecreasing.b": lambda v: MergedDecreasing(lambda k: 1.0, lambda k: v).r(0),
 }
 
 

@@ -242,16 +242,17 @@ def test_norm_sites_are_numpy_norm_bit_for_bit(seed, dim):
     want = float(np.linalg.norm(x - box.project(x)))
     assert float_bytes(box.distance(x)) == float_bytes(want)
 
-    # pow(d, 2) need not be correctly rounded, so d ** 2 and d * d can
-    # differ in the last bit: the certificate's squares get many draws.
+    # The certificate squares its norms as d * d, which is correctly
+    # rounded where pow(d, 2) need not be: its squares get many draws.
     for _ in range(50):
         t, y = (rng.standard_normal(dim) * scale for _ in range(2))
         alpha = float(rng.uniform(0.1, 2.0))
         dt = float(np.linalg.norm(t - x))
         u = x + (alpha * ((r + dt) / dt)) * (t - x)
         du = u - x
-        lhs = float(np.linalg.norm(u - y) ** 2)
-        rhs = float(np.linalg.norm(x - y) ** 2) - ((2.0 - alpha) / alpha) * float(du @ du)
+        n_uy, n_xy = float(np.linalg.norm(u - y)), float(np.linalg.norm(x - y))
+        lhs = n_uy * n_uy
+        rhs = n_xy * n_xy - ((2.0 - alpha) / alpha) * float(du @ du)
         got = check_single_operator(lambda v: t, x, y, r, alpha)
         assert float_bytes(*got[:2]) == float_bytes(lhs, rhs)
 

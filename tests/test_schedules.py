@@ -188,6 +188,14 @@ def test_explicit_table_rejects_a_weight_that_underflows_to_zero():
         table.weights((0, 1), (0, 1))
 
 
+def test_explicit_table_rejects_weights_whose_sum_overflows():
+    # Each weight is finite, but their sum is inf: every normalised weight
+    # was 0.0, and the table failed later with a misleading floor error.
+    with pytest.raises(ConfigError, match="finite sum"):
+        ExplicitTable({0: 1e308, 1: 1e308}, 1e-12)
+    assert ExplicitTable({0: 1e308, 1: 1e-308}, 1e-12).weights((0, 1), (0,)) == [1.0]
+
+
 def counter_trace(mode: str, seed: int) -> list:
     """The trace of a seeded random-singleton run on a small polyhedron:
     a mix of corrected steps and steps that meet a satisfied constraint."""

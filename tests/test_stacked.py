@@ -169,7 +169,7 @@ def test_stacked_decisions_match_scalar(case, duplicate):
     # A position outside the stack is never settled and always a candidate.
     outside = [i for i in problem.indices() if not isinstance(
         getattr(b := problem.constraint(i).body, "f", b), (Halfspace, Affine))]
-    assert not p.violated[outside].any() and not p.satisfied[outside].any()
+    assert not (p.v > p.margin)[outside].any() and not p.satisfied[outside].any()
     for control in (RemotestSet(), MaxViolation()):
         assert set(outside) <= set(p.candidates(*control._stacked_score(p)))
 
@@ -260,8 +260,8 @@ def test_feasible_keeps_the_scalar_scan_order():
     bodies += [Halfspace([1.0, 0.0], 10.0)] * STACKED_MIN_ROWS
     problem = Problem(2, [Constraint(i, b) for i, b in enumerate(bodies)])
     p = problem.affine_rows.at(x)
-    assert not p.violated[0] and not p.satisfied[0] and p.violated[2]
-    assert p.margin[1] == math.inf and not p.violated[1] and not p.satisfied[1]
+    assert not p.v[0] > p.margin[0] and not p.satisfied[0] and p.v[2] > p.margin[2]
+    assert p.margin[1] == math.inf and not p.v[1] > p.margin[1] and not p.satisfied[1]
     with pytest.raises(ValueError):
         problem.constraint(1).member(x)
     assert feasible(problem, x) is feasible(lazy_twin(problem), x) is False
@@ -674,7 +674,7 @@ def test_a_near_zero_remotest_step_rescores_few_rows():
     problem = pool()
     assert problem.affine_rows.A.dtype == np.float32
     p = problem.affine_rows.at(x)
-    assert p.satisfied.sum() == m - 1 and p.violated[j]
+    assert p.satisfied.sum() == m - 1 and p.v[j] > p.margin[j]
     control = RemotestSet()
     assert len(p.candidates(*control._stacked_score(p))) <= 3
     assert control._select(0, x, problem, p) == control._select(0, x, problem) == (j,)
