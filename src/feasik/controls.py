@@ -78,7 +78,8 @@ class _FixedSets(Control):
         return min(map(min, family)), max(map(max, family))
 
     def _emit(self, k, x, problem, stacked):
-        return (self._select(k, x, problem, stacked), *self._range)
+        lo, hi = self._range
+        return self._select(k, x, problem, stacked), lo, hi
 
 
 class Intermittent(_FixedSets):

@@ -114,7 +114,7 @@ class TraceRecord:
     terminal record of a run has an empty active set, and only it can have
     ``feasible_flag`` set: ``solve`` steps only from an iterate that failed
     the feasibility test.  ``x`` is the iterate itself, which ``solve``
-    makes read-only."""
+    makes read-only.  ``step`` and ``solve`` pass the fields by position."""
 
     k: int
     bracket_k: int
@@ -217,12 +217,9 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
     else:
         x_next, corrected = x, False
 
-    record = TraceRecord(
-        k=k, bracket_k=count, x=x, active=active,
-        violated=violated, per_index=tuple(per_index),
-        alpha_used=alpha, r_used=r,
-        step_norm=0.0 if x_next is x else norm(x_next - x),
-        corrected=corrected, feasible_flag=False)
+    # Positional, in field order: keywords cost every step about 0.5 us.
+    record = TraceRecord(k, count, x, active, violated, tuple(per_index), alpha, r,
+                         0.0 if x_next is x else norm(x_next - x), corrected, False)
     return x_next, corrected, record
 
 
@@ -265,27 +262,29 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
     while True:
         if x is not tested:  # by identity: an equal copy is tested again
             stacked = rows.at(x) if rows is not None else None
-            feas = not nonfinite and feasible(problem, x, cfg.feas_window, cfg.feas_tol,
+            # With no pass at x the pool's scalar tests decide; given the
+            # window, feasible does not try the pass again.
+            window = cfg.feas_window or (problem.indices() if stacked is None else None)
+            feas = not nonfinite and feasible(problem, x, window, cfg.feas_tol,
                                               stacked=stacked)
             tested = x
         if feas or nonfinite or k >= cfg.max_iter:
-            emit(TraceRecord(
-                k=k, bracket_k=count, x=x, active=(),
-                violated=(), per_index=(), alpha_used=None, r_used=None,
-                step_norm=0.0, corrected=False, feasible_flag=feas))
+            emit(TraceRecord(k, count, x, (), (), (), None, None, 0.0, False, feas))
             status = ("feasible" if feas else
                       "nonfinite" if nonfinite else "max_iter")
             return RunResult(status, k if feas else None, x, trace,
                              corrections, k)
-        x, corrected, record = step(cfg, x, k, count, stacked=stacked)
-        x.flags.writeable = False
+        x_next, corrected, record = step(cfg, x, k, count, stacked=stacked)
+        if x_next is not x:  # a step that does not move returns x, read-only
+            x = x_next
+            x.flags.writeable = False
+            # A finite step norm implies a finite iterate; the norm of a finite
+            # but huge step can overflow, so only then are the coordinates read.
+            if not math.isfinite(record.step_norm):
+                nonfinite = not np.isfinite(x).all()
         emit(record)
         corrections += corrected
         count += raw or corrected
-        # A finite step norm implies a finite iterate; the norm of a finite
-        # but huge step can overflow, so only then are the coordinates read.
-        if not math.isfinite(record.step_norm):
-            nonfinite = not np.isfinite(x).all()
         k += 1
 
 

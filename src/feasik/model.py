@@ -504,15 +504,10 @@ class Problem:
                 raise ConfigError("interior point z is not in the outer set Q")
             interior = (z, big_r)
         self.interior = interior
-
-    @property
-    def is_finite(self) -> bool:
-        return self.m != math.inf
-
-    @property
-    def is_lazy(self) -> bool:
-        """The pool is an ``index -> Constraint`` function, not a list."""
-        return self._constraints is None
+        # Plain attributes, as every emission and feasibility test reads them;
+        # a lazy pool is an ``index -> Constraint`` function, not a list.
+        self.is_finite = self.m != math.inf
+        self.is_lazy = self._constraints is None
 
     @functools.cached_property
     def affine_rows(self) -> Optional["AffineRows"]:

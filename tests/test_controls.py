@@ -129,14 +129,19 @@ def test_lazy_pools_materialize_every_emitted_index():
         made.append(i)
         return Constraint(i, Halfspace([1.0], float(i)))
 
+    # is_lazy and is_finite are plain attributes, as every emission reads them.
+    listed = Problem(1, [Constraint(0, Halfspace([1.0], 0.0))])
     p = Problem(1, pool=pool, m=10)
+    infinite = Problem(1, pool=pool, m=math.inf)
+    assert [(q.is_lazy, q.is_finite) for q in (listed, p, infinite)] == \
+        [(False, True), (True, True), (True, False)]
+    assert all({"is_lazy", "is_finite"} <= vars(q).keys() for q in (listed, p, infinite))
     x = np.zeros(1)
     assert Intermittent([(4, 2, 7)]).indices(0, x, p) == (4, 2, 7)
     assert made == [4, 2, 7]
     with pytest.raises(PoolIndexError, match=r"^index out of pool: 10$"):
         Cyclic([3, 10]).indices(1, x, p)
     assert made == [4, 2, 7]
-    infinite = Problem(1, pool=pool, m=math.inf)
     assert Cyclic([123456]).indices(0, x, infinite) == (123456,)
     assert made[-1] == 123456
     wrong = Problem(1, pool=lambda i: Constraint(0, Halfspace([1.0], 0.0)), m=3)

@@ -196,6 +196,33 @@ def test_a_zero_weight_drops_its_term_bit_for_bit(stacked):
     assert rec.violated == (2,) and x_lone is x and not corrected
 
 
+def test_step_record_fields_each_hold_their_own_value():
+    # TraceRecord is built positionally, so each field takes a distinct
+    # value here: a reordered field cannot swap two values unseen.
+    p = Problem(2, [Constraint(0, Halfspace([1.0, 0.0], 0.0)),
+                    Constraint(1, Halfspace([0.0, 1.0], 0.0))])
+    cfg = make_cfg(p, [2.0, -1.0], control=Intermittent([(0, 1)]), alpha=0.5)
+    x = np.array([2.0, -1.0])
+    x_next, corrected, rec = step(cfg, x, 5, 2)
+    # r = 1/3, beta = (r + 2)/2 = 7/6, weight 1/2: the step is 0.5 * 7/12 * (-2, 0).
+    assert rec.k == 5 and rec.bracket_k == 2 and rec.x is x
+    assert rec.active == (0, 1) and rec.violated == (0,)
+    assert rec.per_index == ((2.0, 2.0, pytest.approx(7 / 6), pytest.approx(1 / 3)),
+                             (0.0, 0.0, 0.0, 0.0))
+    assert rec.alpha_used == 0.5 and rec.r_used == pytest.approx(1 / 3)
+    assert rec.step_norm == pytest.approx(7 / 12)
+    assert rec.corrected is True and corrected and rec.feasible_flag is False
+    np.testing.assert_allclose(x_next, [17 / 12, -1.0])
+    # The terminal record: steps 0 and 2 leave x in place, so k = 4 and [k] = 2.
+    result = solve(make_cfg(p, [2.0, -1.0], control=Cyclic([1, 0]), alpha=0.5))
+    last = result.trace[-1]
+    assert (last.k, last.bracket_k) == (4, 2) and last.x is result.final
+    assert last.active == last.violated == last.per_index == ()
+    assert last.alpha_used is None and last.r_used is None
+    assert type(last.step_norm) is float and last.step_norm == 0.0
+    assert last.corrected is False and last.feasible_flag is True
+
+
 def read_only_cases():
     """Runs over every cutter path: metric and subgradient cutters, a boxed
     Q, stacked pools, and block, remotest and random controls."""
@@ -221,6 +248,15 @@ def test_iterates_are_read_only_and_step_never_writes_x(case):
         assert not rec.x.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             rec.x[0] = 0.0
+    # The cyclic, random and A.2 runs have steps that leave x in place,
+    # where solve sets no flag: the iterate they keep is already read-only.
+    trace = result.trace
+    assert any(n.x is rec.x for rec, n in zip(trace, trace[1:])) == (case in (0, 4, 5))
+    # Records streamed to observers, which no trace keeps, are read-only too.
+    writeable = []
+    streamed = solve(cfg, observers=[lambda rec: writeable.append(rec.x.flags.writeable)])
+    assert streamed.trace is None and streamed.final.tobytes() == result.final.tobytes()
+    assert len(writeable) == len(trace) and not any(writeable)
     # Replayed from writeable copies, no step changes the x it is given.
     for rec in result.trace[:-1]:
         x = np.array(rec.x)

@@ -780,6 +780,33 @@ def test_solve_tests_each_iterate_once_with_the_reference_verdicts(make):
         trace_csv_text(trace, dim).encode()
 
 
+def test_an_iterate_without_a_pass_gets_one_try():
+    # Past the safe range of the rows (||x||_inf ||a_i||_1 near 2^1000)
+    # at(x) is None and the scalar tests decide; feasible must not take
+    # the pass again at the same x.  Row 0 has ||a||_1 = 1e150, and each
+    # of the first three steps brings one coordinate of x0 = 1e152 back, so
+    # three iterates have no pass and the fourth has one.  Every norm and
+    # dot product stays finite.
+    p = Problem(3, [Constraint(0, Halfspace([1e150, 0.0, 0.0], 1e150))]
+                + [Constraint(i, Halfspace(np.eye(3)[i % 3] * (i + 1), 1.0))
+                   for i in range(1, 20)])
+    rows = p.affine_rows
+    at, passes = rows.at, []
+
+    def counting_at(x):
+        passes.append((x, at(x)))
+        return passes[-1][1]
+
+    cfg = RunConfig(problem=p, control=Cyclic(range(20)),
+                    relaxation=ConstantRelaxation(1.0), overrelaxation=Harmonic(),
+                    phi=PhiOne(), weights=UniformOverActive(), x0=[1e152] * 3)
+    with mock.patch.object(rows, "at", counting_at):
+        result = solve(cfg)
+    assert result.status == "feasible" and result.steps == 3
+    assert [id(x) for x, _ in passes] == [id(rec.x) for rec in result.trace]
+    assert [rp is None for _, rp in passes] == [True, True, True, False]
+
+
 def wide_floats(rng, shape, lo, hi):
     """Floats of either sign with magnitudes 10^lo to 10^hi, a tenth of them
     subnormal and a tenth signed zeros."""
