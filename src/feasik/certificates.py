@@ -105,9 +105,13 @@ class DescentMonitor:
 
     def __call__(self, nxt) -> None:
         cert = self.certificate
+        last = self._last
+        if last is None and nxt.x.shape != cert.z.shape:  # only the first record
+            raise CertificateError(f"z has dimension {len(cert.z)}, "
+                                   f"the iterates {len(nxt.x)}")
         d1 = nxt.x - cert.z
         lhs = float(d1 @ d1)
-        last, self._last = self._last, (nxt, lhs)
+        self._last = (nxt, lhs)
         if last is None:
             return
         rec, base = last
@@ -126,6 +130,9 @@ def check_descent(trace, z, big_r: float, lam: float,
                   outer: Optional[OuterSet] = None) -> DescentCertificate:
     """Replay a recorded trace (or ``RunResult``) through a ``DescentMonitor``."""
     if isinstance(trace, RunResult):
+        if trace.trace is None:
+            raise CertificateError("the run kept no trace: its records went "
+                                   "to observers, where a DescentMonitor checks them")
         trace = trace.trace
     monitor = DescentMonitor(z, big_r, lam, outer)
     for rec in trace:
@@ -411,6 +418,10 @@ def reproduce_a2(max_iter: int = 100_000, oracle_up_to: int = 30) -> ReproduceRe
 
     # Honest segment: b-positions inside the run.
     honest = {sched.source(pos)[1]: x for pos, x in facts.kept.items()}
+    if not honest:
+        notes.append(f"no b-position within max_iter={max_iter}: nothing to check")
+        return ReproduceReport("a2", result.status, result.k_feasible, max_err,
+                               table, notes)
     for k in sorted(honest):
         if k > oracle_up_to:
             continue

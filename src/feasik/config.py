@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional
 from . import controls as ctl
 from . import schedules as sch
 from .engine import RunConfig
-from .errors import ConfigError
+from .errors import ConfigError, FeasikError
 from .model import (AbsCoordMinusC, Affine, Ball, Box, Constraint, Halfspace,
                     MaxAffine, OuterSet, Problem, QuadCoordMinusC,
                     SquaredDistToBall, Sublevel, as_integer, as_real)
@@ -70,6 +70,15 @@ def _list(items, where: str) -> list:
         raise ConfigError(f"field '{where}' must be a list, "
                           f"not {type(items).__name__}")
     return items
+
+
+def _built(where: str, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``, with an error of the constructor's own
+    raised as a ConfigError under the field path ``where``."""
+    try:
+        return cls(*args, **kwargs)
+    except FeasikError as e:
+        raise ConfigError(f"field '{where}': {e}") from None
 
 
 def _need(doc: dict, key: str, where: str):
@@ -193,7 +202,8 @@ class Kinds:
             cls, fields = self.table[kind]
         except (KeyError, TypeError):
             raise ConfigError(f"field '{path}': unknown {self.noun} {kind!r}") from None
-        return cls(*(_read(doc, key, where, ftype, dim) for key, ftype in fields))
+        return _built(where, cls, *[_read(doc, key, where, ftype, dim)
+                                    for key, ftype in fields])
 
 
 FUNCTIONS = Kinds("function kind", "kind", {
@@ -258,18 +268,20 @@ def build_problem(doc: dict, where: str = "problem") -> Problem:
     if outer_doc.get("type") == "whole_space":
         outer = OuterSet.whole_space()
     else:
-        outer = OuterSet(BODIES.build(outer_doc, where + ".outer", dim))
+        outer = _built(where + ".outer", OuterSet,
+                       BODIES.build(outer_doc, where + ".outer", dim))
     constraints, cutter = [], choice("cutter kind", "", "metric", "subgradient")
     for pos, cdoc in enumerate(_list(_need(doc, "constraints", where),
                                      where + ".constraints")):
         path = f"{where}.constraints[{pos}]"
         body = BODIES.build(cdoc, path, dim)
-        constraints.append(Constraint(pos, body, _read(cdoc, "cutter", path, cutter, dim)))
+        constraints.append(_built(path, Constraint, pos, body,
+                                  _read(cdoc, "cutter", path, cutter, dim)))
     interior = None
     if "interior" in doc:
         interior = (_read(doc["interior"], "z", where + ".interior", VECTOR, dim),
                     _read(doc["interior"], "R", where + ".interior", NUMBER, dim))
-    return Problem(dim, constraints, outer=outer, interior=interior)
+    return _built(where, Problem, dim, constraints, outer=outer, interior=interior)
 
 
 def build_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfig:

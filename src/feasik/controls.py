@@ -318,6 +318,7 @@ def empirical_well_matched(control: Control, problem: Problem,
     """Count, for each infeasible probe x, the steps k < horizon with
     I_k(x) intersecting I_+(x).  Zero hits refute well-matchedness; positive
     hits only fail to refute it."""
+    horizon = as_integer(horizon, "horizon")
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
     reports = []

@@ -154,9 +154,11 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
     that is the event the bracketed counter counts.  ``stacked`` is the
     residual pass at x when the caller has taken it; the control scores
     with it, active metric halfspaces it settles skip their cutter, and
-    the others are cut as one batch where ``AffineRows.cut_rows`` allows.
-    x is never written; the record holds it, and a step that does not move
-    returns it.  No feasibility test: ``feasible_flag`` is False.
+    ``AffineRows.cut_rows`` cuts the others as one batch where it can.  One
+    loop takes each row's cut, from the batch or ``evaluate_cutter``, then
+    its phi, beta and rho.  x is never written; the record holds it, and a
+    step that does not move returns it.  No feasibility test:
+    ``feasible_flag`` is False.
     """
     problem = cfg.problem
     active = cfg.control.indices(k, x, problem, stacked)
@@ -164,49 +166,32 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
     r = cfg.overrelaxation.r(count)
     violated, diffs, betas = [], [], []
     per_index = [ZERO_ENTRY] * len(active)  # kept by the rows the pass settles
-    if stacked is None:
-        todo = enumerate(active)
-    else:
-        todo = stacked.unsettled(active)
-        batch = stacked.rows.cut_rows(todo, x) if todo else None
-        if batch is not None:
-            # One batch, with the scalar loop's entries and phi calls, in order.
-            residual, D, dn = batch
-            for (p, i), res, n in zip(todo, residual.tolist(), dn.tolist()):
-                if n > 0.0:
-                    phi_val = cfg.phi.value(problem.constraint(i), x, None)
-                    b, rho = beta(r, phi_val, n), r / phi_val
-                    violated.append(i)
-                    betas.append(b)
-                else:
-                    b = rho = 0.0
-                per_index[p] = (res, n, b, rho)
-            diffs, todo = D[dn > 0.0], ()
+    todo = enumerate(active) if stacked is None else stacked.unsettled(active)
+    cuts = stacked.rows.cut_rows(todo, x) if stacked is not None and todo else None
     for p, i in todo:
         constraint = problem.constraint(i)
-        ce = evaluate_cutter(constraint, x)
-        if ce.displacement_norm > 0.0:
-            phi_val = cfg.phi.value(constraint, x, ce.subgrad_sq)
-            b = beta(r, phi_val, ce.displacement_norm)
-            rho = r / phi_val
+        _, n, res, gg, d = evaluate_cutter(constraint, x) if cuts is None else next(cuts)
+        if n > 0.0:
+            phi_val = cfg.phi.value(constraint, x, gg)
+            b, rho = beta(r, phi_val, n), r / phi_val
             violated.append(i)
-            diffs.append(ce.displacement)
+            diffs.append(d)
             betas.append(b)
         else:
             b = rho = 0.0
-        per_index[p] = (ce.residual, ce.displacement_norm, b, rho)
+        per_index[p] = (res, n, b, rho)
 
     violated = tuple(violated)
     weights = cfg.weights.weights(active, violated)
     # The overshoot terms (w_i beta_i)(T_i(x) - x) of nonzero weight, summed.
     if len(diffs) > 1:
-        terms = np.asarray(diffs)  # the moved rows of D are already a copy
+        terms = np.asarray(diffs)  # a copy: scaling it writes no cut
         coef = np.multiply(weights, betas)
         if 0.0 in weights:
             keep = np.array(weights) != 0.0
             terms, coef = terms[keep], coef[keep]
         terms *= coef[:, None]
-    elif betas and weights[0] != 0.0:  # diffs may be an array
+    elif betas and weights[0] != 0.0:
         terms = [(weights[0] * betas[0]) * diffs[0]]
     else:
         terms = ()

@@ -13,7 +13,8 @@ import math
 import numbers
 import reprlib
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import repeat
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -661,11 +662,12 @@ class AffineRows:
         batch = self.A.dtype == np.float64 and self.metric.all()
         return np.vecdot(self.A, self.A) if batch else None
 
-    def cut_rows(self, todo: list, x) -> Optional[tuple]:
+    def cut_rows(self, todo: list, x) -> Optional[Iterator]:
         """None below ``CUT_MIN_ROWS`` (position, index) pairs ``todo`` or
         unless every row is a float64 metric halfspace; else ``Halfspace.cut``
-        at x of their rows as one batch: (residuals, T(x) - x as rows, their
-        norms), bit for bit as ``cut`` and ``norm`` give them row by row, as
+        at x of their rows as one batch, yielded row by row in the field
+        order of ``CutterEval``: (None, norm, residual, None, T(x) - x as a
+        row of one array), bit for bit as ``evaluate_cutter`` gives them, as
         ``np.vecdot`` rounds as ``ndarray.dot`` bar a zero's sign at d = 1."""
         if len(todo) < CUT_MIN_ROWS or self.aa is None:
             return None
@@ -679,7 +681,8 @@ class AffineRows:
             coef, residual = v / self.aa[idx], v / self.norms[idx]
         D = x - coef[:, None] * N
         D -= x
-        return residual, D, np.sqrt(np.vecdot(D, D))
+        return zip(repeat(None), np.sqrt(np.vecdot(D, D)).tolist(),
+                   residual.tolist(), repeat(None), D)
 
     @classmethod
     def build(cls, problem: Problem) -> Optional["AffineRows"]:

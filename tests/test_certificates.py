@@ -69,6 +69,30 @@ def test_check_descent_z_outside_q():
         check_descent(result, [-1.0, 5.0], 0.5, 1.0, outer=p.outer)
 
 
+def test_check_descent_needs_a_kept_trace(axis_halfspaces):
+    # A streamed run keeps no trace: replaying it raised a TypeError.
+    result = solve(cyclic_cfg(axis_halfspaces, [1.0, 1.0]), observers=[lambda rec: None])
+    with pytest.raises(CertificateError, match="kept no trace"):
+        check_descent(result, [-3.0, -3.0], 1.0, 1.0)
+
+
+@pytest.mark.parametrize("z", [[-3.0], [-3.0, -3.0, -3.0]])
+def test_descent_checks_z_against_the_iterates(axis_halfspaces, z):
+    # A z of length 1 broadcast silently; one of length 3 raised numpy's
+    # broadcast ValueError.
+    result = solve(cyclic_cfg(axis_halfspaces, [1.0, 1.0]))
+    with pytest.raises(CertificateError, match=f"z has dimension {len(z)}, the iterates 2"):
+        check_descent(result, z, 1.0, 1.0)
+
+
+def test_reproduce_a2_fails_with_a_note_when_no_b_position_is_reached():
+    # max_iter=2 ends before b_0's position: max() of no positions raised.
+    report = reproduce_a2(max_iter=2)
+    assert not report.ok and report.status == "max_iter"
+    assert report.notes == ["no b-position within max_iter=2: nothing to check"]
+    assert "a2: FAIL" in report.lines()[0]
+
+
 def test_single_operator_hand_example():
     c = Constraint(0, Halfspace([1.0, 0.0], 0.0))
     lhs, rhs, ok = check_single_operator(

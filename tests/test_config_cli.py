@@ -357,6 +357,57 @@ def test_counter_mode_and_cutter_are_read_with_their_paths(value):
     assert build_run_config(doc).problem.constraint(1).cutter == "metric"
 
 
+def test_constructor_errors_name_their_document_field():
+    # A constructor's own error used to arrive without its field, and the
+    # index set checks as a ControlError that said "emitted" at parse time.
+    def with_constraint(c):
+        doc = two_halfspace_doc()
+        doc["problem"]["constraints"][1] = c
+        return doc
+    no_radius = two_halfspace_doc()
+    no_radius["problem"]["interior"]["R"] = 0.0
+    sublevel_outer = two_halfspace_doc()
+    sublevel_outer["problem"]["outer"] = {"type": "sublevel", "f": FUNCTION_DOCS["affine"]}
+    atoms = [{"indices": [0], "p": 0.25}, {"indices": [1], "p": 0.25}]
+    cases = [
+        (with_constraint({"type": "ball", "center": [0.0, 0.0], "radius": -1.0}),
+         "problem.constraints[1]", "ball radius must be positive"),
+        (with_constraint({"type": "box", "lo": [1.0, 1.0], "hi": [0.0, 2.0]}),
+         "problem.constraints[1]", "box has lo > hi"),
+        (with_constraint({"type": "halfspace", "a": [0.0, 0.0], "b": 1.0}),
+         "problem.constraints[1]", "halfspace normal must be nonzero"),
+        (with_constraint({"type": "sublevel", "f": {"kind": "max_affine", "pieces": []}}),
+         "problem.constraints[1].f", "MaxAffine needs at least one piece"),
+        (with_constraint({"type": "halfspace", "a": [0.0, 1.0], "b": 0.0,
+                          "cutter": "subgradient"}),
+         "problem.constraints[1]", "subgradient cutter requires a sublevel body"),
+        (sublevel_outer, "problem.outer",
+         "outer set must be whole space, halfspace, box or ball"),
+        (no_radius, "problem", "interior radius must be positive"),
+        (two_halfspace_doc(relaxation={"kind": "constant", "alpha": 3}),
+         "relaxation", "relaxation outside (0,2]"),
+        (two_halfspace_doc(overrelaxation={"kind": "geometric", "r0": 1.0, "ratio": 2}),
+         "overrelaxation", "geometric schedule needs r0 > 0 and ratio in (0,1)"),
+        (two_halfspace_doc(control={"kind": "cyclic", "order": []}),
+         "control", "cyclic order is empty"),
+        (two_halfspace_doc(control={"kind": "intermittent", "blocks": [[0, 0]]}),
+         "control", "control emitted duplicate indices (0, 0)"),
+        (two_halfspace_doc(control={"kind": "random_sets", "seed": 1,
+                                    "atoms": [{"indices": [], "p": 1.0}]}),
+         "control", "control emitted an empty index set"),
+        (two_halfspace_doc(control={"kind": "random_sets", "seed": 1, "atoms": atoms}),
+         "control", "atom probabilities sum to 0.5, not 1"),
+        (two_halfspace_doc(weights={"kind": "table", "table": {"0": 1.0}, "floor": 2}),
+         "weights", "weight floor must be in (0,1]"),
+        (two_halfspace_doc(control={"kind": "cyclic", "order": [1, 5]}),
+         "control.order[1]", "index 5 is outside the pool of 2 constraints"),
+    ]
+    for doc, field, message in cases:
+        with pytest.raises(ConfigError, match=re.escape(f"field '{field}': {message}")
+                           + "$"):
+            build_run_config(doc)
+
+
 def unchecked_number_docs():
     """(document, field path) pairs: list members that do not convert,
     fractions an integer field would truncate, booleans as numbers, the
@@ -625,6 +676,14 @@ def test_cli_certify(tmp_path):
     assert "violations=0" in out.stdout
     report = json.loads((tmp_path / "cert.json").read_text())
     assert report["certificate"]["violations"] == []
+
+
+def test_cli_certify_needs_an_interior(tmp_path, capsys):
+    doc = two_halfspace_doc()
+    del doc["problem"]["interior"]
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["certify", "--config", path]) == 1
+    assert capsys.readouterr().err == "error: certify needs problem.interior = {z, R}\n"
 
 
 def test_cli_reproduce_a1(tmp_path):

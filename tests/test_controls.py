@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from feasik import (AbsCoordMinusC, ConfigError, ConstantRelaxation,
                     Constraint, ControlError, Cyclic, Explicit, Halfspace,
-                    Harmonic, Intermittent, MaxDisplacement, MaxViolation,
+                    Harmonic, Intermittent, MaxAffine, MaxDisplacement, MaxViolation,
                     PhiOne, PoolIndexError, Problem, QuadCoordMinusC,
                     RandomSets, RemotestSet, Repetitive, RunConfig, Sublevel,
                     UniformOverActive, empirical_well_matched,
@@ -47,6 +47,14 @@ def test_remotest_picks_largest_distance(axis_halfspaces):
     c = RemotestSet()
     assert c.indices(0, np.array([2.0, 1.0]), axis_halfspaces) == (0,)
     assert c.indices(0, np.array([1.0, 2.0]), axis_halfspaces) == (1,)
+
+
+def test_remotest_needs_an_exact_distance():
+    hull = Sublevel(MaxAffine([([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0)]))
+    p = Problem(2, [Constraint(0, Halfspace([1.0, 0.0], 0.0)), Constraint(1, hull)])
+    with pytest.raises(ControlError, match="^remotest control needs an exact "
+                                           "distance for constraint 1$"):
+        RemotestSet().indices(0, np.array([2.0, 2.0]), p)
 
 
 def test_max_violation_on_a2():
@@ -174,6 +182,17 @@ def test_well_matched_cyclic_hits(axis_halfspaces):
     assert rep.ok
     assert all(pr.hits >= 1 for pr in rep.probes)
     assert "no violation found" in rep.summary()
+
+
+def test_well_matched_horizon_is_an_integer(axis_halfspaces):
+    # True ran as a horizon of 1, and 10.0 or "10" raised a TypeError.
+    probes = [np.array([1.0, 1.0])]
+    for horizon in (True, 2.5, "10"):
+        with pytest.raises(ConfigError, match="^horizon must be an integer"):
+            empirical_well_matched(Cyclic([0, 1]), axis_halfspaces, probes, horizon)
+    rep = empirical_well_matched(Cyclic([0, 1]), axis_halfspaces, probes, 10.0)
+    assert rep.horizon == 10 and type(rep.horizon) is int
+    assert rep.summary() == "no violation found within horizon 10 (1 probes)"
 
 
 def test_well_matched_flags_starved_index(axis_halfspaces):

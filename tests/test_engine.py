@@ -288,6 +288,12 @@ def test_solve_max_iter(axis_halfspaces):
     assert len(result.trace) == 2  # one executed step plus the terminal snapshot
 
 
+def test_max_iter_is_nonnegative(axis_halfspaces):
+    with pytest.raises(ConfigError, match="^max_iter must be nonnegative$"):
+        make_cfg(axis_halfspaces, [10.0, 10.0], max_iter=-1)
+    assert solve(make_cfg(axis_halfspaces, [10.0, 10.0], max_iter=0)).steps == 0
+
+
 def test_raw_equals_bracketed_when_full_control(axis_halfspaces):
     # with I_k = I every infeasible step is a correction, so [k] = k
     control = Intermittent([(0, 1)])

@@ -237,6 +237,18 @@ def test_problem_checks_its_integers():
     assert Problem(2, pool=pool, m=math.inf).m == math.inf
 
 
+def test_problem_takes_one_pool_whose_indices_are_positions():
+    def pool(i):
+        return Constraint(i, Halfspace([1.0], float(i)))
+
+    listed = [Constraint(0, Halfspace([1.0], 0.0))]
+    for make in (lambda: Problem(1), lambda: Problem(1, listed, pool=pool, m=1)):
+        with pytest.raises(ConfigError, match="^supply exactly one of constraints= or pool=$"):
+            make()
+    with pytest.raises(ConfigError, match="^constraint at position 1 has index 0$"):
+        Problem(1, listed * 2)
+
+
 def test_constraint_cutter_validation():
     with pytest.raises(ConfigError):
         Constraint(0, Halfspace([1.0], 0.0), cutter="subgradient")

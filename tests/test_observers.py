@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import packed_entries
-from feasik import (ConstantRelaxation, CsvStream, Cyclic, DescentMonitor,
-                    Harmonic, Intermittent, MergedDecreasing, PhiOne,
+from feasik import (CertificateError, ConstantRelaxation, CsvStream, Cyclic,
+                    DescentMonitor, Harmonic, Intermittent, MergedDecreasing, PhiOne,
                     RandomSets, RemotestSet, RunConfig, UniformOverActive,
                     UniformOverViolated, check_descent, cli,
                     random_slater_polyhedron, solve, write_trace_csv)
@@ -83,7 +83,7 @@ def test_a_streamed_result_is_not_a_trace():
     cfg = CONFIGS["cyclic"]()
     result = solve(cfg, observers=())
     z, big_r = cfg.problem.interior
-    with pytest.raises(TypeError):
+    with pytest.raises(CertificateError):
         check_descent(result, z, big_r, 1.0)
 
 

@@ -178,6 +178,12 @@ def test_weight_floors():
         skewed.weights((0, 1), (0,))
 
 
+def test_explicit_table_needs_a_weight_for_every_active_index():
+    table = ExplicitTable({0: 1.0, 2: 1.0}, floor_value=0.5)
+    with pytest.raises(ConfigError, match="^no table weight for index 1$"):
+        table.weights((0, 1), (0,))
+
+
 def test_explicit_table_rejects_a_weight_that_underflows_to_zero():
     # 1e-300 / (1e-300 + 1e300) is 0.0, which the floor test alone let
     # through at a floor of 1e-12 or less: certify assumes every weight of a
