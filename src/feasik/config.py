@@ -293,10 +293,8 @@ def build_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfi
         spec = {**spec, "seed": seed_override}
     control = CONTROLS.build(spec, "control", dim)
     for path, group in control._family():
-        for j, i in enumerate(group):
-            if not 0 <= i < problem.m:
-                raise ConfigError(f"field 'control.{path}[{j}]': index {i} is "
-                                  f"outside the pool of {problem.m} constraints")
+        problem.pool_indices(group, f"control.{path}")
+    window = doc.get("feas_window")
     return RunConfig(
         problem=problem,
         control=control,
@@ -307,10 +305,6 @@ def build_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfi
         weights=WEIGHTS.build(doc.get("weights", {"kind": "uniform_active"}),
                               "weights", dim),
         x0=VECTOR.read(_need(doc, "x0", "run"), "x0", dim),
-        counter_mode=choice("counter mode", "bracketed", "raw").read(
-            doc.get("counter_mode", "bracketed"), "counter_mode", dim),
-        max_iter=INTEGER.read(doc.get("max_iter", 1_000_000), "max_iter", dim),
-        feas_window=(None if doc.get("feas_window") is None
-                     else INDICES.read(doc["feas_window"], "feas_window", dim)),
-        feas_tol=NUMBER.read(doc.get("feas_tol", 0.0), "feas_tol", dim),
+        feas_window=None if window is None else INDICES.read(window, "feas_window", dim),
+        **{key: doc[key] for key in ("counter_mode", "max_iter", "feas_tol") if key in doc},
     )

@@ -15,14 +15,18 @@ from .model import Problem, RowPass, Vector, as_integer, as_real, violated_indic
 from .operators import evaluate_cutter
 
 
-def _index_tuple(indices) -> tuple:
+def _index_tuple(indices, where: str = "") -> tuple:
+    """A nonempty tuple of distinct ints.  A fault is a ConfigError naming
+    the set ``where`` at construction, or a ControlError in an emission."""
     # A tuple of exact ints is kept, so a schedule's constant sets are shared.
     out = (indices if type(indices) is tuple and all(type(i) is int for i in indices)
            else tuple(map(as_integer, indices)))
-    if not out:
-        raise ControlError("control emitted an empty index set")
-    if len(out) > 1 and len(set(out)) != len(out):
-        raise ControlError(f"control emitted duplicate indices {out}")
+    if not out or len(out) > 1 and len(set(out)) != len(out):
+        if where:
+            raise ConfigError(f"{where} has duplicate indices {out}" if out
+                              else f"{where} is empty")
+        raise ControlError(f"control emitted duplicate indices {out}" if out
+                           else "control emitted an empty index set")
     return out
 
 
@@ -89,7 +93,7 @@ class Intermittent(_FixedSets):
     kind = "intermittent"
 
     def __init__(self, blocks: Sequence[Sequence[int]]):
-        self.blocks = [_index_tuple(b) for b in blocks]
+        self.blocks = [_index_tuple(b, f"blocks[{n}]") for n, b in enumerate(blocks)]
         if not self.blocks:
             raise ConfigError("intermittent control needs at least one block")
         self.max_card = max(map(len, self.blocks))
@@ -144,7 +148,7 @@ class Explicit(_FixedSets):
     kind = "explicit"
 
     def __init__(self, sets: Sequence[Sequence[int]]):
-        self.sets = [_index_tuple(s) for s in sets]
+        self.sets = [_index_tuple(s, f"sets[{n}]") for n, s in enumerate(sets)]
         if not self.sets:
             raise ConfigError("explicit control has no sets")
         self.max_card = max(map(len, self.sets))
@@ -243,7 +247,8 @@ class RandomSets(_FixedSets):
     def __init__(self, atoms: Sequence[tuple], seed: int):
         if not atoms:
             raise ConfigError("random control needs at least one atom")
-        self.atoms = [(_index_tuple(s), as_real(p, "atom probability")) for s, p in atoms]
+        self.atoms = [(_index_tuple(s, f"atoms[{n}].indices"),
+                       as_real(p, "atom probability")) for n, (s, p) in enumerate(atoms)]
         if any(not p >= 0.0 for _, p in self.atoms):
             raise ConfigError("atom probabilities must be nonnegative")
         total = sum(p for _, p in self.atoms)

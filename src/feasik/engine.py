@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -81,25 +82,25 @@ class RunConfig:
     feas_tol: float = 0.0
 
     def __post_init__(self):
-        self.x0 = as_vector(self.x0, dim=self.problem.dim)
+        try:
+            self.x0 = as_vector(self.x0, dim=self.problem.dim)
+        except ConfigError as e:
+            raise ConfigError(f"field 'x0': {e}") from None
         if self.counter_mode not in ("bracketed", "raw"):
-            raise ConfigError(f"unknown counter mode {self.counter_mode!r}")
+            raise ConfigError("field 'counter_mode': unknown counter mode "
+                              f"{reprlib.repr(self.counter_mode)}")
         if not self.problem.outer.member(self.x0):
-            raise ConfigError("x0 is not in the outer set Q")
+            raise ConfigError("field 'x0': not in the outer set Q")
         if self.feas_window is not None:
-            self.feas_window = tuple(map(as_integer, self.feas_window))
+            self.feas_window = self.problem.pool_indices(self.feas_window, "feas_window")
             if not self.feas_window:
-                raise ConfigError("feas_window is empty")
-            for j, i in enumerate(self.feas_window):
-                if not 0 <= i < self.problem.m:
-                    raise ConfigError(f"feas_window[{j}]: index {i} is outside "
-                                      f"the pool of {self.problem.m} constraints")
+                raise ConfigError("field 'feas_window' is empty")
         elif not self.problem.is_finite:
-            raise ConfigError("infinite pools need an explicit feas_window")
-        self.max_iter = as_integer(self.max_iter, "max_iter")
+            raise ConfigError("field 'feas_window': infinite pools need one")
+        self.max_iter = as_integer(self.max_iter, "field 'max_iter'")
         if self.max_iter < 0:
-            raise ConfigError("max_iter must be nonnegative")
-        self.feas_tol = as_real(self.feas_tol, "feas_tol")
+            raise ConfigError("field 'max_iter': must be nonnegative")
+        self.feas_tol = as_real(self.feas_tol, "field 'feas_tol'")
         if not getattr(self.overrelaxation, "divergent_sum", False):
             warnings.warn(
                 "overrelaxation schedule is not declared divergent; "

@@ -533,6 +533,17 @@ class Problem:
             self._cache[i] = c
         return c
 
+    def pool_indices(self, indices, where: str) -> tuple:
+        """``indices`` as ints in [0, m); a fault names the field ``where[j]``."""
+        out = []
+        for j, i in enumerate(indices):
+            path = f"field '{where}[{j}]'"
+            if not 0 <= (i := as_integer(i, path)) < self.m:
+                raise ConfigError(f"{path}: index {i} is outside the pool of "
+                                  f"{self.m} constraints")
+            out.append(i)
+        return tuple(out)
+
     def indices(self) -> range:
         if not self.is_finite:
             raise ConfigError("infinite pool has no full index range")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from feasik import (AbsCoordMinusC, Affine, Ball, CertificateError,
-                    ConstantRelaxation, Constraint, Cyclic, FromFunction,
-                    Halfspace, Harmonic, OuterSet, PhiOne, Problem,
-                    QuadCoordMinusC, RunConfig, UniformOverActive,
+                    ConstantRelaxation, Constraint, Cyclic, Explicit, FromFunction,
+                    Halfspace, Harmonic, OuterSet, PhiOne, PhiSubgradNorm, Problem,
+                    QuadCoordMinusC, RunConfig, UniformOverActive, certificates, engine,
                     check_descent, check_single_operator, oracle_a1, oracle_a2,
                     reproduce_a1, reproduce_a1_bracketed, reproduce_a2,
                     reproduce_a2_bracketed, slater_delta, solve)
@@ -205,6 +205,48 @@ def test_reproduce_a2_raw_and_bracketed():
     assert rep.max_rel_err <= 1e-12
     rep = reproduce_a2_bracketed()
     assert rep.ok and rep.k_feasible == 130
+
+
+def test_reproduce_a2_fast_forwards_through_one_run(monkeypatch):
+    # The golden output shows the fast-forward rows only to k = 10 and the
+    # error to three digits, so each iterate is pinned here: it equals, bit
+    # for bit, one step at k = 0 of a run on constraint 1 with r = b_k fixed.
+    cfg, sched = build_a2_config("raw", 200)
+    x = next(rec.x for pos, rec in enumerate(solve(cfg).trace)
+             if sched.source(pos) == ("b", 1))  # the last b-position of 1e5 steps
+    want = []
+    for k in range(1, 30):
+        one = RunConfig(
+            problem=cfg.problem, control=Explicit([(1,)]),
+            relaxation=ConstantRelaxation(1.0),
+            overrelaxation=FromFunction(lambda j, r=a2_b(k): r, divergent_sum=True),
+            phi=PhiSubgradNorm(), weights=UniformOverActive(), x0=x,
+            counter_mode="raw", max_iter=1)
+        x = engine.step(one, x, 0, 0)[0]
+        want.append(x.tobytes())
+
+    got, configs, solves = [], [], []
+
+    def recorded_step(*args, **kwargs):
+        out = engine.step(*args, **kwargs)
+        got.append(out[0].tobytes())
+        return out
+
+    def counted_init(self, *args, init=RunConfig.__init__, **kwargs):
+        configs.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args)
+        return engine.solve(*args, **kwargs)
+
+    monkeypatch.setattr(certificates, "step", recorded_step)
+    monkeypatch.setattr(certificates, "solve", counted_solve)
+    monkeypatch.setattr(RunConfig, "__init__", counted_init)
+    report = reproduce_a2()
+    assert report.ok and report.table[-1][0] == "10 (ff)"
+    assert (len(configs), len(got), len(solves)) == (2, 29, 1)
+    assert got == want
 
 
 def test_bracketed_a2_takes_one_subgradient_per_cutter_image(monkeypatch):

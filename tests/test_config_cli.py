@@ -391,10 +391,10 @@ def test_constructor_errors_name_their_document_field():
         (two_halfspace_doc(control={"kind": "cyclic", "order": []}),
          "control", "cyclic order is empty"),
         (two_halfspace_doc(control={"kind": "intermittent", "blocks": [[0, 0]]}),
-         "control", "control emitted duplicate indices (0, 0)"),
+         "control", "blocks[0] has duplicate indices (0, 0)"),
         (two_halfspace_doc(control={"kind": "random_sets", "seed": 1,
                                     "atoms": [{"indices": [], "p": 1.0}]}),
-         "control", "control emitted an empty index set"),
+         "control", "atoms[0].indices is empty"),
         (two_halfspace_doc(control={"kind": "random_sets", "seed": 1, "atoms": atoms}),
          "control", "atom probabilities sum to 0.5, not 1"),
         (two_halfspace_doc(weights={"kind": "table", "table": {"0": 1.0}, "floor": 2}),
@@ -515,7 +515,7 @@ def test_python_constructor_checks_feas_tol_as_documents_do():
                 relaxation=run.relaxation, overrelaxation=run.overrelaxation,
                 phi=run.phi, weights=run.weights, x0=run.x0)
     for tol in ("x", None, True, [0.0], math.inf, -math.inf, math.nan, 10 ** 400):
-        with pytest.raises(ConfigError, match="^feas_tol must be a"):
+        with pytest.raises(ConfigError, match="^field 'feas_tol' must be a"):
             RunConfig(**base, feas_tol=tol)
         with pytest.raises(ConfigError, match="^field 'feas_tol' must be a"):
             build_run_config(two_halfspace_doc(x0=[5.0, 5.0], feas_tol=tol))
@@ -524,6 +524,39 @@ def test_python_constructor_checks_feas_tol_as_documents_do():
         assert cfg.feas_tol == tol and type(cfg.feas_tol) is float
     assert solve(RunConfig(**base, feas_tol=1e300)).k_feasible == 0
     assert solve(RunConfig(**base, feas_tol=1.0)).k_feasible >= 1
+
+
+def test_run_config_faults_read_the_same_from_python_and_documents():
+    # RunConfig's own messages had no field path; documents read these
+    # members themselves and said "field '<member>'".
+    from feasik import RunConfig
+    run = build_run_config(two_halfspace_doc())
+    base = dict(problem=run.problem, control=run.control,
+                relaxation=run.relaxation, overrelaxation=run.overrelaxation,
+                phi=run.phi, weights=run.weights, x0=run.x0)
+    members = ("counter_mode", "max_iter", "feas_tol", "feas_window")
+    cases = [(doc, field) for doc, field in non_numeric_docs() + unchecked_number_docs()
+             if field.split("[")[0] in members]
+    cases += [(two_halfspace_doc(counter_mode=v), "counter_mode") for v in (5, "rawx", None)]
+    cases += [(two_halfspace_doc(max_iter=-1), "max_iter"),
+              (two_halfspace_doc(feas_window=[]), "feas_window"),
+              (two_halfspace_doc(feas_window=[0, 5]), "feas_window[1]")]
+    assert len(cases) == 12
+    for doc, field in cases:
+        member = field.split("[")[0]
+        with pytest.raises(ConfigError) as from_doc:
+            build_run_config(doc)
+        with pytest.raises(ConfigError) as from_python:
+            RunConfig(**base, **{member: doc[member]})
+        assert str(from_doc.value).startswith(f"field '{field}'"), from_doc.value
+        assert str(from_python.value) == str(from_doc.value)
+    boxed = two_halfspace_doc()
+    boxed["problem"]["outer"] = {"type": "box", "lo": [-4.0, -4.0], "hi": [2.0, 2.0]}
+    with pytest.raises(ConfigError, match=re.escape("field 'x0': not in the outer set Q")
+                       + "$"):
+        build_run_config({**boxed, "x0": [5.0, 5.0]})
+    with pytest.raises(ConfigError, match=re.escape("field 'x0': expected dimension 2, got 3")):
+        RunConfig(**{**base, "x0": [0.0, 0.0, 0.0]})
 
 
 def test_cli_validate_rejects_unchecked_numbers(tmp_path, capsys):
@@ -540,10 +573,10 @@ def test_cli_validate_checks_the_feasibility_window(tmp_path, capsys):
     # [] made solve report feasible at k = 0 from a point outside both
     # sets; [0, 5] validated and failed only in solve.
     for n, (window, expected) in enumerate([
-            ([], "feas_window is empty"),
-            ([5], "feas_window[0]: index 5 is outside the pool of 2"),
-            ([0, 5], "feas_window[1]: index 5 is outside the pool of 2"),
-            ([0, -1], "feas_window[1]: index -1 is outside the pool of 2")]):
+            ([], "field 'feas_window' is empty"),
+            ([5], "field 'feas_window[0]': index 5 is outside the pool of 2"),
+            ([0, 5], "field 'feas_window[1]': index 5 is outside the pool of 2"),
+            ([0, -1], "field 'feas_window[1]': index -1 is outside the pool of 2")]):
         path = write_doc(tmp_path, two_halfspace_doc(feas_window=window), f"w{n}.json")
         for command in ("validate", "solve"):
             assert cli.main([command, "--config", path]) == 1, window

@@ -130,6 +130,29 @@ def test_a_run_meets_a_bad_set_only_when_it_gets_there(axis_halfspaces):
         solve(explicit_run(axis_halfspaces, [(1,), (1,)], [1.0, 1.0]))
 
 
+def test_index_set_faults_are_config_errors_at_construction(axis_halfspaces):
+    # The constructors raised ControlError("control emitted ...") before
+    # anything was emitted; now the fault names the set by its field path.
+    for make, message in [
+            (lambda: Intermittent([(0,), (1, 1)]), "blocks[1] has duplicate indices (1, 1)"),
+            (lambda: Explicit([(0,), ()]), "sets[1] is empty"),
+            (lambda: RandomSets([((0,), 0.5), ((), 0.5)], seed=1),
+             "atoms[1].indices is empty"),
+            (lambda: RandomSets([((0, 1, 0), 1.0)], seed=1),
+             "atoms[0].indices has duplicate indices (0, 1, 0)")]:
+        with pytest.raises(ConfigError) as err:
+            make()
+        assert type(err.value) is ConfigError and str(err.value) == message
+    # What a Repetitive callable emits is still a ControlError.
+    x = np.zeros(2)
+    for emitted, message in [((0, 0), "control emitted duplicate indices (0, 0)"),
+                             ((), "control emitted an empty index set")]:
+        control = Repetitive(lambda k, s=emitted: s, max_card=2)
+        with pytest.raises(ControlError) as err:
+            control.indices(0, x, axis_halfspaces)
+        assert str(err.value) == message
+
+
 def test_lazy_pools_materialize_every_emitted_index():
     made = []
 

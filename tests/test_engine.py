@@ -289,7 +289,7 @@ def test_solve_max_iter(axis_halfspaces):
 
 
 def test_max_iter_is_nonnegative(axis_halfspaces):
-    with pytest.raises(ConfigError, match="^max_iter must be nonnegative$"):
+    with pytest.raises(ConfigError, match="^field 'max_iter': must be nonnegative$"):
         make_cfg(axis_halfspaces, [10.0, 10.0], max_iter=-1)
     assert solve(make_cfg(axis_halfspaces, [10.0, 10.0], max_iter=0)).steps == 0
 
