@@ -12,7 +12,7 @@ first positions and then drives the engine's own step map across the later
 ones; every skipped position only touches the already-satisfied |y| <= 1.
 """
 
-from feasik import reproduce_a2, reproduce_a2_bracketed
+from feasik import ConfigError, reproduce_a2, reproduce_a2_bracketed
 from feasik.certificates import a2_b, a2_schedule
 
 sched = a2_schedule()
@@ -24,7 +24,7 @@ for k in range(4):
     try:
         pos = sched.position_of("b", k, limit=10 ** 6)
         where = str(pos)
-    except Exception:
+    except ConfigError:  # position_of found no b_k within its cap
         where = f"~{int(1.0 / b) + k:,} (beyond scan cap)"
     print(f"  b_{k} = {b:.6g} at position {where}")
 

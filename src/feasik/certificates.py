@@ -357,19 +357,18 @@ def a2_schedule() -> MergedDecreasing:
 
 
 def build_a2_config(counter_mode: str = "raw",
-                    max_iter: int = 100_000) -> tuple:
-    """The repetitive-control subgradient setup.  Returns (config, schedule);
-    the control picks constraint 0 at merge positions fed by the harmonic
-    part and constraint 1 at positions fed by the b-part."""
+                    max_iter: int = 100_000) -> RunConfig:
+    """The repetitive-control subgradient setup, whose overrelaxation is the
+    merged schedule: the control picks constraint 0 at merge positions fed
+    by the harmonic part and constraint 1 at positions fed by the b-part."""
     sched = a2_schedule()
     control = Repetitive(
         lambda k: (0,) if sched.source(k)[0] == "a" else (1,), max_card=1)
-    cfg = RunConfig(
+    return RunConfig(
         problem=a2_problem(), control=control,
         relaxation=ConstantRelaxation(1.0), overrelaxation=sched,
         phi=PhiSubgradNorm(), weights=UniformOverActive(), x0=[2.0, 2.0],
         counter_mode=counter_mode, max_iter=max_iter)
-    return cfg, sched
 
 
 def reproduce_a2(max_iter: int = 100_000, oracle_up_to: int = 30) -> ReproduceReport:
@@ -384,7 +383,8 @@ def reproduce_a2(max_iter: int = 100_000, oracle_up_to: int = 30) -> ReproduceRe
     takes the remaining b-positions from one forward run of the engine's
     step on constraint 1 alone and compares with the closed form at each.
     """
-    cfg, sched = build_a2_config("raw", max_iter)
+    cfg = build_a2_config("raw", max_iter)
+    sched = cfg.overrelaxation
     facts = _RunFacts(lambda pos: pos < max_iter and sched.source(pos)[0] == "b")
     result = solve(cfg, observers=[facts])
     notes = []
@@ -432,8 +432,7 @@ def reproduce_a2(max_iter: int = 100_000, oracle_up_to: int = 30) -> ReproduceRe
 
 
 def reproduce_a2_bracketed(max_iter: int = 10_000) -> ReproduceReport:
-    return _reproduce_bracketed("a2-bracketed",
-                                build_a2_config("bracketed", max_iter)[0])
+    return _reproduce_bracketed("a2-bracketed", build_a2_config("bracketed", max_iter))
 
 
 REPRODUCTIONS = {

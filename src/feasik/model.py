@@ -24,11 +24,23 @@ Vector = np.ndarray
 
 
 def as_vector(coords, dim: Optional[int] = None) -> Vector:
-    """Coerce to a finite 1-D float64 array, optionally checking the dimension."""
+    """Coerce to a finite 1-D float64 array, optionally checking the dimension.
+    A string, a boolean or another non-real is not a coordinate: an array
+    is checked by its dtype, anything else entry by entry."""
+    if isinstance(coords, np.ndarray):
+        if coords.dtype.kind not in "fiu":
+            raise ConfigError(f"coordinates must be numbers, not dtype {coords.dtype}")
+    elif isinstance(coords, (str, bytes)) or not hasattr(coords, "__iter__"):
+        raise ConfigError(f"expected a 1-D vector, got {reprlib.repr(coords)}")
+    else:
+        for v in coords:  # an exact float skips the slower ABC check
+            if type(v) is not float and (isinstance(v, bool)
+                                         or not isinstance(v, numbers.Real)):
+                raise ConfigError(f"coordinates must be numbers, not {reprlib.repr(v)}")
     x = np.asarray(coords, dtype=np.float64)
     if x.ndim != 1:
         raise ConfigError(f"expected a 1-D vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ConfigError("vector has non-finite coordinates")
     if dim is not None and x.shape[0] != dim:
         raise ConfigError(f"expected dimension {dim}, got {x.shape[0]}")
@@ -263,9 +275,6 @@ class Body:
         over a strided view of the same values may round differently."""
         raise NotImplementedError
 
-    def member(self, x: Vector, tol: float = 0.0) -> bool:
-        return self.violation(x) <= tol
-
     def distance(self, x: Vector) -> Optional[float]:
         return None
 
@@ -279,17 +288,21 @@ class Body:
 
 @dataclass(frozen=True)
 class Halfspace(Body):
-    """{x : <a, x> <= b} with a . a > 0, which an underflowing a fails.
-    ``aa`` is float(a . a) and ``a_norm`` its root, ``norm(a)`` bit for bit."""
+    """{x : <a, x> <= b} with 0 < a . a < inf, which an a that underflows
+    or overflows fails.  ``aa`` is float(a . a) and ``a_norm`` its root,
+    ``norm(a)`` bit for bit."""
 
     a: Vector
     b: float
 
+    @np.errstate(over="ignore")  # an a . a past the float range is refused, not warned
     def __post_init__(self):
         a = np.ascontiguousarray(as_vector(self.a))
         aa = float(a.dot(a))
         if not aa > 0.0:
             raise ConfigError("halfspace normal must be nonzero")
+        if aa == math.inf:
+            raise ConfigError("halfspace normal is too long: a . a overflows")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", as_real(self.b, "b"))
         object.__setattr__(self, "aa", aa)
@@ -427,9 +440,6 @@ class Constraint:
         if kind == "subgradient" and not isinstance(self.body, Sublevel):
             raise ConfigError("subgradient cutter requires a sublevel body")
 
-    def member(self, x, tol: float = 0.0) -> bool:
-        return self.body.member(x, tol)
-
     def violation(self, x) -> float:
         return self.body.violation(x)
 
@@ -453,7 +463,7 @@ class OuterSet:
         return cls(None)
 
     def member(self, x, tol: float = 0.0) -> bool:
-        return True if self.body is None else self.body.member(x, tol)
+        return self.body is None or self.body.violation(x) <= tol
 
     def project(self, x: Vector) -> Vector:
         return x if self.body is None else self.body.project(x)
@@ -565,7 +575,7 @@ class Problem:
         for e in dirs:
             pt = z + (2.0 * big_r) * e
             for i in self.indices():
-                if not self.constraint(i).member(pt, tol=1e-12):
+                if not self.constraint(i).violation(pt) <= 1e-12:
                     raise ConfigError(
                         f"interior ball violates constraint {i} at a sampled direction")
 
@@ -575,21 +585,21 @@ class Problem:
 # ---------------------------------------------------------------------------
 
 # Fewest affine rows for which a pool is evaluated as one stacked matvec,
-# a measured crossover (README, "Performance"): below it cyclic runs are
-# faster with the per-constraint loop, since a pass costs a fixed few
-# microseconds of numpy calls, a scalar sign test about 1.5 us per row, and
-# a scan often stops at its first violated row.
+# a measured crossover (CHANGES.md; README, "Stacked rows"): below it
+# cyclic runs are faster with the per-constraint loop, since a pass costs a
+# fixed few microseconds of numpy calls, a scalar sign test about 1.5 us
+# per row, and a scan often stops at its first violated row.
 STACKED_MIN_ROWS = 16
 
 # Fewest matrix entries (rows times dim) for which the rows are stored in
-# float32, a measured crossover on whole solves (README, "Performance"):
-# below it the float64 pass is about as fast, and its tighter margin leaves
-# fewer rows to their scalar tests.
+# float32, a measured crossover on whole solves (CHANGES.md; README,
+# "Float32 rows"): below it the float64 pass is about as fast, and its
+# tighter margin leaves fewer rows to their scalar tests.
 FLOAT32_MIN_ENTRIES = 2 ** 16
 
 # Fewest unsettled float64 metric halfspace rows that ``AffineRows.cut_rows``
-# cuts as one batch, a measured crossover of a stacked step (README,
-# "Performance"): below it Python's row loop is cheaper.
+# cuts as one batch, a measured crossover of a stacked step (CHANGES.md;
+# README, "Batched cuts"): below it Python's row loop is cheaper.
 CUT_MIN_ROWS = 4
 
 _U = 2.0 ** -53             # unit roundoff of binary64
@@ -801,7 +811,7 @@ def violated_indices(problem: Problem, x: Vector, window=None) -> tuple:
     x = np.ascontiguousarray(x)
     if window is None:
         window = problem.indices()
-    return tuple(i for i in window if not problem.constraint(i).member(x))
+    return tuple(i for i in window if not problem.constraint(i).violation(x) <= 0.0)
 
 
 def feasible(problem: Problem, x: Vector, window=None, tol: float = 0.0,
@@ -826,6 +836,6 @@ def feasible(problem: Problem, x: Vector, window=None, tol: float = 0.0,
     if not problem.outer.member(x, tol):
         return False
     for i in window:
-        if not problem.constraint(i).member(x, tol):
+        if not problem.constraint(i).violation(x) <= tol:
             return False
     return True

@@ -57,6 +57,6 @@ def interior_point_with_margin(rng, body, dim, margin):
 def outside_point(rng, body, dim, tries=50):
     for _ in range(tries):
         x = rng.uniform(-4.0, 4.0, dim)
-        if not body.member(x):
+        if not body.violation(x) <= 0.0:
             return x
     return None

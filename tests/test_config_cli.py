@@ -559,6 +559,28 @@ def test_run_config_faults_read_the_same_from_python_and_documents():
         RunConfig(**{**base, "x0": [0.0, 0.0, 0.0]})
 
 
+def test_coordinates_must_be_numbers():
+    # numpy read "2" and True as 2.0 and 1.0, and raised its own TypeError
+    # or ValueError for {} and "ab".  Arrays are checked by their dtype.
+    run = build_run_config(two_halfspace_doc())
+    base = dict(problem=run.problem, control=run.control,
+                relaxation=run.relaxation, overrelaxation=run.overrelaxation,
+                phi=run.phi, weights=run.weights)
+    for bad in ([1.0, "2"], [True, 2.0], [1.0, np.True_], [1.0, {}], [1.0, None],
+                "ab", b"ab", 2.0, np.array(["1", "2"]), np.array([True, False]),
+                np.array([1.0, 2.0], dtype=object), np.array([1.0, 2.0j])):
+        with pytest.raises(ConfigError, match="^field 'x0': (coordinates must be "
+                           "numbers|expected a 1-D vector)"):
+            feasik.RunConfig(**base, x0=bad)
+        with pytest.raises(ConfigError, match="^(coordinates must be numbers|"
+                           "expected a 1-D vector)"):
+            feasik.Halfspace(bad, 1.0)
+    for good in ([1, 2.0], (np.int64(1), np.float32(2.0)), np.array([1, 2]),
+                 np.array([1, 2], dtype=np.uint8), np.array([1.0, 2.0], np.float32)):
+        assert feasik.Halfspace(good, 1.0).a.tolist() == [1.0, 2.0]
+        assert feasik.RunConfig(**base, x0=good).x0.tolist() == [1.0, 2.0]
+
+
 def test_cli_validate_rejects_unchecked_numbers(tmp_path, capsys):
     # These raised a raw ValueError or TypeError, or validated with the
     # number truncated.

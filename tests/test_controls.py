@@ -233,7 +233,7 @@ def test_well_matched_random_frequency():
     p = Problem(2, [Constraint(i, Halfspace([1.0, 0.0], -float(i))) for i in range(m)])
     control = RandomSets.uniform_singletons(m, seed=42)
     x = np.array([-1.5, 0.0])  # violates constraints with i > 1.5: {2, 3}... check below
-    viol = [i for i in range(m) if not p.constraint(i).member(x)]
+    viol = [i for i in range(m) if not p.constraint(i).violation(x) <= 0.0]
     rep = empirical_well_matched(control, p, [x], horizon=n)
     prob = len(viol) / m
     sigma = math.sqrt(prob * (1 - prob) / n)

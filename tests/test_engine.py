@@ -234,7 +234,7 @@ def read_only_cases():
         make_cfg(metric, x_metric, control=Intermittent([range(20)])),
         make_cfg(metric, x_metric, control=RemotestSet()),
         make_cfg(metric, x_metric, control=RandomSets.uniform_singletons(20, 3)),
-        build_a2_config("bracketed", 10_000)[0],
+        build_a2_config("bracketed", 10_000),
     ]
 
 

@@ -136,7 +136,7 @@ def test_feasible_is_false_outside_q_where_every_constraint_holds():
         pool = [Constraint(i, Halfspace([1.0, 0.0], 10.0 + i)) for i in range(m)]
         problem = Problem(2, pool, outer=outer)
         assert (problem.affine_rows is None) == (m < STACKED_MIN_ROWS)
-        assert all(c.member(x) for c in pool) and not outer.member(x)
+        assert all(c.violation(x) <= 0.0 for c in pool) and not outer.member(x)
         assert not feasible(problem, x)
         assert feasible(problem, np.zeros(2))
 
@@ -159,7 +159,7 @@ def test_metric_fixed_points_are_the_set():
         for _ in range(20):
             x = rng.uniform(-4, 4, dim)
             # projections land in the set up to last-ulp rounding
-            assert body.member(body.project(x), tol=1e-12)
+            assert body.violation(body.project(x)) <= 1e-12
         for _ in range(20):
             z = body.project(rng.uniform(-4, 4, dim))
             if isinstance(body, Box):
@@ -368,6 +368,16 @@ def test_underflowing_halfspace_normal_is_rejected():
         body.distance(x)
     with pytest.raises(ConfigError, match="halfspace normal must be nonzero"):
         body.project(x)
+
+
+def test_overflowing_halfspace_normal_is_rejected():
+    # a . a overflowed to inf, with numpy's warning: the cut at (1, 0) was
+    # then the identity with distance 0.0, and a cyclic run from there
+    # ended max_iter with no correction.
+    for a in ([1e200, 0.0], [1e155, 1e155], [-1e300]):
+        with pytest.raises(ConfigError, match=r"halfspace normal is too long: a \. a overflows"):
+            Halfspace(a, 1.0)
+    assert math.isfinite(Halfspace([1e154, 1e153], 1.0).aa)
 
 
 def _bits(v) -> bytes:

@@ -48,7 +48,7 @@ CONFIGS = {
     "block": lambda: config(Intermittent([range(24)]), UniformOverViolated()),
     "remotest": lambda: config(RemotestSet()),
     "random_sets": lambda: config(RandomSets.uniform_singletons(24, 11)),
-    "a2": lambda: build_a2_config("raw", 2000)[0],
+    "a2": lambda: build_a2_config("raw", 2000),
 }
 
 

@@ -119,7 +119,7 @@ def test_cutter_property_subgradient_sweep():
         x = rng.uniform(-4, 4, 2)
         z = rng.uniform(-np.sqrt(c), np.sqrt(c)) * np.array([1.0, 0.0]) \
             + np.array([0.0, rng.uniform(-3, 3)])
-        assert body.member(z)
+        assert body.violation(z) <= 0.0
         _, _, ok = check_cutter_property(con, x, z)
         assert ok
         checked += 1
@@ -155,7 +155,7 @@ def test_zero_displacement_iff_member():
         for _ in range(300):
             x = rng.uniform(-3, 3, 2)
             ce = evaluate_cutter(con, x)
-            assert (ce.displacement_norm == 0.0) == con.member(x)
+            assert (ce.displacement_norm == 0.0) == (con.violation(x) <= 0.0)
 
 
 def float_bytes(*values):

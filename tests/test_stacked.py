@@ -160,7 +160,7 @@ def test_stacked_decisions_match_scalar(case, duplicate):
     assert violated_indices(problem, x) == violated_indices(scalar, x)
     # The reference loop itself, spelled out.
     assert feasible(problem, x, tol=tol) == all(
-        problem.constraint(i).member(x, tol) for i in problem.indices())
+        problem.constraint(i).violation(x) <= tol for i in problem.indices())
     p = problem.affine_rows.at(x)
     for control in (RemotestSet(), MaxViolation()):
         assert control._select(0, x, problem, p) == control._select(0, x, problem)
@@ -245,14 +245,14 @@ def test_decisions_hold_for_any_rounding_within_the_margin(dtype, case, duplicat
         assert control._select(0, x, problem, p) == control._select(0, x, problem)
     every = tuple(problem.indices())
     held = [i for i in every if isinstance(problem.constraint(i).body, Halfspace)
-            and problem.constraint(i).member(x)]
+            and problem.constraint(i).violation(x) <= 0.0]
     assert set(p.settled.nonzero()[0].tolist()) <= set(held)
 
 
 def test_feasible_keeps_the_scalar_scan_order():
     # Row 0 is violated by 2^-52, within its margin, so its own test
     # decides it; row 1 lies outside the stack (its normal has the wrong
-    # length) and raises in its member test; row 2 is certainly violated.
+    # length) and raises in its sign test; row 2 is certainly violated.
     # The scalar loop stops at row 0 and never reaches row 1.
     x = np.array([1.0, -1.0 + 2.0 ** -52])
     bodies = [Halfspace([1.0, 1.0], 0.0), Halfspace([1.0, 1.0, 1.0], 0.0),
@@ -263,7 +263,7 @@ def test_feasible_keeps_the_scalar_scan_order():
     assert not p.v[0] > p.margin[0] and not p.satisfied[0] and p.v[2] > p.margin[2]
     assert p.margin[1] == math.inf and not p.v[1] > p.margin[1] and not p.satisfied[1]
     with pytest.raises(ValueError):
-        problem.constraint(1).member(x)
+        problem.constraint(1).violation(x)
     assert feasible(problem, x) is feasible(lazy_twin(problem), x) is False
 
 
