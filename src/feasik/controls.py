@@ -15,14 +15,14 @@ from .model import Problem, RowPass, Vector, as_integer, as_real, violated_indic
 from .operators import evaluate_cutter
 
 
-def _index_tuple(indices, where: str = "") -> tuple:
-    """A nonempty tuple of distinct ints.  A fault is a ConfigError naming
-    the set ``where`` at construction, or a ControlError in an emission."""
+def _index_tuple(indices, path: str = "", n: int = 0) -> tuple:
+    """A nonempty tuple of distinct ints.  A fault is a ControlError, or a
+    ConfigError naming the set ``path.format(n)`` where a path is given."""
     # A tuple of exact ints is kept, so a schedule's constant sets are shared.
     out = (indices if type(indices) is tuple and all(type(i) is int for i in indices)
            else tuple(map(as_integer, indices)))
     if not out or len(out) > 1 and len(set(out)) != len(out):
-        if where:
+        if where := path.format(n):
             raise ConfigError(f"{where} has duplicate indices {out}" if out
                               else f"{where} is empty")
         raise ControlError(f"control emitted duplicate indices {out}" if out
@@ -32,24 +32,17 @@ def _index_tuple(indices, where: str = "") -> tuple:
 
 class Control:
     """Base class.  ``indices(k, x, problem)`` returns the index set I_k;
-    every emission is a nonempty tuple with cardinality <= the attribute
-    ``max_card``."""
+    every emission is a nonempty tuple of distinct ints with cardinality <=
+    the attribute ``max_card``."""
 
     max_card: int
+    # (lo, hi) with lo <= min I_k and max I_k <= hi for all k, if fixed
+    _range: Optional[tuple] = None
 
     def _select(self, k: int, x: Vector, problem: Problem,
                 stacked: Optional[RowPass] = None) -> tuple:
+        """I_k, already checked as ``indices`` returns it."""
         raise NotImplementedError
-
-    def _emit(self, k: int, x: Vector, problem: Problem,
-              stacked: Optional[RowPass]) -> tuple:
-        """(I_k, lo, hi) with lo <= min I_k and max I_k <= hi, and I_k
-        checked against max_card."""
-        out = _index_tuple(self._select(k, x, problem, stacked))
-        if len(out) > self.max_card:
-            raise ControlError(
-                f"control emitted {len(out)} indices, above max_card {self.max_card}")
-        return out, min(out), max(out)
 
     def _family(self) -> list:
         """(field path, index set) pairs: the index sets the control lists,
@@ -61,7 +54,8 @@ class Control:
                 stacked: Optional[RowPass] = None) -> tuple:
         """``stacked`` is a residual pass already taken at x, which
         adaptive controls use to score the stacked rows at once."""
-        out, lo, hi = self._emit(k, x, problem, stacked)
+        out = self._select(k, x, problem, stacked)
+        lo, hi = self._range or (min(out), max(out))
         if problem.is_lazy or lo < 0 or hi >= problem.m:
             # Materializes a lazy pool's constraints, and raises "index out
             # of pool" at the first emitted index outside the pool, if any.
@@ -71,19 +65,28 @@ class Control:
 
 
 class _FixedSets(Control):
-    """A control whose index sets come from a fixed family, validated at
-    construction.  The smallest and the largest index of the whole family
+    """A control that emits the index sets of a fixed family ``sets``, each
+    checked at construction, where a fault names the set ``path.format(n)``
+    at position n.  The smallest and the largest index of the whole family
     are taken once, at the first emission: a pool that holds that range
     holds every emission."""
+
+    path: str
+    empty: str  # the fault of an empty family
+
+    def __init__(self, sets: Sequence[Sequence[int]]):
+        self.sets = [_index_tuple(s, self.path, n) for n, s in enumerate(sets)]
+        if not self.sets:
+            raise ConfigError(self.empty)
+        self.max_card = max(map(len, self.sets))
+
+    def _family(self):
+        return [(self.path.format(n), s) for n, s in enumerate(self.sets)]
 
     @functools.cached_property
     def _range(self) -> tuple:
         family = [s for _, s in self._family()]
         return min(map(min, family)), max(map(max, family))
-
-    def _emit(self, k, x, problem, stacked):
-        lo, hi = self._range
-        return self._select(k, x, problem, stacked), lo, hi
 
 
 class Intermittent(_FixedSets):
@@ -91,18 +94,11 @@ class Intermittent(_FixedSets):
     consecutive steps emits every block once."""
 
     kind = "intermittent"
-
-    def __init__(self, blocks: Sequence[Sequence[int]]):
-        self.blocks = [_index_tuple(b, f"blocks[{n}]") for n, b in enumerate(blocks)]
-        if not self.blocks:
-            raise ConfigError("intermittent control needs at least one block")
-        self.max_card = max(map(len, self.blocks))
-
-    def _family(self):
-        return [(f"blocks[{n}]", b) for n, b in enumerate(self.blocks)]
+    path = "blocks[{}]"
+    empty = "intermittent control needs at least one block"
 
     def _select(self, k, x, problem, stacked=None):
-        return self.blocks[k % len(self.blocks)]
+        return self.sets[k % len(self.sets)]
 
 
 class Cyclic(Intermittent):
@@ -121,7 +117,7 @@ class Cyclic(Intermittent):
         return [("order", self.order)]
 
     @functools.cached_property
-    def blocks(self) -> list:
+    def sets(self) -> list:
         return [(i,) for i in self.order]  # at the first emission; shared
 
 
@@ -139,22 +135,19 @@ class Repetitive(Control):
             raise ConfigError("max_card must be >= 1")
 
     def _select(self, k, x, problem, stacked=None):
-        return self.schedule(k)
+        out = _index_tuple(self.schedule(k))
+        if len(out) > self.max_card:
+            raise ControlError(
+                f"control emitted {len(out)} indices, above max_card {self.max_card}")
+        return out
 
 
 class Explicit(_FixedSets):
     """A finite, explicitly listed sequence of index sets."""
 
     kind = "explicit"
-
-    def __init__(self, sets: Sequence[Sequence[int]]):
-        self.sets = [_index_tuple(s, f"sets[{n}]") for n, s in enumerate(sets)]
-        if not self.sets:
-            raise ConfigError("explicit control has no sets")
-        self.max_card = max(map(len, self.sets))
-
-    def _family(self):
-        return [(f"sets[{n}]", s) for n, s in enumerate(self.sets)]
+    path = "sets[{}]"
+    empty = "explicit control has no sets"
 
     def _select(self, k, x, problem, stacked=None):
         if k >= len(self.sets):
@@ -230,7 +223,8 @@ class MaxViolation(_Maximal):
 
 
 class RandomSets(_FixedSets):
-    """I.i.d. draws from a finite distribution over index sets.
+    """I.i.d. draws from a finite distribution over index sets: ``atoms``
+    are (set, probability) pairs, kept as ``sets`` and ``probs``.
 
     The draw at iteration k uses a counter-based generator keyed by
     (seed, k), so step k's realization is reproducible independently of
@@ -243,25 +237,21 @@ class RandomSets(_FixedSets):
     DRAW_BLOCK = 64
 
     kind = "random_sets"
+    path = "atoms[{}].indices"
+    empty = "random control needs at least one atom"
 
     def __init__(self, atoms: Sequence[tuple], seed: int):
-        if not atoms:
-            raise ConfigError("random control needs at least one atom")
-        self.atoms = [(_index_tuple(s, f"atoms[{n}].indices"),
-                       as_real(p, "atom probability")) for n, (s, p) in enumerate(atoms)]
-        if any(not p >= 0.0 for _, p in self.atoms):
+        atoms = list(atoms or ())  # read twice
+        super().__init__([s for s, _ in atoms])
+        self.probs = [as_real(p, "atom probability") for _, p in atoms]
+        if any(not p >= 0.0 for p in self.probs):
             raise ConfigError("atom probabilities must be nonnegative")
-        total = sum(p for _, p in self.atoms)
+        total = sum(self.probs)
         if abs(total - 1.0) > 1e-12:
             raise ConfigError(f"atom probabilities sum to {total}, not 1")
         self.seed = as_integer(seed, "seed") & (2 ** 64 - 1)
-        self.max_card = max(len(s) for s, _ in self.atoms)
-        self._cum = np.cumsum([p for _, p in self.atoms])
+        self._cum = np.cumsum(self.probs)
         self._block_start, self._block = None, None
-
-    def _family(self):
-        return [(f"atoms[{n}].indices", s)
-                for n, (s, _) in enumerate(self.atoms)]
 
     def draw_uniform(self, k: int) -> float:
         start = k - k % self.DRAW_BLOCK
@@ -275,8 +265,7 @@ class RandomSets(_FixedSets):
     def _select(self, k, x, problem, stacked=None):
         u = self.draw_uniform(k)
         j = int(np.searchsorted(self._cum, u, side="right"))
-        j = min(j, len(self.atoms) - 1)
-        return self.atoms[j][0]
+        return self.sets[min(j, len(self.sets) - 1)]
 
     @classmethod
     def uniform_singletons(cls, m: int, seed: int) -> "RandomSets":
@@ -361,6 +350,7 @@ def positivity_diagnostic(control: RandomSets, problem: Problem,
         viol = frozenset(violated_indices(problem, x))
         if not viol:
             raise ConfigError("positivity probes must be infeasible points")
-        p = sum(prob for s, prob in control.atoms if viol.intersection(s))
+        p = sum(prob for s, prob in zip(control.sets, control.probs)
+                if viol.intersection(s))
         out.append((tuple(sorted(viol)), p))
     return PositivityReport(out)

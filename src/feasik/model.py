@@ -71,6 +71,16 @@ def as_real(value, what: str) -> float:
     raise ConfigError(f"{what} must be a number, not {reprlib.repr(value)}")
 
 
+def _refuse_long(a: Vector, what: str) -> None:
+    """A ConfigError naming the vector ``what`` where ``float(a . a)``
+    overflows.  Below 2^511 in norm it cannot, and for small d Python's
+    overflow-safe ``hypot`` costs less than numpy's error state."""
+    if math.hypot(*a.tolist()) >= 2.0 ** 511:
+        with np.errstate(over="ignore"):  # refused, not warned
+            if float(a.dot(a)) == math.inf:
+                raise ConfigError(f"{what} is too long: a . a overflows")
+
+
 def norm(v: Vector) -> float:
     """``float(np.linalg.norm(v))`` for a 1-D float64 array, without the
     dispatch: numpy's 2-norm of a vector is ``sqrt(v.dot(v))`` over
@@ -105,6 +115,11 @@ class ConvexFunction:
     def sublevel_project(self, x: Vector) -> Optional[Vector]:
         return None
 
+    def fits(self, dim: int) -> bool:
+        """Whether f is a function on R^dim: every vector it holds has dim
+        entries and every axis lies in [0, dim)."""
+        return True
+
 
 @dataclass(frozen=True)
 class Affine(ConvexFunction):
@@ -116,12 +131,16 @@ class Affine(ConvexFunction):
     def __post_init__(self):
         object.__setattr__(self, "a", as_vector(self.a))
         object.__setattr__(self, "b", as_real(self.b, "b"))
+        _refuse_long(self.a, "affine normal")
 
     def value(self, x):
         return float(self.a.dot(x)) - self.b
 
     def subgradient(self, x):
         return self.a
+
+    def fits(self, dim):
+        return len(self.a) == dim
 
     @functools.cached_property
     def _halfspace(self) -> "Halfspace":
@@ -140,6 +159,7 @@ class _CoordSlab(ConvexFunction):
     |x[axis]| <= h with h = ``_half_width()``; empty for c < 0."""
 
     def __post_init__(self):
+        object.__setattr__(self, "axis", as_integer(self.axis, "axis"))
         object.__setattr__(self, "c", as_real(self.c, "c"))
 
     def sublevel_distance(self, x):
@@ -154,6 +174,9 @@ class _CoordSlab(ConvexFunction):
         y = np.array(x, dtype=np.float64)
         y[self.axis] = min(max(y[self.axis], -h), h)
         return y
+
+    def fits(self, dim):
+        return 0 <= self.axis < dim
 
 
 @dataclass(frozen=True)
@@ -208,7 +231,12 @@ class MaxAffine(ConvexFunction):
         if not self.pieces:
             raise ConfigError("MaxAffine needs at least one piece")
         pieces = tuple((as_vector(a), as_real(b, "b")) for a, b in self.pieces)
+        for j, (a, _) in enumerate(pieces):
+            _refuse_long(a, f"MaxAffine piece {j} normal")
         object.__setattr__(self, "pieces", pieces)
+
+    def fits(self, dim):
+        return all(len(a) == dim for a, _ in self.pieces)
 
     def _active(self, x):
         vals = [float(a.dot(x)) - b for a, b in self.pieces]
@@ -257,6 +285,9 @@ class SquaredDistToBall(ConvexFunction):
     def sublevel_project(self, x):
         return self._ball.project(x)
 
+    def fits(self, dim):
+        return len(self.center) == dim
+
 
 # ---------------------------------------------------------------------------
 # Constraint bodies
@@ -284,6 +315,11 @@ class Body:
     def cut(self, x: Vector) -> tuple:
         """(project(x), distance(x)): the metric cutter's image and residual."""
         return self.project(x), self.distance(x)
+
+    def fits(self, dim: int) -> bool:
+        """Whether the body is a set in R^dim: every vector it holds has dim
+        entries and every axis lies in [0, dim)."""
+        return True
 
 
 @dataclass(frozen=True)
@@ -332,6 +368,9 @@ class Halfspace(Body):
             return x
         return x - (v / self.aa) * self.a
 
+    def fits(self, dim):
+        return len(self.a) == dim
+
 
 @dataclass(frozen=True)
 class Ball(Body):
@@ -359,6 +398,9 @@ class Ball(Body):
             return np.array(x, dtype=np.float64)
         return self.center + (self.radius / d) * diff
 
+    def fits(self, dim):
+        return len(self.center) == dim
+
 
 @dataclass(frozen=True)
 class Box(Body):
@@ -384,6 +426,9 @@ class Box(Body):
     def project(self, x):
         return np.minimum(np.maximum(x, self.lo), self.hi)
 
+    def fits(self, dim):
+        return len(self.lo) == dim  # hi has lo's length
+
 
 @dataclass(frozen=True)
 class Sublevel(Body):
@@ -408,6 +453,9 @@ class Sublevel(Body):
     def cut(self, x):
         # The image of the metric cutter; its residual is f(x).
         return self.project(x), self.violation(x)
+
+    def fits(self, dim):
+        return self.f.fits(dim)
 
 
 METRIC_BODIES = (Halfspace, Ball, Box)
@@ -474,7 +522,9 @@ class Problem:
 
     The constraint pool is either a finite list or a lazy ``index ->
     Constraint`` function with declared cardinality ``m`` (``math.inf``
-    allowed).  ``interior``, when given, is a pair ``(z, R)`` asserting
+    allowed).  Every constraint body and the outer set must fit ``dim``
+    (``Body.fits``); a lazy pool's are checked as they are built.
+    ``interior``, when given, is a pair ``(z, R)`` asserting
     B(z, 2R) lies inside every C_i with z in Q.  The caller asserts it:
     nothing checks it at construction, and only ``spot_check_interior``
     samples it.
@@ -490,6 +540,8 @@ class Problem:
         if self.dim < 1:
             raise ConfigError("dim must be at least 1")
         self.outer = outer if outer is not None else OuterSet.whole_space()
+        if self.outer.body is not None and not self.outer.body.fits(self.dim):
+            raise ConfigError(f"outer set is not a set in dimension {self.dim}")
         self._cache: dict[int, Constraint] = {}
         if constraints is not None:
             self._constraints = list(constraints)
@@ -498,6 +550,7 @@ class Problem:
                 if c.index != pos:
                     raise ConfigError(
                         f"constraint at position {pos} has index {c.index}")
+                self._check_dim(pos, c)
             self._pool = None
         else:
             if m is None or m != math.inf and as_integer(m, "m") <= 0:
@@ -540,8 +593,14 @@ class Problem:
             c = self._pool(i)
             if c.index != i:
                 raise ConfigError(f"pool returned constraint with index {c.index} for {i}")
+            self._check_dim(i, c)
             self._cache[i] = c
         return c
+
+    def _check_dim(self, pos: int, c: Constraint) -> None:
+        if not c.body.fits(self.dim):
+            raise ConfigError(
+                f"constraint at position {pos} is not a set in dimension {self.dim}")
 
     def pool_indices(self, indices, where: str) -> tuple:
         """``indices`` as ints in [0, m); a fault names the field ``where[j]``."""
@@ -626,10 +685,11 @@ class AffineRows:
     once stacked.
     """
 
-    def __init__(self, A, b, metric, norms):
-        """A (float64 or float32; the margins follow its dtype), b, metric
-        and norms as the pool's rows; a row with ||a||_1 below 2^-900, whose
-        margin scale could underflow, or norm 0 becomes a zero row in place."""
+    def __init__(self, A, b, metric, norms, aa):
+        """A (float64 or float32; the margins follow its dtype), b, metric,
+        norms and each halfspace's ``Halfspace.aa`` as the pool's rows; a
+        row with ||a||_1 below 2^-900, whose margin scale could underflow,
+        or norm 0 becomes a zero row in place."""
         l1 = np.abs(A).sum(axis=1, dtype=np.float64)
         out = ~((l1 >= 2.0 ** -900) & (norms > 0.0))
         A[out], l1[out], b[out], norms[out] = 0.0, 0.0, 0.0, 1.0
@@ -641,6 +701,9 @@ class AffineRows:
         self.metric = metric & ~out
         # ||a_i||, as the scalar distance divides by it; 1.0 for a zero row.
         self.norms = norms
+        # Each row's a.a, for ``cut_rows``; None for float32 rows and pools
+        # with another row.
+        self.aa = aa if A.dtype == np.float64 and self.metric.all() else None
         # margin_i = scale_i ||x||_inf + offset_i bounds |scalar - stacked|
         # (see ``at``), with gamma_n(u) = n u / (1 - n u).  The factor
         # 1 + 2^-20 absorbs the rounding of the margin itself and of l1, a
@@ -676,13 +739,6 @@ class AffineRows:
         self.offset = np.where(l1 > 0.0, offset, math.inf)
         self.b_max = float(abs_b.max())
 
-    @functools.cached_property
-    def aa(self) -> Optional[np.ndarray]:
-        """Each row's a.a, ``Halfspace.aa`` bit for bit, for ``cut_rows``, at
-        the first batch; None for float32 rows and pools with another row."""
-        batch = self.A.dtype == np.float64 and self.metric.all()
-        return np.vecdot(self.A, self.A) if batch else None
-
     def cut_rows(self, todo: list, x) -> Optional[Iterator]:
         """None below ``CUT_MIN_ROWS`` (position, index) pairs ``todo`` or
         unless every row is a float64 metric halfspace; else ``Halfspace.cut``
@@ -712,22 +768,23 @@ class AffineRows:
         in float32 when their entries fit it."""
         dim = problem.dim
         zero = np.zeros(dim)
-        normals, rhs, metric, norms = [], [], [], []
+        normals, rhs, metric, norms, aas = [], [], [], [], []
         zeros = 0
         for c in problem._constraints:
             body = c.body
             f = body.f if isinstance(body, Sublevel) else body
             halfspace = isinstance(body, Halfspace)
-            if (halfspace or isinstance(f, Affine)) and f.a.shape == (dim,):
+            if halfspace or isinstance(f, Affine):
                 a, b = f.a, f.b
-                n = body.a_norm if halfspace else norm(a)
+                n, aa = (body.a_norm, body.aa) if halfspace else (norm(a), 0.0)
             else:
-                a, b, halfspace, n = zero, 0.0, False, 1.0
+                a, b, n, aa = zero, 0.0, 1.0, 0.0
                 zeros += 1
             normals.append(a)
             rhs.append(b)
             metric.append(halfspace)
             norms.append(n)
+            aas.append(aa)
         if len(normals) - zeros < STACKED_MIN_ROWS:
             return None  # counted before any array is built
 
@@ -736,7 +793,7 @@ class AffineRows:
         for dtype in [np.float32, np.float64] if large else [np.float64]:
             with np.errstate(over="ignore"):  # an entry past float32's range
                 A = np.concatenate(normals, dtype=dtype).reshape(len(normals), dim)
-            rows = cls(A, np.array(rhs), np.array(metric), np.array(norms))
+            rows = cls(A, np.array(rhs), np.array(metric), np.array(norms), np.array(aas))
             if dtype is np.float64 or rows.l1_max + rows.b_max < _SAFE32:
                 break  # else float32 rows would be past their range: take float64
         return rows if rows.stacked >= STACKED_MIN_ROWS else None

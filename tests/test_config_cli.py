@@ -499,7 +499,7 @@ def test_python_constructors_check_indices_as_documents_do():
             make()
     # ints, numpy integers and integral floats are kept as ints.
     assert Cyclic([np.int64(1), 0.0]).order == [1, 0]
-    assert Intermittent([(np.int32(1), 0)]).blocks == [(1, 0)]
+    assert Intermittent([(np.int32(1), 0)]).sets == [(1, 0)]
     assert ExplicitTable({np.int64(1): 1.0}, 0.5).table == {1: 1.0}
     cfg = RunConfig(**base, feas_window=(np.int64(1), 0.0), max_iter=np.int64(7))
     assert cfg.feas_window == (1, 0) and type(cfg.feas_window[0]) is int

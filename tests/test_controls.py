@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -271,7 +273,7 @@ def test_structural_repetitiveness_windows():
     s = 3
     assert covers_every_window(Cyclic([0, 1, 2]), pool(3), s, starts=3 * s)
     inter = Intermittent([(0, 1), (2,), (1, 3)])
-    span = len(inter.blocks)
+    span = len(inter.sets)
     assert covers_every_window(inter, pool(4), span, starts=3 * span)
     assert not covers_every_window(Cyclic([0, 1]), pool(3), 2, starts=6)
 
@@ -339,3 +341,59 @@ def test_block_draws_match_one_generator_per_step(seed, base, offsets, order):
     control = RandomSets.uniform_singletons(4, seed)
     for k in ks:
         assert control.draw_uniform(k) == reference_draw(control.seed, k), k
+
+
+FIXED_KINDS = ["cyclic", "intermittent", "explicit", "random_sets"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(FIXED_KINDS),
+       sets=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True)
+                     .map(tuple), min_size=1, max_size=6),
+       weights=st.lists(st.integers(0, 4), min_size=6, max_size=6),
+       seed=st.integers(0, 2 ** 64 - 1), m=st.integers(1, 8))
+def test_fixed_controls_emit_their_family(kind, sets, weights, seed, m):
+    # Each control against a reference built from its constructor's
+    # arguments alone: the emission at every k < 3 len, raising "index out
+    # of pool" at the step that emits an index past the pool, max_card and
+    # the named family.
+    problem = Problem(1, [Constraint(i, Halfspace([1.0], float(i))) for i in range(m)])
+    x = np.zeros(1)
+    if kind == "cyclic":
+        order = [s[0] for s in sets]
+        control, family = Cyclic(order), [("order", order)]
+        reference, max_card = (lambda k: (order[k % len(order)],)), 1
+    else:
+        max_card = max(map(len, sets))
+        if kind == "intermittent":
+            control, path = Intermittent(sets), "blocks[{}]"
+            reference = lambda k: sets[k % len(sets)]
+        elif kind == "explicit":
+            control, path = Explicit(sets), "sets[{}]"
+            reference = lambda k: sets[k] if k < len(sets) else None
+        else:
+            w = weights[:len(sets)]
+            w[0] += not any(w)
+            probs = [v / sum(w) for v in w]
+            control, path = RandomSets(list(zip(sets, probs)), seed), "atoms[{}].indices"
+            cum = list(itertools.accumulate(probs))
+
+            def reference(k):
+                j = bisect.bisect_right(cum, reference_draw(seed, k))
+                return sets[min(j, len(sets) - 1)]
+        family = [(path.format(n), s) for n, s in enumerate(sets)]
+    assert control.max_card == max_card
+    assert control._family() == family
+    for k in range(3 * len(sets)):
+        want = reference(k)
+        if want is None:
+            with pytest.raises(ControlError, match=f"^explicit control exhausted at step {k}$"):
+                control.indices(k, x, problem)
+            continue
+        outside = [i for i in want if i >= m]
+        if outside:
+            with pytest.raises(PoolIndexError, match=f"^index out of pool: {outside[0]}$"):
+                control.indices(k, x, problem)
+            continue
+        got = control.indices(k, x, problem)
+        assert got == want and type(got) is tuple and all(type(i) is int for i in got)

@@ -380,6 +380,58 @@ def test_overflowing_halfspace_normal_is_rejected():
     assert math.isfinite(Halfspace([1e154, 1e153], 1.0).aa)
 
 
+def test_overflowing_affine_normal_is_rejected():
+    # Sublevel(Affine([1e200, 0], 1)) and a MaxAffine with that piece were
+    # accepted: a cyclic run from (1, 0) warned "overflow encountered in
+    # dot" at every step and ended max_iter with no correction.
+    for make, message in [
+            (lambda: Affine([1e200, 0.0], 1.0), "affine normal"),
+            (lambda: Affine([1e155, 1e155], 1.0), "affine normal"),
+            (lambda: Affine([1e154] * 4, 1.0), "affine normal"),
+            (lambda: MaxAffine([([1.0, 0.0], 1.0), ([1e200, 0.0], 1.0)]),
+             "MaxAffine piece 1 normal")]:
+        with pytest.raises(ConfigError) as err:
+            make()
+        assert str(err.value) == f"{message} is too long: a . a overflows"
+    assert Affine([1e154, 1e153], 1.0).a[0] == 1e154  # a . a is finite
+    # A zero normal stays valid; only its closed forms refuse it.
+    assert Sublevel(Affine([0.0, 0.0], 1.0)).violation(np.zeros(2)) == -1.0
+    assert MaxAffine([([0.0, 0.0], 1.0), ([1e154, 1e153], 1.0)]).value(np.zeros(2)) == -1.0
+
+
+def test_problem_refuses_sets_of_another_dimension():
+    # In Problem(2, ...) a 1-vector ball was the disc around (1, 1), a
+    # 1-vector box the unit square, a 3-vector halfspace raised numpy's
+    # ValueError at its first sign test and axis 5 an IndexError.
+    ok = Constraint(0, Halfspace([1.0, 0.0], 0.0))
+    bad = [Ball([1.0], 0.5), Box([0.0], [1.0]), Halfspace([1.0, 0.0, 0.0], 0.0),
+           Sublevel(Affine([1.0], 0.0)), Sublevel(AbsCoordMinusC(axis=5, c=1.0)),
+           Sublevel(QuadCoordMinusC(axis=-1, c=1.0)),
+           Sublevel(MaxAffine([([1.0, 0.0], 0.0), ([1.0, 0.0, 0.0], 0.0)])),
+           Sublevel(SquaredDistToBall([0.0, 0.0, 0.0], 1.0))]
+    for body in bad:
+        with pytest.raises(ConfigError) as err:
+            Problem(2, [ok, Constraint(1, body)])
+        assert str(err.value) == "constraint at position 1 is not a set in dimension 2"
+        # A lazy pool refuses it where it materializes the constraint.
+        lazy = Problem(2, pool=lambda i, b=body: Constraint(i, b if i else ok.body), m=3)
+        assert lazy.constraint(0).body is ok.body
+        with pytest.raises(ConfigError) as err:
+            lazy.constraint(1)
+        assert str(err.value) == "constraint at position 1 is not a set in dimension 2"
+    for body in (Box([0.0], [1.0]), Ball([0.0, 0.0, 0.0], 1.0)):
+        with pytest.raises(ConfigError) as err:
+            Problem(2, [ok], outer=OuterSet(body))
+        assert str(err.value) == "outer set is not a set in dimension 2"
+    fits = Problem(2, [ok, Constraint(1, Sublevel(AbsCoordMinusC(axis=1.0, c=1.0)))],
+                   outer=OuterSet(Box([-1.0, -1.0], [1.0, 1.0])))
+    assert fits.constraint(1).body.f.axis == 1 and type(fits.constraint(1).body.f.axis) is int
+    # An axis that is not an integer was compared, or indexed, only in use.
+    for axis in ("a", True, 1.5):
+        with pytest.raises(ConfigError, match="^axis must be an integer"):
+            QuadCoordMinusC(axis=axis, c=1.0)
+
+
 def _bits(v) -> bytes:
     return np.float64(v).tobytes()
 

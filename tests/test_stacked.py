@@ -10,7 +10,12 @@ place, is compared with a loop that runs the scalar test at every iterate.
 
 import io
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import packed_entries
+import feasik
 from feasik import (Affine, Ball, Box, ConfigError, ConstantRelaxation,
                     Constraint, Cyclic, Explicit, ExplicitTable, Halfspace,
                     Harmonic, Intermittent, MaxViolation, OuterSet, PhiCustom,
@@ -29,7 +35,7 @@ from feasik import (Affine, Ball, Box, ConfigError, ConstantRelaxation,
                     violated_indices, write_trace_csv)
 from feasik.engine import ZERO_ENTRY
 from feasik.model import (CUT_MIN_ROWS, FLOAT32_MIN_ENTRIES, STACKED_MIN_ROWS,
-                          AffineRows, RowPass, norm)
+                          AffineRows, ConvexFunction, RowPass, norm)
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -127,7 +133,7 @@ def stacked_rows(problem, dtype):
     if dtype is np.float64:
         return rows
     return AffineRows(rows.A.astype(np.float32), rows.b.copy(), rows.metric.copy(),
-                      rows.norms.copy())
+                      rows.norms.copy(), rows.aa)
 
 
 def out_of_range(rows, x) -> bool:
@@ -249,13 +255,20 @@ def test_decisions_hold_for_any_rounding_within_the_margin(dtype, case, duplicat
     assert set(p.settled.nonzero()[0].tolist()) <= set(held)
 
 
+class Unreachable(ConvexFunction):
+    """A function whose every evaluation raises."""
+
+    def value(self, x):
+        raise ValueError("evaluated")
+
+
 def test_feasible_keeps_the_scalar_scan_order():
     # Row 0 is violated by 2^-52, within its margin, so its own test
-    # decides it; row 1 lies outside the stack (its normal has the wrong
-    # length) and raises in its sign test; row 2 is certainly violated.
+    # decides it; row 1 lies outside the stack (it is not affine) and
+    # raises in its sign test; row 2 is certainly violated.
     # The scalar loop stops at row 0 and never reaches row 1.
     x = np.array([1.0, -1.0 + 2.0 ** -52])
-    bodies = [Halfspace([1.0, 1.0], 0.0), Halfspace([1.0, 1.0, 1.0], 0.0),
+    bodies = [Halfspace([1.0, 1.0], 0.0), Sublevel(Unreachable()),
               Halfspace([1.0, 0.0], -5.0)]
     bodies += [Halfspace([1.0, 0.0], 10.0)] * STACKED_MIN_ROWS
     problem = Problem(2, [Constraint(i, b) for i, b in enumerate(bodies)])
@@ -516,6 +529,33 @@ def test_stored_normal_products_are_the_computed_ones(seed, dim, exponent, strid
     halfspaces = [Halfspace(a, 1.0) for a in normals]
     rows = Problem(dim, [Constraint(i, b) for i, b in enumerate(halfspaces)]).affine_rows
     assert [float(v).hex() for v in rows.aa] == [h.aa.hex() for h in halfspaces]
+
+
+# Run in a child under another OpenBLAS kernel: a halfspace pool keeps each
+# row's a.a as its halfspace computed it, on any kernel.  The generic Katmai
+# kernels (Prescott) round a row view of a matrix with odd d otherwise than
+# an aligned copy of the same values, so a product recomputed from A differs.
+KERNEL_CHECK = """
+import numpy as np
+from feasik import Constraint, Halfspace, Problem
+rng = np.random.default_rng(0)
+for dim in range(2, 12):
+    halfspaces = [Halfspace(a.copy(), 1.0) for a in rng.standard_normal((200, dim))]
+    rows = Problem(dim, [Constraint(i, h) for i, h in enumerate(halfspaces)]).affine_rows
+    assert [float(v).hex() for v in rows.aa] == [h.aa.hex() for h in halfspaces], dim
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS kernel names are x86-64's")
+@pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+def test_stored_normal_products_hold_on_other_kernels(coretype):
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(feasik.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", KERNEL_CHECK], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
 
 
 def test_settled_cutters_record_zero_entries():
