@@ -107,8 +107,8 @@ class DescentMonitor:
         if last is None and nxt.x.shape != cert.z.shape:  # only the first record
             raise CertificateError(f"z has dimension {len(cert.z)}, "
                                    f"the iterates {len(nxt.x)}")
-        d1 = nxt.x - cert.z
-        lhs = float(d1 @ d1)
+        lhs = (last[1] if last is not None and nxt.x is last[0].x  # x stayed: by identity
+               else float((d1 := nxt.x - cert.z) @ d1))
         self._last = (nxt, lhs)
         if last is None:
             return

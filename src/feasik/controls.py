@@ -67,9 +67,9 @@ class Control:
 class _FixedSets(Control):
     """A control that emits the index sets of a fixed family ``sets``, each
     checked at construction, where a fault names the set ``path.format(n)``
-    at position n.  The smallest and the largest index of the whole family
-    are taken once, at the first emission: a pool that holds that range
-    holds every emission."""
+    at position n; step k emits ``sets[_position(k)]``.  The family's least
+    and largest index are taken once, by the first emission or ``solve``: a
+    pool that holds that range holds every emission."""
 
     path: str
     empty: str  # the fault of an empty family
@@ -85,8 +85,10 @@ class _FixedSets(Control):
 
     @functools.cached_property
     def _range(self) -> tuple:
-        family = [s for _, s in self._family()]
-        return min(map(min, family)), max(map(max, family))
+        return min(map(min, self.sets)), max(map(max, self.sets))
+
+    def _select(self, k, x, problem, stacked=None):
+        return self.sets[self._position(k)]
 
 
 class Intermittent(_FixedSets):
@@ -97,8 +99,8 @@ class Intermittent(_FixedSets):
     path = "blocks[{}]"
     empty = "intermittent control needs at least one block"
 
-    def _select(self, k, x, problem, stacked=None):
-        return self.sets[k % len(self.sets)]
+    def _position(self, k):
+        return k % len(self.sets)
 
 
 class Cyclic(Intermittent):
@@ -149,10 +151,10 @@ class Explicit(_FixedSets):
     path = "sets[{}]"
     empty = "explicit control has no sets"
 
-    def _select(self, k, x, problem, stacked=None):
+    def _position(self, k):
         if k >= len(self.sets):
             raise ControlError(f"explicit control exhausted at step {k}")
-        return self.sets[k]
+        return k
 
 
 class _Maximal(Control):
@@ -253,19 +255,21 @@ class RandomSets(_FixedSets):
         self._cum = np.cumsum(self.probs)
         self._block_start, self._block = None, None
 
-    def draw_uniform(self, k: int) -> float:
+    def _draw(self, k: int) -> tuple:  # (step k's draw, the position it picks)
         start = k - k % self.DRAW_BLOCK
         if start != self._block_start:
             words = np.random.Philox(key=self.seed, counter=start).random_raw(
                 4 * self.DRAW_BLOCK)[::4]
-            self._block = (words >> 11) * 2.0 ** -53
-            self._block_start = start
-        return float(self._block[k - start])
+            u = (words >> 11) * 2.0 ** -53
+            j = np.minimum(np.searchsorted(self._cum, u, side="right"), len(self.sets) - 1)
+            self._block, self._block_start = list(zip(u.tolist(), j.tolist())), start
+        return self._block[k - start]
 
-    def _select(self, k, x, problem, stacked=None):
-        u = self.draw_uniform(k)
-        j = int(np.searchsorted(self._cum, u, side="right"))
-        return self.sets[min(j, len(self.sets) - 1)]
+    def draw_uniform(self, k: int) -> float:
+        return self._draw(k)[0]
+
+    def _position(self, k):
+        return self._draw(k)[1]
 
     @classmethod
     def uniform_singletons(cls, m: int, seed: int) -> "RandomSets":

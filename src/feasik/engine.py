@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .controls import _FixedSets
 from .errors import ConfigError
 from .model import (Problem, RowPass, Vector, as_integer, as_real, as_vector,
                     feasible, norm)
@@ -224,7 +225,9 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
     Each iterate is tested once.  For a pool with stacked affine rows it
     gets one residual pass, shared by the feasibility test, the control and
     the cutters.  A step that leaves x in place returns x itself, and the
-    next step reuses its pass and its failed verdict.
+    next step reuses its pass and its failed verdict.  ``solve`` emits the
+    steps the pass settles under a fixed control itself, calling a schedule
+    (``FromFunction`` too) at least once per count in bracketed mode, not per step.
     """
     problem = cfg.problem
     rows = problem.affine_rows
@@ -241,10 +244,14 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
             for observe in observers:
                 observe(record)
     corrections = 0
+    # Per set size, the per_index of quiet steps (README, "One test per iterate").
+    zeros = (isinstance(control := cfg.control, _FixedSets) and rows is not None
+             and 0 <= control._range[0] and control._range[1] < problem.m
+             and {n: (ZERO_ENTRY,) * n for n in set(map(len, control.sets))})
 
     k = 0
     nonfinite = False
-    tested = None  # the iterate whose pass and failed test are at hand
+    tested = taken = None  # the iterate whose pass and failed test are at hand
     while True:
         if x is not tested:  # by identity: an equal copy is tested again
             stacked = rows.at(x) if rows is not None else None
@@ -253,13 +260,25 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
             window = cfg.feas_window or (problem.indices() if stacked is None else None)
             feas = not nonfinite and feasible(problem, x, window, cfg.feas_tol,
                                               stacked=stacked)
-            tested = x
+            tested, unsettled = x, None  # the pass's unsettled rows, taken below
+        while unsettled is not None and k < cfg.max_iter and unsettled.isdisjoint(
+                active := control.sets[control._position(k)]):
+            if count != taken:  # every k in raw mode
+                alpha, r = cfg.relaxation.alpha(count), cfg.overrelaxation.r(count)
+                taken = count  # the count whose alpha and r are at hand
+            cfg.weights.weights(active, ())
+            emit(TraceRecord(k, count, x, active, (), zeros[len(active)], alpha, r,
+                             0.0, False, False))
+            count, k = count + raw, k + 1
         if feas or nonfinite or k >= cfg.max_iter:
             emit(TraceRecord(k, count, x, (), (), (), None, None, 0.0, False, feas))
             status = ("feasible" if feas else
                       "nonfinite" if nonfinite else "max_iter")
             return RunResult(status, k if feas else None, x, trace,
                              corrections, k)
+        if zeros and unsettled is None and stacked is not None and control.max_card == 1:
+            unsettled = set(np.flatnonzero(~stacked.settled).tolist())  # at once
+            continue
         x_next, corrected, record = step(cfg, x, k, count, stacked=stacked)
         if x_next is not x:  # a step that does not move returns x, read-only
             x = x_next
@@ -268,6 +287,8 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
             # but huge step can overflow, so only then are the coordinates read.
             if not math.isfinite(record.step_norm):
                 nonfinite = not np.isfinite(x).all()
+        elif zeros and unsettled is None and stacked is not None:
+            unsettled = set(np.flatnonzero(~stacked.settled).tolist())  # x stayed
         emit(record)
         corrections += corrected
         count += raw or corrected

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from feasik import (AbsCoordMinusC, Affine, Ball, CertificateError,
                     QuadCoordMinusC, RunConfig, UniformOverActive, certificates, engine,
                     check_descent, check_single_operator, oracle_a1, oracle_a2,
                     reproduce_a1, reproduce_a1_bracketed, reproduce_a2,
-                    reproduce_a2_bracketed, slater_delta, solve)
+                    random_slater_polyhedron, reproduce_a2_bracketed, slater_delta,
+                    solve)
 from feasik.certificates import a2_b, a2_problem, build_a1_config, build_a2_config
 
 from conftest import interior_point_with_margin, outside_point, random_metric_body
@@ -74,6 +76,20 @@ def test_check_descent_needs_a_kept_trace(axis_halfspaces):
     result = solve(cyclic_cfg(axis_halfspaces, [1.0, 1.0]), observers=[lambda rec: None])
     with pytest.raises(CertificateError, match="kept no trace"):
         check_descent(result, [-3.0, -3.0], 1.0, 1.0)
+
+
+def test_descent_reuses_the_distance_of_an_iterate_left_in_place():
+    # A record whose x is the previous record's array reuses ||x - z||^2;
+    # an equal copy computes it again, to the same bits.
+    problem, x0 = random_slater_polyhedron(3, dim=4, m=40, interior_radius=0.5,
+                                           sublevel=False)
+    trace = solve(cyclic_cfg(problem, 10 * x0)).trace
+    assert sum(b.x is a.x for a, b in zip(trace, trace[1:])) > len(trace) // 2
+    copies = [dataclasses.replace(rec, x=rec.x.copy()) for rec in trace]
+    z, big_r = problem.interior
+    shared, copied = (check_descent(t, z, big_r, 1.0).entries for t in (trace, copies))
+    assert [repr(dataclasses.astuple(e)) for e in shared] == \
+        [repr(dataclasses.astuple(e)) for e in copied]
 
 
 @pytest.mark.parametrize("z", [[-3.0], [-3.0, -3.0, -3.0]])

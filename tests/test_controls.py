@@ -13,7 +13,7 @@ from feasik import (AbsCoordMinusC, ConfigError, ConstantRelaxation,
                     PhiOne, PoolIndexError, Problem, QuadCoordMinusC,
                     RandomSets, RemotestSet, Repetitive, RunConfig, Sublevel,
                     UniformOverActive, empirical_well_matched,
-                    positivity_diagnostic, solve)
+                    positivity_diagnostic, random_slater_polyhedron, solve)
 
 
 def a2_problem():
@@ -397,3 +397,26 @@ def test_fixed_controls_emit_their_family(kind, sets, weights, seed, m):
             continue
         got = control.indices(k, x, problem)
         assert got == want and type(got) is tuple and all(type(i) is int for i in got)
+
+
+@pytest.mark.parametrize("kind", FIXED_KINDS)
+def test_fixed_controls_emit_without_naming_their_family(kind, monkeypatch):
+    # _family formats a field path per set, for construction faults only:
+    # the index range that emissions and solve read comes from the sets.
+    def unnamed(self):
+        raise AssertionError("_family called")
+
+    problem, x0 = random_slater_polyhedron(3, dim=4, m=40, interior_radius=0.5,
+                                           sublevel=False)
+    control = {"cyclic": lambda: Cyclic(range(40)),
+               "intermittent": lambda: Intermittent([(i,) for i in range(40)]),
+               "explicit": lambda: Explicit([(i % 40,) for i in range(200)]),
+               "random_sets": lambda: RandomSets.uniform_singletons(40, 1)}[kind]
+    monkeypatch.setattr(type(control()), "_family", unnamed)
+    c, reference = control(), control()
+    assert [c.indices(k, x0, problem) for k in range(60)] == \
+        [reference.sets[reference._position(k)] for k in range(60)]
+    result = solve(RunConfig(problem=problem, control=control(),
+                             relaxation=ConstantRelaxation(1.0), overrelaxation=Harmonic(),
+                             phi=PhiOne(), weights=UniformOverActive(), x0=10 * x0))
+    assert result.status == "feasible"

@@ -8,6 +8,7 @@ problem with the same constraints never stacks, and a control's
 place, is compared with a loop that runs the scalar test at every iterate.
 """
 
+import functools
 import io
 import math
 import os
@@ -1005,3 +1006,134 @@ def test_batched_steps_match_the_lazy_pool(case, weight_kind, custom_phi):
             x = x_got
             x.flags.writeable = False
             count += corrected
+
+
+# ---------------------------------------------------------------------------
+# Quiet steps: solve emits the records of fixed-set steps the pass settles
+# ---------------------------------------------------------------------------
+
+def solve_calling_step_at_every_k(cfg, emit):
+    """The reference for the records ``solve`` emits itself: its loop with
+    one test per iterate and ``step`` called at every k, the records going
+    to ``emit`` and any error raised where ``step`` raises it."""
+    problem, rows = cfg.problem, cfg.problem.affine_rows
+    x = np.array(cfg.x0, dtype=np.float64)
+    x.flags.writeable = False
+    tested, count, k = None, 0, 0
+    while True:
+        if x is not tested:
+            stacked = rows.at(x) if rows is not None else None
+            window = cfg.feas_window or (problem.indices() if stacked is None else None)
+            feas = feasible(problem, x, window, cfg.feas_tol, stacked=stacked)
+            tested = x
+        if feas or k >= cfg.max_iter:
+            emit(TraceRecord(k, count, x, (), (), (), None, None, 0.0, False, feas))
+            return
+        x_next, corrected, record = step(cfg, x, k, count, stacked=stacked)
+        if x_next is not x:
+            x = x_next
+            x.flags.writeable = False
+        emit(record)
+        count += cfg.counter_mode == "raw" or corrected
+        k += 1
+
+
+def observed(run, cfg):
+    """Every record of a run, field by field (floats and iterates as bytes,
+    and which entries are ``ZERO_ENTRY`` itself), and the error it raised
+    as (type, message), or None."""
+    records = []
+
+    def emit(r):
+        records.append((r.k, r.bracket_k, r.x.tobytes(), r.active, r.violated,
+                        packed_entries(r), [e is ZERO_ENTRY for e in r.per_index],
+                        repr(r.alpha_used), repr(r.r_used), float(r.step_norm).hex(),
+                        r.corrected, r.feasible_flag))
+
+    try:
+        run(cfg, emit)
+    except Exception as e:  # compared with the reference's, type and message
+        return records, (type(e), str(e))
+    return records, None
+
+
+def solve_observed(cfg, emit):
+    solve(cfg, observers=[emit])
+
+
+@functools.cache
+def quiet_pool(dtype):
+    """A stacked pool with a zero row (a ball) and sublevel rows, which the
+    pass never settles: 24 float64 rows, or 2,048 float32 rows."""
+    return large_pool(1, dim=4, m=24) if dtype == "float64" else large_pool(1)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["float64", "float32"]),
+       st.sampled_from(["cyclic", "intermittent", "explicit", "random_sets"]),
+       st.sampled_from(["bracketed", "raw"]), st.sampled_from(["uniform", "table", "gap"]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1), st.integers(0, 600))
+def test_quiet_steps_match_a_step_at_every_k(dtype, kind, mode, weight_kind, blocks, seed,
+                                             max_iter):
+    # Runs of steps that leave x in place, under every fixed control, end
+    # inside max_iter, an explicit list's end or a table without the weight
+    # of one index ("gap") as often as between them.  Families of singletons
+    # take the unsettled rows at each iterate, others after a step left x.
+    problem, x0 = quiet_pool(dtype)
+    m = int(problem.m)
+    assert problem.affine_rows.A.dtype == dtype
+    rng = np.random.default_rng(seed)
+    sets = [tuple(rng.choice(m, rng.integers(1, 4), replace=False).tolist())
+            if blocks and rng.random() < 0.2 else (int(i),) for i in rng.permutation(m)]
+    control = {"cyclic": lambda: Cyclic([s[0] for s in sets]),
+               "intermittent": lambda: Intermittent(sets),
+               "explicit": lambda: Explicit(sets[:int(rng.integers(1, 2 * m))] * 2),
+               "random_sets": lambda: RandomSets([(s, 1.0 / m) for s in sets], seed)}[kind]
+    table = {i: 1.0 + (i % 3) for i in range(m)}
+    if weight_kind == "gap":
+        del table[int(rng.integers(m))]
+    weights = UniformOverActive() if weight_kind == "uniform" else ExplicitTable(table, 0.1)
+    cfg = RunConfig(problem=problem, control=control(), relaxation=ConstantRelaxation(1.0),
+                    overrelaxation=Harmonic(), phi=PhiOne(), weights=weights,
+                    x0=3.0 * x0, counter_mode=mode, max_iter=max_iter)
+    assert observed(solve_observed, cfg) == observed(solve_calling_step_at_every_k, cfg)
+
+
+def test_quiet_steps_skip_step_on_a_stacked_cyclic_run():
+    problem, x0 = random_slater_polyhedron(3, dim=4, m=40, interior_radius=0.5,
+                                           sublevel=False)
+    cfg = RunConfig(problem=problem, control=Cyclic(range(40)),
+                    relaxation=ConstantRelaxation(1.0), overrelaxation=Harmonic(),
+                    phi=PhiOne(), weights=UniformOverActive(), x0=10 * x0)
+    with mock.patch.object(engine, "step", wraps=step) as spy:
+        got = observed(solve_observed, cfg)
+    assert got == observed(solve_calling_step_at_every_k, cfg)
+    records, error = got
+    moved = sum(a[2] != b[2] for a, b in zip(records, records[1:]))
+    assert error is None and records[-1][-1]  # feasible
+    assert 0 < moved <= spy.call_count < len(records) - 1
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "intermittent", "explicit", "random_sets"])
+@pytest.mark.parametrize("bad", [-1, 40])
+def test_out_of_pool_indices_raise_where_each_step_would(kind, bad):
+    # The pass has no flag for an index outside the pool (settled[-1] would
+    # wrap to the last row): every step stays on step's path, which raises
+    # at the step emitting it.
+    problem, x0 = random_slater_polyhedron(3, dim=4, m=40, interior_radius=0.5,
+                                           sublevel=False)
+    order = list(range(39)) + [bad]
+    control = {"cyclic": lambda: Cyclic(order),
+               "intermittent": lambda: Intermittent([(i,) for i in order]),
+               "explicit": lambda: Explicit([(i,) for i in order * 3]),
+               "random_sets": lambda: RandomSets([((i,), 1 / 40) for i in order], 2)}[kind]
+
+    def cfg():
+        return RunConfig(problem=problem, control=control(),
+                         relaxation=ConstantRelaxation(1.0), overrelaxation=Harmonic(),
+                         phi=PhiOne(), weights=UniformOverActive(), x0=10 * x0)
+
+    got = observed(solve_observed, cfg())
+    assert got == observed(solve_calling_step_at_every_k, cfg())
+    assert got[1] == (feasik.PoolIndexError, f"index out of pool: {bad}")
