@@ -268,7 +268,10 @@ class _RunFacts:
 def reproduce_a1(max_iter: int = 10_000, oracle_up_to: int = 100) -> ReproduceReport:
     """Run the raw-mode alternating config and check its iterates against
     the closed form: never feasible, x pinned to 0 after one step, and
-    y_{2k} = 2^(-2k) to 1e-12 relative (exact zero once 2^(-2k) underflows)."""
+    y_{2k} = 2^(-2k) to 1e-12 relative for k <= ``oracle_up_to`` <= 269.
+    At y = 2^-538 (1.11e-162) ``model.norm`` squares the cut's displacement
+    (0, -y) to 0.0, the violated row counts as not moved, and y stays put
+    from step 538 on while the oracle halves it (ROADMAP item 11)."""
     cfg = build_a1_config("raw", max_iter)
     facts = _RunFacts(lambda pos: pos % 2 == 0 and 0 < pos <= 2 * oracle_up_to)
     result = solve(cfg, observers=[facts])

@@ -146,24 +146,24 @@ class RunResult:
 
 
 def step(cfg: RunConfig, x: Vector, k: int, count: int,
-         stacked: Optional[RowPass] = None):
+         stacked: Optional[RowPass] = None, active: Optional[tuple] = None):
     """One iteration of the main method at step k, with the schedules
     indexed by ``count``: [k], the corrections so far, in bracketed mode
     and k itself in raw mode.
 
     Returns (x_next, corrected, record).  ``corrected`` is true when some
     active constraint was violated and the combined step vector is nonzero;
-    that is the event the bracketed counter counts.  ``stacked`` is the
-    residual pass at x when the caller has taken it; the control scores
-    with it, active metric halfspaces it settles skip their cutter, and
-    ``AffineRows.cut_rows`` cuts the others as one batch where it can.  One
-    loop takes each row's cut, from the batch or ``evaluate_cutter``, then
-    its phi, beta and rho.  x is never written; the record holds it, and a
-    step that does not move returns it.  No feasibility test:
-    ``feasible_flag`` is False.
+    that is the event the bracketed counter counts.  ``active`` and
+    ``stacked`` are I_k and the residual pass at x when the caller has
+    taken them; the control scores with the pass, active metric halfspaces
+    it settles skip their cutter, and ``AffineRows.cut_rows`` cuts the
+    others as one batch where it can.  One loop takes each row's cut, from
+    the batch or ``evaluate_cutter``, then its phi (only where the cut
+    moves), beta and rho.  x is never written; the record holds it, and a
+    step that does not move returns it.  No feasibility test.
     """
     problem = cfg.problem
-    active = cfg.control.indices(k, x, problem, stacked)
+    active = active or cfg.control.indices(k, x, problem, stacked)
     alpha = cfg.relaxation.alpha(count)
     r = cfg.overrelaxation.r(count)
     violated, diffs, betas = [], [], []
@@ -225,9 +225,11 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
     Each iterate is tested once.  For a pool with stacked affine rows it
     gets one residual pass, shared by the feasibility test, the control and
     the cutters.  A step that leaves x in place returns x itself, and the
-    next step reuses its pass and its failed verdict.  ``solve`` emits the
-    steps the pass settles under a fixed control itself, calling a schedule
-    (``FromFunction`` too) at least once per count in bracketed mode, not per step.
+    next step reuses its pass and its failed verdict.  ``solve`` takes each
+    step's emission once and emits the record of a quiet step itself: every
+    active row is settled by the pass or was cut at x without moving it
+    (README, "One test per iterate").  Each such record calls the weight
+    rule; alpha and r (``FromFunction`` too) are read once per count.
     """
     problem = cfg.problem
     rows = problem.affine_rows
@@ -244,10 +246,11 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
             for observe in observers:
                 observe(record)
     corrections = 0
-    # Per set size, the per_index of quiet steps (README, "One test per iterate").
-    zeros = (isinstance(control := cfg.control, _FixedSets) and rows is not None
-             and 0 <= control._range[0] and control._range[1] < problem.m
-             and {n: (ZERO_ENTRY,) * n for n in set(map(len, control.sets))})
+    control = cfg.control
+    zeros = {1: (ZERO_ENTRY,)}  # per set size n, the per_index of n settled rows
+    # A fixed family inside the pool: solve reads its sets where it replays.
+    fixed = (isinstance(control, _FixedSets) and 0 <= control._range[0]
+             and control._range[1] < problem.m)
 
     k = 0
     nonfinite = False
@@ -260,26 +263,26 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
             window = cfg.feas_window or (problem.indices() if stacked is None else None)
             feas = not nonfinite and feasible(problem, x, window, cfg.feas_tol,
                                               stacked=stacked)
-            tested, unsettled = x, None  # the pass's unsettled rows, taken below
-        while unsettled is not None and k < cfg.max_iter and unsettled.isdisjoint(
-                active := control.sets[control._position(k)]):
-            if count != taken:  # every k in raw mode
-                alpha, r = cfg.relaxation.alpha(count), cfg.overrelaxation.r(count)
-                taken = count  # the count whose alpha and r are at hand
-            cfg.weights.weights(active, ())
-            emit(TraceRecord(k, count, x, active, (), zeros[len(active)], alpha, r,
-                             0.0, False, False))
-            count, k = count + raw, k + 1
+            # Row -> per_index 1-tuple of the rows a step cut without moving
+            # x; None until one does, but singletons look for settled rows.
+            tested, quiet = x, {} if stacked is not None and control.max_card == 1 else None
         if feas or nonfinite or k >= cfg.max_iter:
             emit(TraceRecord(k, count, x, (), (), (), None, None, 0.0, False, feas))
             status = ("feasible" if feas else
                       "nonfinite" if nonfinite else "max_iter")
             return RunResult(status, k if feas else None, x, trace,
                              corrections, k)
-        if zeros and unsettled is None and stacked is not None and control.max_card == 1:
-            unsettled = set(np.flatnonzero(~stacked.settled).tolist())  # at once
+        active = (control.sets[control._position(k)] if fixed and quiet is not None
+                  else control.indices(k, x, problem, stacked))
+        if quiet is not None and (per_index := _replay(active, quiet, stacked, zeros)):
+            if count != taken:  # every k in raw mode
+                alpha, r = cfg.relaxation.alpha(count), cfg.overrelaxation.r(count)
+                taken = count  # the count whose alpha and r are at hand
+            cfg.weights.weights(active, ())
+            emit(TraceRecord(k, count, x, active, (), per_index, alpha, r, 0.0, False, False))
+            count, k = count + raw, k + 1
             continue
-        x_next, corrected, record = step(cfg, x, k, count, stacked=stacked)
+        x_next, corrected, record = step(cfg, x, k, count, stacked, active)
         if x_next is not x:  # a step that does not move returns x, read-only
             x = x_next
             x.flags.writeable = False
@@ -287,12 +290,31 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
             # but huge step can overflow, so only then are the coordinates read.
             if not math.isfinite(record.step_norm):
                 nonfinite = not np.isfinite(x).all()
-        elif zeros and unsettled is None and stacked is not None:
-            unsettled = set(np.flatnonzero(~stacked.settled).tolist())  # x stayed
+        else:  # the rows it cut without moving x are quiet at x
+            quiet = {} if quiet is None else quiet
+            for i, e in zip(active, per_index := record.per_index):
+                if e[1] == 0.0 and e is not ZERO_ENTRY:
+                    quiet[i] = per_index if len(per_index) == 1 else (e,)
         emit(record)
         corrections += corrected
         count += raw or corrected
         k += 1
+
+
+def _replay(active: tuple, quiet: dict, stacked: Optional[RowPass], zeros: dict):
+    """The per_index ``step`` would record at x when every active row is
+    quiet there, else None.  A row some step at x cut without moving x keeps
+    that entry, which depends only on the row and x (phi is never called);
+    a row the pass at x settles has ``ZERO_ENTRY``."""
+    if len(active) == 1:
+        one = quiet.get(i := active[0])
+        return one or (zeros[1] if stacked is not None and stacked.settled[i] else None)
+    ones = [_replay((i,), quiet, stacked, zeros) for i in active]
+    if None in ones:
+        return None
+    if all(one is zeros[1] for one in ones):  # shared, as a trace may keep many
+        return zeros.setdefault(len(ones), (ZERO_ENTRY,) * len(ones))
+    return tuple(e for e, in ones)
 
 
 # ---------------------------------------------------------------------------

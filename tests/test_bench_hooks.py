@@ -149,3 +149,56 @@ def test_trace_report_runs_on_ladder_scan():
     cuts = metrics["operators.evaluate_cutter.calls"]["value"]
     terms = metrics["engine.compensated_sum.terms"]["value"]
     assert 0 < cuts < terms
+
+
+def steps_not_quiet(trace) -> int:
+    """The steps of a run of singleton steps that ``solve`` cannot emit
+    itself: the first at each iterate to meet its row.  A later step on that
+    row at the same iterate (by identity) replays the first one's entry."""
+    seen = set()
+    for rec in trace[:-1]:
+        seen.add((id(rec.x), rec.active))
+    return len(seen)
+
+
+def test_tracer_counts_one_emission_per_k_and_a_step_per_unquiet_one(monkeypatch):
+    # Raw A.2 emits under a Repetitive control, which solve calls once per
+    # k; all but a few of its steps meet a satisfied constraint 0 at an
+    # iterate where an earlier step already cut it, and skip engine.step.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    trace = engine.solve(certificates.build_a2_config("raw", 5_000)).trace
+    expected = steps_not_quiet(trace)
+    assert 0 < expected < 10
+    tr = tracer.Tracer()
+    patches = tracer.install(tr)
+    try:
+        report = certificates.reproduce_a2(5_000, 5)
+    finally:
+        patches.undo()
+    assert report.ok and report.status == "max_iter"
+    assert tr.calls["engine.solve"] == 1
+    assert tr.calls["controls.indices.repetitive"] == 5_000
+    # The fast-forward past the run steps a Cyclic([1]) config, b_2 ... b_5.
+    forward = tr.calls["controls.indices.cyclic"]
+    assert forward == 4
+    assert tr.calls["engine.step"] == expected + forward
+
+
+def test_trace_report_runs_on_counterexamples():
+    """``bench/run.py --trace 1`` on the reproductions, whose controls
+    ``solve`` now calls itself and whose quiet steps never reach
+    ``engine.step`` or ``evaluate_cutter``."""
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", "counterexamples",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True and report["failed"] == 0
+    metrics = report["metrics"]
+    # Of a pass's 120,134 steps, raw A.2 emits 100,000 through Repetitive,
+    # and all but about a thousand leave x in place at a known row.
+    assert 100_000 <= metrics["controls.indices.calls"]["value"] < 120_134
+    assert 0 < metrics["operators.evaluate_cutter.calls"]["value"] < 2_000

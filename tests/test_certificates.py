@@ -207,6 +207,12 @@ def test_reproduce_a1_raw_and_bracketed():
     assert rep.ok and rep.k_feasible == 4
 
 
+def test_reproduce_a1_holds_up_to_its_underflow_horizon():
+    # y = 2^-538 is the last iterate on the closed form; from step 538 on
+    # the cut's d.d underflows and y stays put (reproduce_a1's docstring).
+    assert reproduce_a1(max_iter=10_000, oracle_up_to=269).ok
+
+
 def test_a1_engine_iterates_bit_exact():
     result = solve(build_a1_config("raw", max_iter=250))
     for k in range(1, 101):

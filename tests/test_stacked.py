@@ -26,14 +26,16 @@ from hypothesis import strategies as st
 
 from conftest import packed_entries
 import feasik
-from feasik import (Affine, Ball, Box, ConfigError, ConstantRelaxation,
-                    Constraint, Cyclic, Explicit, ExplicitTable, Halfspace,
-                    Harmonic, Intermittent, MaxViolation, OuterSet, PhiCustom,
-                    PhiOne, Problem, RandomSets, RemotestSet, Repetitive,
+from feasik import (AbsCoordMinusC, Affine, Ball, Box, ConfigError,
+                    ConstantRelaxation, Constraint, Cyclic, Explicit,
+                    ExplicitTable, Halfspace, Harmonic, Intermittent,
+                    MaxViolation, OuterSet, PhiCustom, PhiOne, Problem,
+                    QuadCoordMinusC, RandomSets, RemotestSet, Repetitive,
                     RunConfig, Sublevel, TraceRecord, UniformOverActive,
                     UniformOverViolated, engine, evaluate_cutter, feasible,
                     random_slater_polyhedron, solve, step, trace_csv_text,
                     violated_indices, write_trace_csv)
+from feasik.certificates import a1_problem
 from feasik.engine import ZERO_ENTRY
 from feasik.model import (CUT_MIN_ROWS, FLOAT32_MIN_ENTRIES, STACKED_MIN_ROWS,
                           AffineRows, ConvexFunction, RowPass, norm)
@@ -1009,7 +1011,7 @@ def test_batched_steps_match_the_lazy_pool(case, weight_kind, custom_phi):
 
 
 # ---------------------------------------------------------------------------
-# Quiet steps: solve emits the records of fixed-set steps the pass settles
+# Quiet steps: solve emits the records of steps whose rows all leave x in place
 # ---------------------------------------------------------------------------
 
 def solve_calling_step_at_every_k(cfg, emit):
@@ -1061,42 +1063,81 @@ def solve_observed(cfg, emit):
     solve(cfg, observers=[emit])
 
 
+def small_pool(seed):
+    """A scalar pool of ten rows, below STACKED_MIN_ROWS, around one interior
+    point: four halfspaces, a ball, a box, and sublevel rows of Affine,
+    AbsCoordMinusC (one metric, one subgradient cutter) and QuadCoordMinusC."""
+    pool, x0 = random_slater_polyhedron(seed, dim=3, m=4, interior_radius=0.5,
+                                        sublevel=False)
+    z, big_r = pool.interior
+    a = np.random.default_rng(seed).standard_normal(3)
+    slab = Sublevel(AbsCoordMinusC(axis=0, c=abs(float(z[0])) + 1.5))
+    cons = [pool.constraint(i) for i in pool.indices()] + [
+        Constraint(4, Ball(z, 2.0 * big_r + 1.0)),
+        Constraint(5, Box(z - 3.0, z + 4.0)),
+        Constraint(6, Sublevel(Affine(a, float(a @ z) + 1.0))),
+        Constraint(7, slab, cutter="metric"),
+        Constraint(8, slab),
+        Constraint(9, Sublevel(QuadCoordMinusC(axis=1, c=(abs(float(z[1])) + 1.0) ** 2)))]
+    return Problem(3, cons, interior=pool.interior), 3.0 * x0
+
+
 @functools.cache
-def quiet_pool(dtype):
-    """A stacked pool with a zero row (a ball) and sublevel rows, which the
-    pass never settles: 24 float64 rows, or 2,048 float32 rows."""
-    return large_pool(1, dim=4, m=24) if dtype == "float64" else large_pool(1)
+def quiet_pool(kind):
+    """(problem, start) for each pool of the quiet-step tests: a stacked
+    pool with a zero row (a ball) and sublevel rows, which the pass never
+    settles, of 24 float64 or 2,048 float32 rows; the 24 rows behind a lazy
+    ``pool=``; a scalar pool of every body kind; and the A.1 geometry at
+    y = 2^-538 = 1.11e-162, whose violated row 1 the cut does not move
+    (``model.norm``'s d.d underflows), from x on both sides of row 0."""
+    if kind in ("float64", "float32", "lazy"):
+        problem, x0 = large_pool(1, dim=4, m=24) if kind != "float32" else large_pool(1)
+        return lazy_twin(problem) if kind == "lazy" else problem, 3.0 * x0
+    if kind == "small":
+        return small_pool(1)
+    return a1_problem(), [1.0 if kind == "a1_tail_moving" else 0.0, 2.0 ** -538]
 
 
-@settings(max_examples=80, deadline=None,
+QUIET_POOLS = ["float64", "float32", "lazy", "small", "a1_tail", "a1_tail_moving"]
+QUIET_CONTROLS = ["cyclic", "intermittent", "explicit", "random_sets", "repetitive",
+                  "remotest", "max_violation"]
+
+
+@settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(["float64", "float32"]),
-       st.sampled_from(["cyclic", "intermittent", "explicit", "random_sets"]),
+@given(st.sampled_from(QUIET_POOLS), st.sampled_from(QUIET_CONTROLS),
        st.sampled_from(["bracketed", "raw"]), st.sampled_from(["uniform", "table", "gap"]),
        st.booleans(), st.integers(0, 2 ** 32 - 1), st.integers(0, 600))
-def test_quiet_steps_match_a_step_at_every_k(dtype, kind, mode, weight_kind, blocks, seed,
+def test_quiet_steps_match_a_step_at_every_k(pool, kind, mode, weight_kind, blocks, seed,
                                              max_iter):
-    # Runs of steps that leave x in place, under every fixed control, end
-    # inside max_iter, an explicit list's end or a table without the weight
-    # of one index ("gap") as often as between them.  Families of singletons
-    # take the unsettled rows at each iterate, others after a step left x.
-    problem, x0 = quiet_pool(dtype)
+    # Runs of steps that leave x in place, under every control and on
+    # stacked, lazy and scalar pools, end inside max_iter, an explicit
+    # list's end or a table without the weight of one index ("gap") as
+    # often as between them.  A row is quiet where the pass settles it or
+    # where an earlier step at x cut it without moving x.
+    problem, x0 = quiet_pool(pool)
     m = int(problem.m)
-    assert problem.affine_rows.A.dtype == dtype
+    rows = problem.affine_rows
+    assert rows.A.dtype == pool if pool in ("float64", "float32") else rows is None
     rng = np.random.default_rng(seed)
-    sets = [tuple(rng.choice(m, rng.integers(1, 4), replace=False).tolist())
+    sets = [tuple(rng.choice(m, rng.integers(1, min(4, m + 1)), replace=False).tolist())
             if blocks and rng.random() < 0.2 else (int(i),) for i in rng.permutation(m)]
+    order = rng.integers(len(sets), size=int(rng.integers(1, 50))).tolist()
     control = {"cyclic": lambda: Cyclic([s[0] for s in sets]),
                "intermittent": lambda: Intermittent(sets),
                "explicit": lambda: Explicit(sets[:int(rng.integers(1, 2 * m))] * 2),
-               "random_sets": lambda: RandomSets([(s, 1.0 / m) for s in sets], seed)}[kind]
+               "random_sets": lambda: RandomSets([(s, 1.0 / m) for s in sets], seed),
+               "repetitive": lambda: Repetitive(lambda k: sets[order[k % len(order)]],
+                                                max_card=max(map(len, sets))),
+               "remotest": RemotestSet,
+               "max_violation": MaxViolation}[kind]
     table = {i: 1.0 + (i % 3) for i in range(m)}
     if weight_kind == "gap":
         del table[int(rng.integers(m))]
     weights = UniformOverActive() if weight_kind == "uniform" else ExplicitTable(table, 0.1)
     cfg = RunConfig(problem=problem, control=control(), relaxation=ConstantRelaxation(1.0),
                     overrelaxation=Harmonic(), phi=PhiOne(), weights=weights,
-                    x0=3.0 * x0, counter_mode=mode, max_iter=max_iter)
+                    x0=x0, counter_mode=mode, max_iter=max_iter)
     assert observed(solve_observed, cfg) == observed(solve_calling_step_at_every_k, cfg)
 
 
@@ -1113,6 +1154,37 @@ def test_quiet_steps_skip_step_on_a_stacked_cyclic_run():
     moved = sum(a[2] != b[2] for a, b in zip(records, records[1:]))
     assert error is None and records[-1][-1]  # feasible
     assert 0 < moved <= spy.call_count < len(records) - 1
+
+
+@pytest.mark.parametrize("pool", ["float64", "lazy", "small"])
+def test_solve_takes_one_emission_per_k(pool):
+    # solve takes each step's set once and hands it to step: a Repetitive
+    # schedule sees k = 0 ... steps - 1 once each over a run of quiet and
+    # moving steps, and phi sees the calls the reference loop makes.
+    problem, x0 = quiet_pool(pool)
+    period = [int(i) for i in np.random.default_rng(0).integers(problem.m, size=7)]
+
+    def cfg(calls, phis):
+        def phi(c, x):
+            phis.append((c.index, x.tobytes()))
+            return 1.0 + c.index % 2
+
+        return RunConfig(problem=problem, control=Repetitive(
+            lambda k: calls.append(k) or (period[k % 7],)),
+            relaxation=ConstantRelaxation(1.0), overrelaxation=Harmonic(),
+            phi=PhiCustom(phi, 1.0, 2.0), weights=UniformOverActive(), x0=x0,
+            max_iter=400)
+
+    calls, phis, ref_calls, ref_phis = [], [], [], []
+    with mock.patch.object(engine, "step", wraps=step) as spy:
+        got = observed(solve_observed, cfg(calls, phis))
+    assert got == observed(solve_calling_step_at_every_k, cfg(ref_calls, ref_phis))
+    records, error = got
+    steps = len(records) - 1
+    moved = sum(a[2] != b[2] for a, b in zip(records, records[1:]))
+    assert error is None and 0 < moved < spy.call_count < steps
+    assert calls == ref_calls == list(range(steps))
+    assert phis == ref_phis and len(phis) >= moved
 
 
 @pytest.mark.parametrize("kind", ["cyclic", "intermittent", "explicit", "random_sets"])
