@@ -12,20 +12,17 @@ first positions and then drives the engine's own step map across the later
 ones; every skipped position only touches the already-satisfied |y| <= 1.
 """
 
-from feasik import ConfigError, reproduce_a2, reproduce_a2_bracketed
+from feasik import reproduce_a2, reproduce_a2_bracketed
 from feasik.certificates import a2_b, a2_schedule
 
 sched = a2_schedule()
 print("merged schedule head:",
       ", ".join(f"{sched.r(j):.6g}[{sched.source(j)[0]}]" for j in range(8)))
 print("b_k and merge positions (position scan capped at 10^6):")
+found = sched.b_positions(10 ** 6)
 for k in range(4):
     b = a2_b(k)
-    try:
-        pos = sched.position_of("b", k, limit=10 ** 6)
-        where = str(pos)
-    except ConfigError:  # position_of found no b_k within its cap
-        where = f"~{int(1.0 / b) + k:,} (beyond scan cap)"
+    where = str(found[k]) if k < len(found) else f"~{int(1.0 / b) + k:,} (beyond scan cap)"
     print(f"  b_{k} = {b:.6g} at position {where}")
 
 print()

@@ -16,8 +16,8 @@ from .schedules import (ConstantOverrelaxation, ConstantRelaxation,
                         MergedDecreasing, OverrelaxationList, PhiCustom,
                         PhiOne, PhiSubgradNorm, RelaxationList,
                         UniformOverActive, UniformOverViolated, beta)
-from .engine import (CsvStream, RunConfig, RunResult, TraceRecord, solve,
-                     step, trace_csv_text, write_trace_csv)
+from .engine import (CsvStream, QuietSpan, RunConfig, RunResult, Trace,
+                     TraceRecord, solve, step, trace_csv_text, write_trace_csv)
 from .certificates import (DescentMonitor, check_descent,
                            check_single_operator, oracle_a1, oracle_a2,
                            reproduce_a1, reproduce_a1_bracketed, reproduce_a2,

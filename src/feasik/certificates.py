@@ -5,12 +5,13 @@ which dropping the correction counter breaks finite convergence."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from .controls import Cyclic, Repetitive
-from .engine import RunConfig, RunResult, step, solve
+from .engine import RunConfig, RunResult, TraceRecord, step, solve
 from .errors import CertificateError, ConfigError
 from .model import (AbsCoordMinusC, Constraint, Halfspace, OuterSet, Problem,
                     QuadCoordMinusC, Sublevel, Vector, as_real, as_vector, norm)
@@ -99,42 +100,54 @@ class DescentMonitor:
         if outer is not None and not outer.member(z):
             raise CertificateError("z is not in the outer set Q")
         self.certificate = DescentCertificate(z, big_r, lam, [])
-        self._last = None  # the previous record and its ||x - z||^2
+        # The pending step, whose entry waits for the next iterate: its k, x,
+        # rho, whether it corrected, its alpha, and ||x - z||^2.
+        self._last = None
 
-    def __call__(self, nxt) -> None:
+    takes_spans = True
+
+    def __call__(self, item) -> None:
+        """Close the pending step's entry at ``item.x``, the iterate it led
+        to, and leave the item's step pending; a span's steps correct
+        nothing and keep x, so all but its last close at once."""
         cert = self.certificate
         last = self._last
-        if last is None and nxt.x.shape != cert.z.shape:  # only the first record
+        x = item.x
+        if last is None and x.shape != cert.z.shape:  # only the first record
             raise CertificateError(f"z has dimension {len(cert.z)}, "
-                                   f"the iterates {len(nxt.x)}")
-        lhs = (last[1] if last is not None and nxt.x is last[0].x  # x stayed: by identity
-               else float((d1 := nxt.x - cert.z) @ d1))
-        self._last = (nxt, lhs)
-        if last is None:
-            return
-        rec, base = last
-        # The moved entries are exactly those of the violated rows.
-        rhos = [rho for (_res, disp, _b, rho) in rec.per_index if disp > 0.0]
-        rho = max(rhos) if rhos else 0.0
-        applicable = bool(rec.corrected and rho <= cert.big_r)
-        rhs = base - 2.0 * rec.alpha_used * cert.lam * cert.big_r * rho \
-            if rec.corrected else base
-        slack = rhs - lhs
-        ok = (not applicable) or slack >= -DESCENT_RTOL * (1.0 + base)
-        cert.entries.append(DescentEntry(rec.k, lhs, rhs, slack, rho, applicable, ok))
+                                   f"the iterates {len(x)}")
+        lhs = (last[5] if last is not None and x is last[1]  # x stayed: by identity
+               else float((d1 := x - cert.z) @ d1))
+        if type(item) is TraceRecord:
+            # The moved entries are exactly those of the violated rows.
+            rhos = [rho for (_res, disp, _b, rho) in item.per_index if disp > 0.0]
+            self._last = (item.k, x, max(rhos) if rhos else 0.0, item.corrected,
+                          item.alpha_used, lhs)
+        else:
+            self._last = (item.k + len(item) - 1, x, 0.0, False, None, lhs)
+        if last is not None:
+            k0, _, rho, corrected, alpha, base = last
+            applicable = bool(corrected and rho <= cert.big_r)
+            rhs = base - 2.0 * alpha * cert.lam * cert.big_r * rho if corrected else base
+            slack = rhs - lhs
+            ok = (not applicable) or slack >= -DESCENT_RTOL * (1.0 + base)
+            cert.entries.append(DescentEntry(k0, lhs, rhs, slack, rho, applicable, ok))
+        if type(item) is not TraceRecord:
+            cert.entries += [DescentEntry(k, lhs, lhs, lhs - lhs, 0.0, False, True)
+                             for k in range(item.k, self._last[0])]
 
 
 def check_descent(trace, z, big_r: float, lam: float,
                   outer: Optional[OuterSet] = None) -> DescentCertificate:
     """Replay a recorded trace (or ``RunResult``) through a ``DescentMonitor``."""
     if isinstance(trace, RunResult):
-        if trace.trace is None:
+        if trace.items is None:
             raise CertificateError("the run kept no trace: its records went "
                                    "to observers, where a DescentMonitor checks them")
-        trace = trace.trace
+        trace = trace.items
     monitor = DescentMonitor(z, big_r, lam, outer)
-    for rec in trace:
-        monitor(rec)
+    for item in getattr(trace, "items", trace):
+        monitor(item)
     return monitor.certificate
 
 
@@ -246,23 +259,27 @@ def _rel_err(got: float, want: float) -> float:
 class _RunFacts:
     """An observer that keeps what a 2-D reproduction checks: the record
     count, whether an iterate tested feasible, y left 0 after the first
-    record or x fell to 1 or below, and the iterates where ``keep(pos)`` holds."""
+    record or x fell to 1 or below, and the first k and the x of each
+    record or span, so that ``x_at(pos)`` is the iterate of record pos."""
 
-    def __init__(self, keep):
-        self.keep = keep
+    takes_spans = True
+
+    def __init__(self):
         self.count = 0
         self.any_feasible = self.y_moved = self.x_low = False
-        self.kept = {}
+        self.ks, self.xs = [], []
 
-    def __call__(self, rec) -> None:
-        pos = self.count
-        self.count += 1
-        x, y = rec.x.tolist()
-        self.any_feasible |= rec.feasible_flag
-        self.y_moved |= pos > 0 and y != 0.0
+    def __call__(self, item) -> None:
+        self.ks.append(item.k)
+        self.xs.append(item.x)
+        self.count = item.k + len(item)
+        x, y = item.x.tolist()
+        self.any_feasible |= getattr(item, "feasible_flag", False)
+        self.y_moved |= self.count > 1 and y != 0.0
         self.x_low |= x <= 1.0
-        if self.keep(pos):
-            self.kept[pos] = rec.x
+
+    def x_at(self, pos: int) -> Vector:
+        return self.xs[bisect_right(self.ks, pos) - 1]
 
 
 def reproduce_a1(max_iter: int = 10_000, oracle_up_to: int = 100) -> ReproduceReport:
@@ -273,7 +290,7 @@ def reproduce_a1(max_iter: int = 10_000, oracle_up_to: int = 100) -> ReproduceRe
     (0, -y) to 0.0, the violated row counts as not moved, and y stays put
     from step 538 on while the oracle halves it (ROADMAP item 11)."""
     cfg = build_a1_config("raw", max_iter)
-    facts = _RunFacts(lambda pos: pos % 2 == 0 and 0 < pos <= 2 * oracle_up_to)
+    facts = _RunFacts()
     result = solve(cfg, observers=[facts])
     notes = []
     if result.status != "max_iter":
@@ -285,7 +302,7 @@ def reproduce_a1(max_iter: int = 10_000, oracle_up_to: int = 100) -> ReproduceRe
         if pos >= facts.count:
             notes.append(f"trace shorter than position {pos}")
             break
-        x = facts.kept[pos]
+        x = facts.x_at(pos)
         wx, wy = oracle_a1(pos)
         err = max(_rel_err(float(x[0]), wx), _rel_err(float(x[1]), wy))
         if wy == 0.0 and float(x[1]) != 0.0:
@@ -388,7 +405,7 @@ def reproduce_a2(max_iter: int = 100_000, oracle_up_to: int = 30) -> ReproduceRe
     """
     cfg = build_a2_config("raw", max_iter)
     sched = cfg.overrelaxation
-    facts = _RunFacts(lambda pos: pos < max_iter and sched.source(pos)[0] == "b")
+    facts = _RunFacts()
     result = solve(cfg, observers=[facts])
     notes = []
     if result.status != "max_iter":
@@ -402,7 +419,8 @@ def reproduce_a2(max_iter: int = 100_000, oracle_up_to: int = 30) -> ReproduceRe
 
     max_err = 0.0
     table = [("k", "b_k", "engine x@n_k / oracle 1+sqrt(2 b_k)")]
-    run = {sched.source(pos)[1]: x for pos, x in facts.kept.items()}
+    run = {n: facts.x_at(pos) for n, pos in
+           enumerate(sched.b_positions(min(max_iter, facts.count)))}
     if not run:
         notes.append(f"no b-position within max_iter={max_iter}: nothing to check")
         return ReproduceReport("a2", result.status, result.k_feasible, max_err,

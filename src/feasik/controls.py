@@ -19,7 +19,8 @@ def _index_tuple(indices, path: str = "", n: int = 0) -> tuple:
     """A nonempty tuple of distinct ints.  A fault is a ControlError, or a
     ConfigError naming the set ``path.format(n)`` where a path is given."""
     # A tuple of exact ints is kept, so a schedule's constant sets are shared.
-    out = (indices if type(indices) is tuple and all(type(i) is int for i in indices)
+    out = (indices if type(indices) is tuple and (
+        type(indices[0]) is int if len(indices) == 1 else all(type(i) is int for i in indices))
            else tuple(map(as_integer, indices)))
     if not out or len(out) > 1 and len(set(out)) != len(out):
         if where := path.format(n):
@@ -55,7 +56,7 @@ class Control:
         """``stacked`` is a residual pass already taken at x, which
         adaptive controls use to score the stacked rows at once."""
         out = self._select(k, x, problem, stacked)
-        lo, hi = self._range or (min(out), max(out))
+        lo, hi = self._range or ((out[0],) * 2 if len(out) == 1 else (min(out), max(out)))
         if problem.is_lazy or lo < 0 or hi >= problem.m:
             # Materializes a lazy pool's constraints, and raises "index out
             # of pool" at the first emitted index outside the pool, if any.
@@ -90,6 +91,12 @@ class _FixedSets(Control):
     def _select(self, k, x, problem, stacked=None):
         return self.sets[self._position(k)]
 
+    def _quiet_until(self, k: int, stop: int, quiet) -> int:
+        """The least k' in [k, stop) whose set is not ``quiet(set)``, or stop."""
+        while k < stop and quiet(self.sets[self._position(k)]):
+            k += 1
+        return k
+
 
 class Intermittent(_FixedSets):
     """Cycles through the given blocks; with s blocks, every window of s
@@ -101,6 +108,13 @@ class Intermittent(_FixedSets):
 
     def _position(self, k):
         return k % len(self.sets)
+
+    def _quiet_until(self, k, stop, quiet):
+        sets, s = self.sets, len(self.sets)
+        for d in range(min(s, stop - k)):
+            if not quiet(sets[(k + d) % s]):
+                return k + d
+        return stop  # a period of quiet sets repeats
 
 
 class Cyclic(Intermittent):
@@ -155,6 +169,9 @@ class Explicit(_FixedSets):
         if k >= len(self.sets):
             raise ControlError(f"explicit control exhausted at step {k}")
         return k
+
+    def _quiet_until(self, k, stop, quiet):  # step k = len(sets) raises
+        return super()._quiet_until(k, min(stop, len(self.sets)), quiet)
 
 
 class _Maximal(Control):
@@ -264,9 +281,6 @@ class RandomSets(_FixedSets):
             j = np.minimum(np.searchsorted(self._cum, u, side="right"), len(self.sets) - 1)
             self._block, self._block_start = list(zip(u.tolist(), j.tolist())), start
         return self._block[k - start]
-
-    def draw_uniform(self, k: int) -> float:
-        return self._draw(k)[0]
 
     def _position(self, k):
         return self._draw(k)[1]

@@ -17,6 +17,7 @@ import io
 import math
 import reprlib
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -116,7 +117,8 @@ class TraceRecord:
     terminal record of a run has an empty active set, and only it can have
     ``feasible_flag`` set: ``solve`` steps only from an iterate that failed
     the feasibility test.  ``x`` is the iterate itself, which ``solve``
-    makes read-only.  ``step`` and ``solve`` pass the fields by position."""
+    makes read-only.  ``step`` and ``solve`` pass the fields by position.
+    As an item of a ``Trace``, a record holds one step, itself."""
 
     k: int
     bracket_k: int
@@ -130,19 +132,86 @@ class TraceRecord:
     corrected: bool
     feasible_flag: bool
 
+    def __len__(self) -> int:
+        return 1
+
+    def __iter__(self):
+        yield self
+
+    def record(self, j: int) -> "TraceRecord":
+        return self
+
+
+class QuietSpan:
+    """Steps k ... k + n - 1 of a run, none of which moves x, as one item of
+    a ``Trace``.  Their records share x, violate and move nothing, read
+    alpha and r at their count (``bracket_k``, + j in raw mode) and take
+    each row's entry from ``quiet``, else ``ZERO_ENTRY``; ``sets`` lists
+    their sets, or is None where the control's fixed family has them."""
+
+    __slots__ = ("cfg", "k", "n", "bracket_k", "x", "sets", "quiet")
+
+    def __init__(self, cfg, k, bracket_k, x, sets, quiet):
+        self.cfg, self.k, self.n, self.bracket_k = cfg, k, 0, bracket_k
+        self.x, self.sets, self.quiet = x, sets, quiet
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return map(self.record, range(self.n))
+
+    def record(self, j: int) -> TraceRecord:
+        cfg, k = self.cfg, self.k + j
+        count = self.bracket_k + (j if cfg.counter_mode == "raw" else 0)
+        active = self.sets[j] if self.sets else cfg.control.sets[cfg.control._position(k)]
+        return TraceRecord(k, count, self.x, active, (),
+                           tuple([self.quiet.get(i, ZERO_ENTRY) for i in active]),
+                           cfg.relaxation.alpha(count), cfg.overrelaxation.r(count),
+                           0.0, False, False)
+
+
+class Trace:
+    """The records of a run, ``trace[k]`` that of step k, over the records
+    and spans ``items`` as ``solve`` emitted them, which indexing, slicing
+    and iteration expand."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items: list):
+        self.items = items
+
+    def __len__(self) -> int:
+        return self.items[-1].k + len(self.items[-1]) if self.items else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        item = self.items[bisect_right(self.items, i, key=lambda item: item.k) - 1]
+        return item.record(i - item.k)
+
+    def __iter__(self):
+        for item in self.items:
+            yield from item
+
 
 @dataclass
 class RunResult:
     status: str  # "feasible" | "max_iter" | "nonfinite"
     k_feasible: Optional[int]
     final: Vector
-    trace: Optional[list]  # None when the records went to observers
+    items: Optional[list]  # None when the records went to observers
     corrections: int
     steps: int
 
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
+
+    @property
+    def trace(self) -> Optional[Trace]:
+        return None if self.items is None else Trace(self.items)
 
 
 def step(cfg: RunConfig, x: Vector, k: int, count: int,
@@ -216,105 +285,141 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
 
     The run never claims divergence; exceeding the budget reports
     ``max_iter``, and an iterate with a NaN or infinite coordinate stops the
-    run as ``nonfinite``.  Each executed step makes one record and the final
-    iterate a terminal one: they form ``RunResult.trace``, or, when
+    run as ``nonfinite``.  Each step that ``step`` takes makes a record,
+    each stretch of quiet steps between them a ``QuietSpan``, and the final
+    iterate a terminal record: they form ``RunResult.items``, which
+    ``RunResult.trace`` reads as a list of records, or, when
     ``observers`` are given, each of these callables receives them in order
-    and the run keeps none.  Iterates are read-only arrays, shared by the
-    records and ``RunResult.final``.
+    (a span whole where it sets ``takes_spans``, else its records) and the
+    run keeps none.  Iterates are read-only arrays, shared by the records
+    and ``RunResult.final``.
 
     Each iterate is tested once.  For a pool with stacked affine rows it
     gets one residual pass, shared by the feasibility test, the control and
     the cutters.  A step that leaves x in place returns x itself, and the
-    next step reuses its pass and its failed verdict.  ``solve`` takes each
-    step's emission once and emits the record of a quiet step itself: every
-    active row is settled by the pass or was cut at x without moving it
-    (README, "One test per iterate").  Each such record calls the weight
-    rule; alpha and r (``FromFunction`` too) are read once per count.
+    next step reuses its pass and its failed verdict.  A step is quiet when
+    each active row is settled by the pass or was cut at x without moving
+    it, and its weight rule, alpha and r raise nothing; any other step is
+    ``step``'s, which raises what it raises at its k
+    (README, "Quiet spans").  A fixed family finds its next step that is
+    not quiet by position; the weight rule runs once per quiet set.
     """
-    problem = cfg.problem
+    problem, control = cfg.problem, cfg.control
     rows = problem.affine_rows
     x = np.array(cfg.x0, dtype=np.float64)
     x.flags.writeable = False
-    count = 0
     raw = cfg.counter_mode == "raw"
-    trace = [] if observers is None else None
-    observers = (trace.append,) if observers is None else tuple(observers)
-    if len(observers) == 1:
-        emit, = observers
+    if observers is None:
+        items = []
+        emit = items.append
     else:
-        def emit(record):
+        items, observers = None, tuple(observers)
+
+        def emit(item):
             for observe in observers:
-                observe(record)
-    corrections = 0
-    control = cfg.control
-    zeros = {1: (ZERO_ENTRY,)}  # per set size n, the per_index of n settled rows
-    # A fixed family inside the pool: solve reads its sets where it replays.
+                for one in (item,) if getattr(observe, "takes_spans", False) else item:
+                    observe(one)
+
+    # A fixed family inside the pool: solve reads its sets by position.
     fixed = (isinstance(control, _FixedSets) and 0 <= control._range[0]
              and control._range[1] < problem.m)
-
-    k = 0
+    count = corrections = k = 0
     nonfinite = False
-    tested = taken = None  # the iterate whose pass and failed test are at hand
-    while True:
-        if x is not tested:  # by identity: an equal copy is tested again
-            stacked = rows.at(x) if rows is not None else None
-            # With no pass at x the pool's scalar tests decide; given the
-            # window, feasible does not try the pass again.
-            window = cfg.feas_window or (problem.indices() if stacked is None else None)
-            feas = not nonfinite and feasible(problem, x, window, cfg.feas_tol,
-                                              stacked=stacked)
-            # Row -> per_index 1-tuple of the rows a step cut without moving
-            # x; None until one does, but singletons look for settled rows.
-            tested, quiet = x, {} if stacked is not None and control.max_card == 1 else None
-        if feas or nonfinite or k >= cfg.max_iter:
-            emit(TraceRecord(k, count, x, (), (), (), None, None, 0.0, False, feas))
-            status = ("feasible" if feas else
-                      "nonfinite" if nonfinite else "max_iter")
-            return RunResult(status, k if feas else None, x, trace,
-                             corrections, k)
-        active = (control.sets[control._position(k)] if fixed and quiet is not None
-                  else control.indices(k, x, problem, stacked))
-        if quiet is not None and (per_index := _replay(active, quiet, stacked, zeros)):
-            if count != taken:  # every k in raw mode
-                alpha, r = cfg.relaxation.alpha(count), cfg.overrelaxation.r(count)
-                taken = count  # the count whose alpha and r are at hand
-            cfg.weights.weights(active, ())
-            emit(TraceRecord(k, count, x, active, (), per_index, alpha, r, 0.0, False, False))
-            count, k = count + raw, k + 1
-            continue
-        x_next, corrected, record = step(cfg, x, k, count, stacked, active)
-        if x_next is not x:  # a step that does not move returns x, read-only
-            x = x_next
-            x.flags.writeable = False
-            # A finite step norm implies a finite iterate; the norm of a finite
-            # but huge step can overflow, so only then are the coordinates read.
-            if not math.isfinite(record.step_norm):
-                nonfinite = not np.isfinite(x).all()
-        else:  # the rows it cut without moving x are quiet at x
-            quiet = {} if quiet is None else quiet
-            for i, e in zip(active, per_index := record.per_index):
-                if e[1] == 0.0 and e is not ZERO_ENTRY:
-                    quiet[i] = per_index if len(per_index) == 1 else (e,)
-        emit(record)
-        corrections += corrected
-        count += raw or corrected
-        k += 1
+    # The iterate whose pass and failed test are at hand, and the open span.
+    tested = span = None
+    weighed = set()  # the sets whose weights, quiet, raised nothing
+    try:
+        while True:
+            if x is not tested:  # by identity: an equal copy is tested again
+                stacked = rows.at(x) if rows is not None else None
+                # With no pass at x the pool's scalar tests decide; given the
+                # window, feasible does not try the pass again.
+                window = cfg.feas_window or (problem.indices() if stacked is None else None)
+                feas = not nonfinite and feasible(problem, x, window, cfg.feas_tol,
+                                                  stacked=stacked)
+                # Row -> entry of the rows a step cut without moving x, None
+                # until one does (but singletons look for settled rows), and
+                # set -> whether it is quiet.
+                tested = x
+                quiet, known = ({}, {}) if stacked is not None and control.max_card == 1 \
+                    else (None, None)
+            if feas or nonfinite or k >= cfg.max_iter:
+                break
+            active = (control.sets[control._position(k)] if fixed and quiet is not None
+                      else control.indices(k, x, problem, stacked))
+            n = quiet is not None and _is_quiet(active, quiet, stacked, known, cfg, weighed)
+            if n and fixed:  # and the steps after k whose sets are quiet too
+                n = control._quiet_until(k + 1, cfg.max_iter, lambda s: _is_quiet(
+                    s, quiet, stacked, known, cfg, weighed)) - k
+            if n and (n := _reads(cfg, count, n)):
+                if span is None:
+                    span = QuietSpan(cfg, k, count, x, None if fixed else [], quiet)
+                if not fixed:
+                    span.sets.append(active)
+                span.n += n
+                k, count = k + n, count + raw * n
+                continue
+            if span is not None:
+                span, closed = None, span
+                emit(closed)
+            x_next, corrected, record = step(cfg, x, k, count, stacked, active)
+            if x_next is not x:  # a step that does not move returns x, read-only
+                x = x_next
+                x.flags.writeable = False
+                # A finite step norm implies a finite iterate; the norm of a finite
+                # but huge step can overflow, so only then are the coordinates read.
+                if not math.isfinite(record.step_norm):
+                    nonfinite = not np.isfinite(x).all()
+            else:  # the rows it cut without moving x are quiet at x
+                quiet, known = {} if quiet is None else quiet, {}
+                for i, e in zip(record.active, record.per_index):
+                    if e[1] == 0.0 and e is not ZERO_ENTRY:
+                        quiet[i] = e
+            emit(record)
+            corrections += corrected
+            count += raw or corrected
+            k += 1
+    finally:  # the open span, also when a schedule or the control raised
+        if span is not None:
+            emit(span)
+    emit(TraceRecord(k, count, x, (), (), (), None, None, 0.0, False, feas))
+    status = "feasible" if feas else "nonfinite" if nonfinite else "max_iter"
+    return RunResult(status, k if feas else None, x, items, corrections, k)
 
 
-def _replay(active: tuple, quiet: dict, stacked: Optional[RowPass], zeros: dict):
-    """The per_index ``step`` would record at x when every active row is
-    quiet there, else None.  A row some step at x cut without moving x keeps
-    that entry, which depends only on the row and x (phi is never called);
-    a row the pass at x settles has ``ZERO_ENTRY``."""
-    if len(active) == 1:
-        one = quiet.get(i := active[0])
-        return one or (zeros[1] if stacked is not None and stacked.settled[i] else None)
-    ones = [_replay((i,), quiet, stacked, zeros) for i in active]
-    if None in ones:
-        return None
-    if all(one is zeros[1] for one in ones):  # shared, as a trace may keep many
-        return zeros.setdefault(len(ones), (ZERO_ENTRY,) * len(ones))
-    return tuple(e for e, in ones)
+# A fault of the weight rule, alpha or r makes a step loud: step raises it at
+# its k.
+def _is_quiet(active: tuple, quiet: dict, stacked: Optional[RowPass], known: dict,
+              cfg: RunConfig, weighed: set) -> bool:
+    """Whether every row of ``active`` is settled by the pass at x or was cut
+    at x without moving it (``quiet``), and the weight rule takes the set;
+    ``known`` keeps the answer per set and state of ``quiet``, and
+    ``weighed`` the sets the rule took (it reads only the set)."""
+    if (ok := known.get(active)) is None:
+        if len(active) == 1:
+            ok = (i := active[0]) in quiet or bool(stacked and stacked.settled[i])
+        else:
+            todo = enumerate(active) if stacked is None else stacked.unsettled(active)
+            ok = all(i in quiet for _, i in todo)
+        if ok and active not in weighed:
+            try:
+                cfg.weights.weights(active, ())
+                weighed.add(active)
+            except Exception:
+                ok = False
+        known[active] = ok
+    return ok
+
+
+def _reads(cfg: RunConfig, count: int, n: int) -> int:
+    """How many of n quiet steps from ``count`` read alpha and r without a
+    fault: each count in raw mode, ``count`` once in bracketed mode."""
+    for j in range(count, count + n if cfg.counter_mode == "raw" else count + 1):
+        try:
+            cfg.relaxation.alpha(j), cfg.overrelaxation.r(j)
+        except Exception:
+            return j - count
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -326,28 +431,33 @@ def _fmt(v) -> str:
 
 
 class CsvStream:
-    """An observer that writes the header at once, then a row per record:
-    shortest round-trip floats, index sets joined by semicolons."""
+    """An observer that writes the header at once, then a row per record
+    (each of a span's): shortest round-trip floats, index sets joined by
+    semicolons."""
 
     def __init__(self, fh, dim: int):
         self._row = csv.writer(fh, lineterminator="\n").writerow
         self._row(["k", "bracket_k", "alpha", "r", "active", "violated",
                    "step_norm", "feasible"] + [f"x_{i}" for i in range(dim)])
 
-    def __call__(self, rec: TraceRecord) -> None:
-        self._row([rec.k, rec.bracket_k, _fmt(rec.alpha_used), _fmt(rec.r_used),
-                   ";".join(str(i) for i in rec.active),
-                   ";".join(str(i) for i in rec.violated),
-                   repr(float(rec.step_norm)),
-                   "true" if rec.feasible_flag else "false"]
-                  + [repr(float(v)) for v in rec.x])
+    takes_spans = True
+
+    def __call__(self, item) -> None:
+        xs = [repr(float(v)) for v in item.x]  # once for a whole span
+        for rec in item:
+            self._row([rec.k, rec.bracket_k, _fmt(rec.alpha_used), _fmt(rec.r_used),
+                       ";".join(str(i) for i in rec.active),
+                       ";".join(str(i) for i in rec.violated),
+                       repr(float(rec.step_norm)),
+                       "true" if rec.feasible_flag else "false"] + xs)
 
 
 def write_trace_csv(trace, dim: int, fh) -> None:
-    """Write recorded records as ``CsvStream`` would have streamed them."""
+    """Write recorded records, or a ``Trace``, as ``CsvStream`` would have
+    streamed them."""
     stream = CsvStream(fh, dim)
-    for rec in trace:
-        stream(rec)
+    for item in getattr(trace, "items", trace):
+        stream(item)
 
 
 def trace_csv_text(trace, dim: int) -> str:

@@ -160,28 +160,28 @@ class MergedDecreasing(Overrelaxation):
         self._a = self._b = None  # a_fn(_ai) and b_fn(_bi), once evaluated
 
     def _extend(self, upto: int) -> None:
-        while len(self._values) <= upto:
-            if self._a is None:
+        values = self._values
+        while len(values) <= upto:
+            a, b = self._a, self._b
+            if a is None:
                 a = self.a_fn(self._ai)
-                self._a = a if type(a) is float else as_real(a, "merged schedule input")
-            if self._b is None:
+                a = self._a = a if type(a) is float else as_real(a, "merged schedule input")
+            if b is None:
                 b = self.b_fn(self._bi)
-                self._b = b if type(b) is float else as_real(b, "merged schedule input")
-            if not (math.isfinite(self._a) and math.isfinite(self._b)):
-                raise ConfigError(f"merged schedule input not finite: {self._a}, {self._b}")
-            if self._a >= self._b:
-                v, self._a = self._a, None
-                self._ai += 1
-            else:
-                v, self._b = self._b, None
-                self._bi += 1
+                b = self._b = b if type(b) is float else as_real(b, "merged schedule input")
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ConfigError(f"merged schedule input not finite: {a}, {b}")
+            v = a if a >= b else b
             if v <= 0.0:
                 raise ConfigError("merged schedule produced a nonpositive value")
-            if self._values and v > self._values[-1]:
+            if values and v > values[-1]:
                 raise ConfigError("merged schedule inputs are not nonincreasing")
-            if self._b is None:  # v came from b
-                self._b_positions.append(len(self._values))
-            self._values.append(v)
+            if a >= b:
+                self._a, self._ai = None, self._ai + 1
+            else:  # a fault above leaves the merge as it was
+                self._b, self._bi = None, self._bi + 1
+                self._b_positions.append(len(values))
+            values.append(v)
 
     def r(self, j):
         if j >= len(self._values):
@@ -191,17 +191,15 @@ class MergedDecreasing(Overrelaxation):
     def source(self, j) -> tuple:
         if j >= len(self._values):
             self._extend(j)
-        n = bisect_left(self._b_positions, j)  # b-elements before position j
-        return ("b", n) if j in self._b_positions[n:n + 1] else ("a", j - n)
+        bs = self._b_positions
+        n = bisect_left(bs, j)  # b-elements before position j
+        return ("b", n) if n < len(bs) and bs[n] == j else ("a", j - n)
 
-    def position_of(self, which: str, k: int, limit: int = 10 ** 7) -> int:
-        """Merge position of a_k or b_k; scans at most ``limit`` entries."""
-        j = 0
-        while j < limit:
-            if self.source(j) == (which, k):
-                return j
-            j += 1
-        raise ConfigError(f"{which}_{k} not found within {limit} positions")
+    def b_positions(self, upto: int) -> list:
+        """The merge positions below ``upto`` that b supplied, in order."""
+        if upto > len(self._values):
+            self._extend(upto - 1)
+        return self._b_positions[:bisect_left(self._b_positions, upto)]
 
 
 # ---------------------------------------------------------------------------

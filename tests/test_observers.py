@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from conftest import packed_entries
 from feasik import (CertificateError, ConstantRelaxation, CsvStream, Cyclic,
                     DescentMonitor, Harmonic, Intermittent, MergedDecreasing, PhiOne,
-                    RandomSets, RemotestSet, RunConfig, UniformOverActive,
+                    QuietSpan, RandomSets, RemotestSet, Repetitive, RunConfig,
+                    TraceRecord, UniformOverActive,
                     UniformOverViolated, check_descent, cli,
                     random_slater_polyhedron, solve, write_trace_csv)
 from feasik.cli import _sweep_one
-from feasik.certificates import build_a1_config, build_a2_config
+from feasik.certificates import _RunFacts, build_a1_config, build_a2_config
 
 
 def record_bytes(rec) -> bytes:
@@ -105,6 +106,62 @@ def test_csv_stream_and_descent_monitor_equal_their_replays(name):
     assert len(cert.entries) == streamed.steps
     assert repr(monitor.certificate.entries) == repr(cert.entries)
     assert monitor.certificate.to_dict() == cert.to_dict()
+
+
+# Runs with long spans (raw A.1 and A.2), short ones (stacked singletons and
+# pairs, a repetitive period) and none (the rest).
+SPAN_CONFIGS = dict(
+    CONFIGS, a1=lambda: build_a1_config("raw", 1500),
+    stacked_cyclic=lambda: config(Cyclic(range(24))),
+    pairs=lambda: config(Intermittent([(i, (i + 5) % 24) for i in range(24)])),
+    repetitive=lambda: config(Repetitive(lambda k: ((k * 7) % 24,))))
+WITH_SPANS = ["a1", "a2", "pairs", "random_sets", "repetitive", "stacked_cyclic"]
+
+
+def hiding_spans(observe):
+    """The observer as one that does not know spans: it gets their records."""
+    return lambda record: observe(record)
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_CONFIGS))
+def test_span_aware_observers_take_a_span_as_its_records(name):
+    cfg = SPAN_CONFIGS[name]()
+    z, big_r = cfg.problem.interior
+    lam = cfg.weights.floor(cfg.control.max_card)
+    outs = []
+    for wrap in (lambda observe: observe, hiding_spans):
+        buf = io.StringIO()
+        monitor = DescentMonitor(z, big_r, lam, outer=cfg.problem.outer)
+        facts = _RunFacts()  # the reproductions' observer, of 2-D runs
+        solve(SPAN_CONFIGS[name](), observers=[
+            wrap(CsvStream(buf, cfg.problem.dim)), wrap(monitor)]
+            + [wrap(facts)] * (cfg.problem.dim == 2))
+        outs.append((buf.getvalue(), repr(monitor.certificate.entries),
+                     monitor.certificate.to_dict(), facts.count, facts.any_feasible,
+                     facts.y_moved, facts.x_low,
+                     [facts.x_at(pos).tobytes() for pos in range(facts.count)]))
+    assert outs[0] == outs[1]
+    trace = solve(SPAN_CONFIGS[name]()).trace
+    spans = [item for item in trace.items if type(item) is QuietSpan]
+    assert bool(spans) == (name in WITH_SPANS)
+    assert sum(map(len, trace.items)) == len(trace) == len(outs[0][0].splitlines()) - 1
+
+
+@pytest.mark.parametrize("name", WITH_SPANS)
+def test_a_kept_trace_is_a_sequence_of_its_records(name):
+    trace = solve(SPAN_CONFIGS[name]()).trace
+    records = [record_bytes(r) for r in trace]
+    n = len(records)
+    assert len(trace) == n and n > 2
+    assert [record_bytes(trace[i]) for i in range(n)] == records
+    assert [record_bytes(trace[i]) for i in range(-n, 0)] == records
+    for part in (slice(None), slice(1, -1), slice(-3, None), slice(None, None, 7),
+                 slice(n - 2, 3, -5), slice(n, None)):
+        assert [record_bytes(r) for r in trace[part]] == records[part]
+    assert [r.k for r in trace] == list(range(n))
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            trace[i]
 
 
 def test_solve_output_leaves_no_file_when_the_run_fails(tmp_path, capsys):
@@ -205,10 +262,23 @@ def test_a_streamed_run_keeps_memory_flat():
     short = peak_bytes(2_000, [lambda rec: None])
     long = peak_bytes(20_000, [lambda rec: None])
     assert long <= 1.5 * short + 64 * 1024, (short, long)
-    # The same measure sees a recorded trace grow with the run.
-    recorded_short = peak_bytes(2_000, None)
-    recorded_long = peak_bytes(20_000, None)
+    # The same measure sees a list of every record grow with the run.
+    recorded_short = peak_bytes(2_000, [[].append])
+    recorded_long = peak_bytes(20_000, [[].append])
     assert recorded_long > 5 * recorded_short, (recorded_short, recorded_long)
+
+
+def test_a_kept_trace_of_raw_a1_keeps_memory_flat():
+    # From step 538 on no step of raw A.1 moves x (ROADMAP item 11); once
+    # steps 538 and 539 have cut both rows there, the kept trace holds the
+    # rest of the run as one span, whatever its length.
+    short, long = peak_bytes(2_000, None), peak_bytes(20_000, None)
+    assert long <= 1.5 * short + 64 * 1024, (short, long)
+    trace = solve(build_a1_config("raw", 20_000)).trace
+    *_, span, end = trace.items
+    assert (span.k, span.k + len(span), end.k) == (540, 20_000, 20_000)
+    assert all(type(item) is TraceRecord for item in trace.items[:-2])
+    assert len(trace) == 20_001 and trace[-2] == span.record(len(span) - 1)
 
 
 def sweep_row_peak(max_iter: int):

@@ -79,8 +79,8 @@ def test_merged_decreasing_a2_layout():
     assert [sched.source(j) for j in range(4)] == [
         ("a", 0), ("a", 1), ("b", 0), ("a", 2)]
     # on the 1/128 tie the a-element comes first
-    assert sched.position_of("a", 127) == 128
-    assert sched.position_of("b", 1) == 129
+    assert sched.source(128) == ("a", 127)
+    assert sched.b_positions(130) == [2, 129]
     assert sched.r(128) == 1.0 / 128.0 and sched.r(129) == 1.0 / 128.0
     values = [sched.r(j) for j in range(500)]
     assert all(v1 >= v2 for v1, v2 in zip(values, values[1:]))
@@ -137,6 +137,27 @@ def test_merged_decreasing_rejects_non_finite_inputs(side, value):
         with pytest.raises(ConfigError, match="not finite"):
             for j in range(10):
                 sched.r(j)
+
+
+@pytest.mark.parametrize("fault, match, at", [
+    (fault, match, at) for fault, match in [(math.nan, "not finite"), (0.0, "nonpositive"),
+                                            (2.0, "nonincreasing")]
+    for at in [0, 1, 7, 300] if at or fault != 2.0])  # nothing precedes position 0
+def test_merged_decreasing_raises_a_fault_where_its_position_is_read(fault, match, at):
+    # a_at is the merge's position `at` (b lies below every a read here),
+    # and its fault comes from reading that position, by r, source or
+    # b_positions, and again on every later read; the positions before it
+    # stay readable and unchanged.
+    sched = MergedDecreasing(lambda k: fault if k == at else 1.0 / (k + 1),
+                             lambda k: 0.0 if fault == 0.0 else 2.0 ** -(k + 30))
+    want = [1.0 / (k + 1) for k in range(at)]
+    assert [sched.r(j) for j in range(at)] == want
+    assert [sched.source(j) for j in range(at)] == [("a", j) for j in range(at)]
+    assert sched.b_positions(at) == []
+    for read in (sched.r, sched.source, lambda j: sched.b_positions(j + 1)) * 2:
+        with pytest.raises(ConfigError, match=match):
+            read(at)
+    assert [sched.r(j) for j in range(at)] == want
 
 
 def test_weight_rules_sum_to_one():

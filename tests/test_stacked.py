@@ -29,7 +29,8 @@ import feasik
 from feasik import (AbsCoordMinusC, Affine, Ball, Box, ConfigError,
                     ConstantRelaxation, Constraint, Cyclic, Explicit,
                     ExplicitTable, Halfspace, Harmonic, Intermittent,
-                    MaxViolation, OuterSet, PhiCustom, PhiOne, Problem,
+                    FromFunction, MaxViolation, MergedDecreasing, OuterSet,
+                    PhiCustom, PhiOne, Problem,
                     QuadCoordMinusC, RandomSets, RemotestSet, Repetitive,
                     RunConfig, Sublevel, TraceRecord, UniformOverActive,
                     UniformOverViolated, engine, evaluate_cutter, feasible,
@@ -1042,15 +1043,18 @@ def solve_calling_step_at_every_k(cfg, emit):
 
 def observed(run, cfg):
     """Every record of a run, field by field (floats and iterates as bytes,
-    and which entries are ``ZERO_ENTRY`` itself), and the error it raised
-    as (type, message), or None."""
-    records = []
+    whether x is the previous record's array, and which entries are
+    ``ZERO_ENTRY`` itself), and the error it raised as (type, message), or
+    None."""
+    records, xs = [], []
 
     def emit(r):
-        records.append((r.k, r.bracket_k, r.x.tobytes(), r.active, r.violated,
+        records.append((r.k, r.bracket_k, r.x.tobytes(), bool(xs) and r.x is xs[-1],
+                        r.active, r.violated,
                         packed_entries(r), [e is ZERO_ENTRY for e in r.per_index],
                         repr(r.alpha_used), repr(r.r_used), float(r.step_norm).hex(),
                         r.corrected, r.feasible_flag))
+        xs.append(r.x)
 
     try:
         run(cfg, emit)
@@ -1061,6 +1065,35 @@ def observed(run, cfg):
 
 def solve_observed(cfg, emit):
     solve(cfg, observers=[emit])
+
+
+def solve_kept(cfg, emit):
+    """The records of a kept trace, spans expanded by its iteration."""
+    for r in solve(cfg).trace:
+        emit(r)
+
+
+class Items(list):
+    """An observer that keeps what it gets, spans whole."""
+
+    takes_spans = True
+    __call__ = list.append
+
+
+def solve_spans(cfg, emit):
+    """The records of the items a span-aware observer got, expanded once
+    the run returned or raised; the run's own error comes after them, and
+    an item that raises on expansion fails the comparison."""
+    items = Items()
+    try:
+        solve(cfg, observers=[items])
+    finally:
+        try:
+            records = [r for item in items for r in item]
+        except Exception as e:
+            raise AssertionError(f"an item raised on expansion: {e!r}") from None
+        for r in records:
+            emit(r)
 
 
 def small_pool(seed):
@@ -1103,18 +1136,33 @@ QUIET_CONTROLS = ["cyclic", "intermittent", "explicit", "random_sets", "repetiti
                   "remotest", "max_violation"]
 
 
-@settings(max_examples=150, deadline=None,
+def quiet_overrelaxation(kind, fault_at):
+    """Harmonic r, or one that faults at count ``fault_at``: a FromFunction
+    r that turns negative, or a merged schedule whose a-input there is NaN
+    (the merge reads it where it fills the position of a_{fault_at})."""
+    if kind == "harmonic":
+        return Harmonic()
+    if kind == "from_function":
+        return FromFunction(lambda j: 1.0 / (j + 1) if j < fault_at else -1.0,
+                            divergent_sum=True)
+    return MergedDecreasing(lambda j: 1.0 / (j + 1) if j < fault_at else math.nan,
+                            lambda j: 2.0 ** -(j + 20))
+
+
+@settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(QUIET_POOLS), st.sampled_from(QUIET_CONTROLS),
        st.sampled_from(["bracketed", "raw"]), st.sampled_from(["uniform", "table", "gap"]),
-       st.booleans(), st.integers(0, 2 ** 32 - 1), st.integers(0, 600))
+       st.booleans(), st.integers(0, 2 ** 32 - 1), st.integers(0, 600),
+       st.sampled_from(["harmonic", "from_function", "merged"]), st.integers(0, 300))
 def test_quiet_steps_match_a_step_at_every_k(pool, kind, mode, weight_kind, blocks, seed,
-                                             max_iter):
+                                             max_iter, r_kind, fault_at):
     # Runs of steps that leave x in place, under every control and on
     # stacked, lazy and scalar pools, end inside max_iter, an explicit
-    # list's end or a table without the weight of one index ("gap") as
-    # often as between them.  A row is quiet where the pass settles it or
-    # where an earlier step at x cut it without moving x.
+    # list's end, a table without the weight of one index ("gap") or at a
+    # count where r faults, as often as between them.  A row is quiet where
+    # the pass settles it or where an earlier step at x cut it without
+    # moving x.  Each run gets fresh schedules and controls.
     problem, x0 = quiet_pool(pool)
     m = int(problem.m)
     rows = problem.affine_rows
@@ -1123,9 +1171,10 @@ def test_quiet_steps_match_a_step_at_every_k(pool, kind, mode, weight_kind, bloc
     sets = [tuple(rng.choice(m, rng.integers(1, min(4, m + 1)), replace=False).tolist())
             if blocks and rng.random() < 0.2 else (int(i),) for i in rng.permutation(m)]
     order = rng.integers(len(sets), size=int(rng.integers(1, 50))).tolist()
+    listed = sets[:int(rng.integers(1, 2 * m))] * 2
     control = {"cyclic": lambda: Cyclic([s[0] for s in sets]),
                "intermittent": lambda: Intermittent(sets),
-               "explicit": lambda: Explicit(sets[:int(rng.integers(1, 2 * m))] * 2),
+               "explicit": lambda: Explicit(listed),
                "random_sets": lambda: RandomSets([(s, 1.0 / m) for s in sets], seed),
                "repetitive": lambda: Repetitive(lambda k: sets[order[k % len(order)]],
                                                 max_card=max(map(len, sets))),
@@ -1134,11 +1183,53 @@ def test_quiet_steps_match_a_step_at_every_k(pool, kind, mode, weight_kind, bloc
     table = {i: 1.0 + (i % 3) for i in range(m)}
     if weight_kind == "gap":
         del table[int(rng.integers(m))]
-    weights = UniformOverActive() if weight_kind == "uniform" else ExplicitTable(table, 0.1)
-    cfg = RunConfig(problem=problem, control=control(), relaxation=ConstantRelaxation(1.0),
-                    overrelaxation=Harmonic(), phi=PhiOne(), weights=weights,
-                    x0=x0, counter_mode=mode, max_iter=max_iter)
-    assert observed(solve_observed, cfg) == observed(solve_calling_step_at_every_k, cfg)
+
+    def cfg():
+        weights = UniformOverActive() if weight_kind == "uniform" else ExplicitTable(table, 0.1)
+        return RunConfig(problem=problem, control=control(),
+                         relaxation=ConstantRelaxation(1.0),
+                         overrelaxation=quiet_overrelaxation(r_kind, fault_at),
+                         phi=PhiOne(), weights=weights,
+                         x0=x0, counter_mode=mode, max_iter=max_iter)
+
+    want = observed(solve_calling_step_at_every_k, cfg())
+    assert observed(solve_observed, cfg()) == want
+    assert observed(solve_spans, cfg()) == want
+    if want[1] is None:  # a kept trace exists only for a run that returns
+        assert observed(solve_kept, cfg()) == want
+
+
+@pytest.mark.parametrize("mode", ["bracketed", "raw"])
+@pytest.mark.parametrize("fault", ["weight", "r"])
+def test_a_fault_inside_a_quiet_stretch_comes_at_its_k(fault, mode):
+    # A weight table without row g, which the pass settles at x0 and the
+    # cyclic order meets after three other settled rows; and r turning
+    # negative at count 700 in the A.1 tail, whose both rows are quiet
+    # from step 540 on (in bracketed mode the count never gets there).
+    if fault == "weight":
+        problem, x0 = quiet_pool("float64")
+        settled = problem.affine_rows.at(np.asarray(x0)).settled.nonzero()[0].tolist()
+        control, at = Cyclic(settled[:4] + [i for i in range(24) if i not in settled[:4]]), 3
+        weights = ExplicitTable({i: 1.0 for i in range(24) if i != settled[3]}, 0.01)
+        over = Harmonic()
+    else:
+        problem, x0 = quiet_pool("a1_tail")
+        control, weights, at = Cyclic([0, 1]), UniformOverActive(), 700
+        over = quiet_overrelaxation("from_function", 700)
+
+    def cfg():
+        return RunConfig(problem=problem, control=control, relaxation=ConstantRelaxation(1.0),
+                         overrelaxation=over, phi=PhiOne(), weights=weights, x0=x0,
+                         counter_mode=mode, max_iter=1000)
+
+    want = observed(solve_calling_step_at_every_k, cfg())
+    for run in (solve_observed, solve_spans):
+        assert observed(run, cfg()) == want
+    records, error = want
+    if fault == "weight" or mode == "raw":
+        assert len(records) == at and error[0] is ConfigError
+    else:
+        assert len(records) == 1001 and error is None
 
 
 def test_quiet_steps_skip_step_on_a_stacked_cyclic_run():
