@@ -11,7 +11,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .controls import Cyclic, Repetitive
-from .engine import RunConfig, RunResult, TraceRecord, step, solve
+from .engine import RunConfig, TraceRecord, step, solve, trace_items
 from .errors import CertificateError, ConfigError
 from .model import (AbsCoordMinusC, Constraint, Halfspace, OuterSet, Problem,
                     QuadCoordMinusC, Sublevel, Vector, as_real, as_vector, norm)
@@ -140,13 +140,8 @@ class DescentMonitor:
 def check_descent(trace, z, big_r: float, lam: float,
                   outer: Optional[OuterSet] = None) -> DescentCertificate:
     """Replay a recorded trace (or ``RunResult``) through a ``DescentMonitor``."""
-    if isinstance(trace, RunResult):
-        if trace.items is None:
-            raise CertificateError("the run kept no trace: its records went "
-                                   "to observers, where a DescentMonitor checks them")
-        trace = trace.items
     monitor = DescentMonitor(z, big_r, lam, outer)
-    for item in getattr(trace, "items", trace):
+    for item in trace_items(trace, CertificateError):
         monitor(item)
     return monitor.certificate
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .controls import _FixedSets
-from .errors import ConfigError
+from .errors import ConfigError, FeasikError
 from .model import (Problem, RowPass, Vector, as_integer, as_real, as_vector,
                     feasible, norm)
 from .operators import evaluate_cutter
@@ -266,12 +266,11 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
         terms = [(weights[0] * betas[0]) * diffs[0]]
     else:
         terms = ()
+    x_next, corrected = x, False
     if len(terms):
         step_vec = alpha * compensated_sum(terms)
         x_next = problem.outer.project(x + step_vec)
         corrected = bool(step_vec.any())
-    else:
-        x_next, corrected = x, False
 
     # Positional, in field order: keywords cost every step about 0.5 us.
     record = TraceRecord(k, count, x, active, violated, tuple(per_index), alpha, r,
@@ -387,8 +386,7 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
     return RunResult(status, k if feas else None, x, items, corrections, k)
 
 
-# A fault of the weight rule, alpha or r makes a step loud: step raises it at
-# its k.
+# A fault of the weight rule, alpha or r makes a step loud, raised at its k.
 def _is_quiet(active: tuple, quiet: dict, stacked: Optional[RowPass], known: dict,
               cfg: RunConfig, weighed: set) -> bool:
     """Whether every row of ``active`` is settled by the pass at x or was cut
@@ -452,15 +450,20 @@ class CsvStream:
                        "true" if rec.feasible_flag else "false"] + xs)
 
 
+def trace_items(trace, error=FeasikError) -> list:
+    """The items of a ``RunResult``, of a ``Trace``, or a list of records."""
+    if (items := trace.items if isinstance(trace, (RunResult, Trace)) else trace) is None:
+        raise error("the run kept no trace: its records went to observers")
+    return items
+
+
 def write_trace_csv(trace, dim: int, fh) -> None:
-    """Write recorded records, or a ``Trace``, as ``CsvStream`` would have
-    streamed them."""
-    stream = CsvStream(fh, dim)
-    for item in getattr(trace, "items", trace):
+    """Write a trace (``trace_items``) as ``CsvStream`` would stream it."""
+    items, stream = trace_items(trace), CsvStream(fh, dim)  # no header for no trace
+    for item in items:
         stream(item)
 
 
 def trace_csv_text(trace, dim: int) -> str:
-    buf = io.StringIO()
-    write_trace_csv(trace, dim, buf)
+    write_trace_csv(trace, dim, buf := io.StringIO())
     return buf.getvalue()

@@ -604,6 +604,8 @@ class Problem:
 
     def pool_indices(self, indices, where: str) -> tuple:
         """``indices`` as ints in [0, m); a fault names the field ``where[j]``."""
+        if not hasattr(indices, "__iter__"):
+            raise ConfigError(f"field '{where}' must be a list, not {type(indices).__name__}")
         out = []
         for j, i in enumerate(indices):
             path = f"field '{where}[{j}]'"

@@ -540,8 +540,9 @@ def test_run_config_faults_read_the_same_from_python_and_documents():
     cases += [(two_halfspace_doc(counter_mode=v), "counter_mode") for v in (5, "rawx", None)]
     cases += [(two_halfspace_doc(max_iter=-1), "max_iter"),
               (two_halfspace_doc(feas_window=[]), "feas_window"),
-              (two_halfspace_doc(feas_window=[0, 5]), "feas_window[1]")]
-    assert len(cases) == 12
+              (two_halfspace_doc(feas_window=[0, 5]), "feas_window[1]"),
+              (two_halfspace_doc(feas_window=3), "feas_window")]
+    assert len(cases) == 13
     for doc, field in cases:
         member = field.split("[")[0]
         with pytest.raises(ConfigError) as from_doc:

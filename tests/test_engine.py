@@ -19,6 +19,7 @@ from feasik.certificates import build_a2_config
 from feasik.engine import compensated_sum
 from feasik.model import STACKED_MIN_ROWS
 from feasik.schedules import WeightRule
+from reference import neumaier_loop
 
 
 def make_cfg(problem, x0, control=None, alpha=1.0, over=None, phi=None,
@@ -392,20 +393,6 @@ def test_compensated_sum_matches_fsum():
         got = compensated_sum(vecs)
         want = np.array([math.fsum(v[i] for v in vecs) for i in range(4)])
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-300)
-
-
-def neumaier_loop(vectors, dim):
-    """The term-by-term loop compensated_sum replaces, kept as its reference."""
-    s = np.zeros(dim)
-    c = np.zeros(dim)
-    for v in vectors:
-        t = s + v
-        swap = np.abs(s) >= np.abs(v)
-        big = np.where(swap, s, v)
-        small = np.where(swap, v, s)
-        c += (big - t) + small
-        s = t
-    return s + c
 
 
 SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,

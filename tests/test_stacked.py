@@ -1,14 +1,13 @@
-"""Differential tests of the stacked affine-row pass against the scalar
-per-constraint path.
+"""The engine's exactness mechanisms one at a time: the stacked pass and its
+margins, settled rows, candidate rescoring, batched cuts and quiet steps.
 
-The reference is always the library's own scalar loop: a lazy ``pool=``
-problem with the same constraints never stacks, and a control's
-``_select`` without a residual pass scores one constraint at a time.
-``solve``, which tests an iterate once however many steps leave it in
-place, is compared with a loop that runs the scalar test at every iterate.
+Decisions are compared with the scalar tests on the pool's lazy twin, which
+never stacks, and with a control's ``_select`` without a pass.  Runs are
+compared with ``reference_solve`` and keep the asserts that name a
+mechanism: ``ZERO_ENTRY`` itself on settled rows, the cutters a batched
+step calls, when ``step`` runs, and one emission per k.
 """
 
-import functools
 import io
 import math
 import os
@@ -24,36 +23,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import packed_entries
 import feasik
-from feasik import (AbsCoordMinusC, Affine, Ball, Box, ConfigError,
-                    ConstantRelaxation, Constraint, Cyclic, Explicit,
-                    ExplicitTable, Halfspace, Harmonic, Intermittent,
-                    FromFunction, MaxViolation, MergedDecreasing, OuterSet,
-                    PhiCustom, PhiOne, Problem,
-                    QuadCoordMinusC, RandomSets, RemotestSet, Repetitive,
-                    RunConfig, Sublevel, TraceRecord, UniformOverActive,
+from conftest import affine_body, large_pool, quiet_pool, slater_pool, zero_entries
+from feasik import (Affine, Ball, ConfigError, ConstantRelaxation, Constraint, Cyclic,
+                    Explicit, ExplicitTable, FromFunction, Halfspace, Harmonic,
+                    Intermittent, MaxViolation, PhiCustom, PhiOne, Problem, RandomSets,
+                    RemotestSet, Repetitive, RunConfig, Sublevel, UniformOverActive,
                     UniformOverViolated, engine, evaluate_cutter, feasible,
-                    random_slater_polyhedron, solve, step, trace_csv_text,
-                    violated_indices, write_trace_csv)
-from feasik.certificates import a1_problem
-from feasik.engine import ZERO_ENTRY
+                    random_slater_polyhedron, solve, step, violated_indices)
 from feasik.model import (CUT_MIN_ROWS, FLOAT32_MIN_ENTRIES, STACKED_MIN_ROWS,
                           AffineRows, ConvexFunction, RowPass, norm)
+from reference import (lazy_twin, observed, reference_solve, solve_kept, solve_observed,
+                       solve_spans)
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
-
-
-def lazy_twin(problem):
-    """The same constraints behind a lazy pool, which takes the scalar path."""
-    cons = [problem.constraint(i) for i in problem.indices()]
-    return Problem(problem.dim, pool=lambda i: cons[i], m=len(cons),
-                   outer=problem.outer, interior=problem.interior)
-
-
-def affine_body(a, b, sublevel):
-    return Sublevel(Affine(a, b)) if sublevel else Halfspace(a, b)
 
 
 @st.composite
@@ -305,17 +289,23 @@ def test_margin_survives_cancellation(dtype):
 
 def test_ties_break_to_the_lowest_index():
     # Rows 3 and 20 are the same halfspace, both at the largest distance.
-    dim = 3
-    cons = [Constraint(i, Halfspace([1.0, 0.0, 0.0], 10.0 + i))
-            for i in range(STACKED_MIN_ROWS + 8)]
-    far = Halfspace([0.0, 1.0, 0.0], -5.0)
-    cons[3] = Constraint(3, far)
-    cons[20] = Constraint(20, far)
-    problem = Problem(dim, cons)
-    x = np.zeros(dim)
-    p = problem.affine_rows.at(x)
-    assert RemotestSet()._select(0, x, problem, p) == (3,)
-    assert MaxViolation()._select(0, x, problem, p) == (3,)
+    # The lower index wins, also where the pass errs by nearly its margin,
+    # down on row 3 and up on row 20: the candidates' band covers the
+    # roundings of the scores (a band of the spread alone fails here).
+    rng = np.random.default_rng(0)
+    for a, x in [([0.0, 1.0, 0.0], np.zeros(3))] + [
+            (rng.standard_normal(3), rng.standard_normal(3)) for _ in range(20)]:
+        cons = [Constraint(i, Halfspace([1.0, 0.0, 0.0], 100.0 + i))
+                for i in range(STACKED_MIN_ROWS + 8)]
+        far = Halfspace(a, float(np.dot(a, x)) - 5.0)
+        cons[3], cons[20] = Constraint(3, far), Constraint(20, far)
+        problem = Problem(3, cons)
+        p = problem.affine_rows.at(x)
+        v = p.v.copy()
+        v[[3, 20]] += np.array([-1.0, 1.0]) * p.margin[[3, 20]] * (1.0 - 2.0 ** -40)
+        for q in (p, RowPass(problem.affine_rows, v, p.margin)):
+            assert RemotestSet()._select(0, x, problem, q) == (3,)
+            assert MaxViolation()._select(0, x, problem, q) == (3,)
 
 
 def test_small_and_lazy_pools_keep_the_scalar_path():
@@ -368,89 +358,41 @@ def test_affine_rows_whose_square_underflows_are_zero_rows():
                 solve(cfg)
 
 
-def slater_pool(seed, dim, m, sublevel_every=3):
-    """A random polyhedron around z = 0 with a certified interior, mixing
-    halfspaces and affine sublevel sets, and a start outside it."""
-    rng = np.random.default_rng(seed)
-    cons = []
-    for i in range(m):
-        a = rng.standard_normal(dim)
-        a /= np.linalg.norm(a)
-        b = float(rng.uniform(0.6, 2.0))
-        cons.append(Constraint(i, affine_body(a, b, i % sublevel_every == 0)))
-    problem = Problem(dim, cons, interior=(np.zeros(dim), 0.25))
-    u = rng.standard_normal(dim)
-    return problem, 6.0 * u / np.linalg.norm(u)
-
-
-CONTROL_KINDS = ["cyclic", "remotest", "max_violation", "block"]
-
-
-def make_control(control_kind, m):
-    """A fresh control over a pool of m rows; ``random_sets`` draws atoms of
-    one to five indices that cover the pool."""
-    if control_kind == "two_blocks":
-        return Intermittent([range(0, m, 2), range(1, m, 2)])
-    if control_kind == "random_sets":
-        cuts = [0, 1, 3, 6, 10, 15] + list(range(20, m, 5)) + [m]
-        atoms = [(range(lo, hi), 1.0) for lo, hi in zip(cuts, cuts[1:])]
-        return RandomSets([(s, 1.0 / len(atoms)) for s, _ in atoms], seed=m)
-    return {"cyclic": Cyclic(range(m)), "remotest": RemotestSet(),
-            "max_violation": MaxViolation(),
-            "block": Intermittent([range(m)])}[control_kind]
-
-
-def solve_both(problem, x0, control_kind, weights=None):
-    """Solve on the stacked pool and on its lazy twin with the weight rule
-    ``weights`` (by default uniform over the violated rows for the block
-    control, over the active ones otherwise), check that the runs agree
-    byte for byte, and return the stacked run."""
+def solve_matching_the_reference(problem, x0, control_kind):
+    """Solve with a fresh control of ``control_kind``, check that the run is
+    the reference's, record for record, with its trace CSV bytes and
+    ``ZERO_ENTRY`` on the settled rows; return its ``k_feasible``, how many
+    entries were ``ZERO_ENTRY`` and its records."""
     m = int(problem.m)
-    if weights is None:
+
+    def cfg():
+        control = {"cyclic": Cyclic(range(m)), "remotest": RemotestSet(),
+                   "max_violation": MaxViolation(), "block": Intermittent([range(m)])}
         weights = UniformOverViolated() if control_kind == "block" else UniformOverActive()
-    runs = []
-    for p in (problem, lazy_twin(problem)):
-        cfg = RunConfig(problem=p, control=make_control(control_kind, m),
-                        relaxation=ConstantRelaxation(1.0),
-                        overrelaxation=Harmonic(), phi=PhiOne(),
-                        weights=weights, x0=x0, max_iter=20_000)
-        result = solve(cfg)
-        buf = io.StringIO()
-        write_trace_csv(result.trace, problem.dim, buf)
-        runs.append((result, buf.getvalue()))
-    (stacked, csv_stacked), (scalar, csv_scalar) = runs
-    assert stacked.status == scalar.status == "feasible"
-    assert stacked.k_feasible == scalar.k_feasible
-    assert stacked.corrections == scalar.corrections
-    assert [r.violated for r in stacked.trace] == [r.violated for r in scalar.trace]
-    assert [r.per_index for r in stacked.trace] == [r.per_index for r in scalar.trace]
-    # Every entry to the bit, signed zeros included, and the CSV bytes.
-    assert [packed_entries(r) for r in stacked.trace] == \
-        [packed_entries(r) for r in scalar.trace]
-    assert csv_stacked.encode() == csv_scalar.encode()
-    return stacked
+        return RunConfig(problem=problem, control=control[control_kind],
+                         relaxation=ConstantRelaxation(1.0), overrelaxation=Harmonic(),
+                         phi=PhiOne(), weights=weights, x0=x0, max_iter=20_000)
+
+    want = observed(reference_solve, cfg(), want_csv := io.StringIO())
+    records, csv = [], io.StringIO()
+    got = observed(lambda c, emit: solve_kept(c, lambda r: records.append(r) or emit(r), csv),
+                   cfg())
+    assert got == want and csv.getvalue() == want_csv.getvalue() and got[2][0] == "feasible"
+    return got[2][1], zero_entries(problem, records), records
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("control_kind", CONTROL_KINDS)
+@pytest.mark.parametrize("control_kind", ["cyclic", "remotest", "max_violation", "block"])
 def test_solve_stacked_matches_lazy_pool(seed, control_kind):
     dim, m = 6, 3 * STACKED_MIN_ROWS
     problem, x0 = slater_pool(seed, dim, m)
     assert problem.affine_rows is not None
-    stacked = solve_both(problem, x0, control_kind)
-    # A settled halfspace's entry is the one shared zero entry, and every
-    # other entry is its own tuple.  A maximal control's row is never settled.
-    shared = 0
-    for r in stacked.trace[:-1]:
-        settled = problem.affine_rows.at(r.x).settled
-        for i, e in zip(r.active, r.per_index):
-            assert (e is ZERO_ENTRY) == settled[i]
-            shared += e is ZERO_ENTRY
-    assert bool(shared) == (control_kind in ("block", "cyclic"))
+    _, shared, _ = solve_matching_the_reference(problem, x0, control_kind)
+    assert bool(shared) == (control_kind in ("block", "cyclic"))  # a maximal row never settles
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("control_kind", CONTROL_KINDS)
+@pytest.mark.parametrize("control_kind", ["cyclic", "remotest", "max_violation", "block"])
 def test_balls_among_stacked_rows_match_lazy_pool(seed, control_kind):
     # Balls at the first, a middle and the last position are zero rows of
     # the stack.  Each contains B(z, 2R) = B(0, 0.5), so the runs converge,
@@ -459,50 +401,16 @@ def test_balls_among_stacked_rows_match_lazy_pool(seed, control_kind):
     pool, x0 = slater_pool(seed, dim, m)
     rng = np.random.default_rng(seed + 100)
     affine = [pool.constraint(i).body for i in pool.indices()]
-    balls = []
-    for _ in range(3):
-        u = rng.standard_normal(dim)
-        balls.append(Ball(0.1 * u / np.linalg.norm(u), float(rng.uniform(0.7, 1.2))))
+    balls = [Ball(0.1 * u / np.linalg.norm(u), float(rng.uniform(0.7, 1.2)))
+             for u in (rng.standard_normal(dim) for _ in range(3))]
     bodies = [balls[0]] + affine[:m // 2] + [balls[1]] + affine[m // 2:] + [balls[2]]
     problem = Problem(dim, [Constraint(i, b) for i, b in enumerate(bodies)],
                       interior=pool.interior)
     problem.spot_check_interior()
     outside = [0, m // 2 + 1, m + 2]
     assert problem.affine_rows.offset[outside].tolist() == [math.inf] * 3
-    stacked = solve_both(problem, x0, control_kind)
-    assert any(i in outside for r in stacked.trace for i in r.violated)
-
-
-WEIGHT_RULES = {
-    "uniform_active": UniformOverActive(),
-    "uniform_violated": UniformOverViolated(),
-    "table": ExplicitTable({i: 1.0 + i % 3 for i in range(2 * STACKED_MIN_ROWS + 3)},
-                           0.005),
-}
-
-
-@pytest.mark.parametrize("seed", range(2))
-@pytest.mark.parametrize("control_kind", ["block", "two_blocks", "random_sets",
-                                          "remotest"])
-@pytest.mark.parametrize("weight_kind", sorted(WEIGHT_RULES))
-def test_mixed_pools_match_lazy_pool_under_every_weight_rule(
-        seed, control_kind, weight_kind):
-    # Halfspaces, affine sublevel sets and three balls, each containing
-    # B(z, 2R) = B(0, 0.5), at random positions of the pool.
-    dim, m = 6, 2 * STACKED_MIN_ROWS
-    pool, x0 = slater_pool(seed, dim, m)
-    rng = np.random.default_rng(seed + 200)
-    bodies = [pool.constraint(i).body for i in pool.indices()]
-    for _ in range(3):
-        u = rng.standard_normal(dim)
-        bodies.append(Ball(0.1 * u / np.linalg.norm(u), float(rng.uniform(0.7, 1.2))))
-    bodies = [bodies[j] for j in rng.permutation(len(bodies))]
-    problem = Problem(dim, [Constraint(i, b) for i, b in enumerate(bodies)],
-                      interior=pool.interior)
-    problem.spot_check_interior()
-    assert problem.affine_rows is not None
-    stacked = solve_both(problem, x0, control_kind, WEIGHT_RULES[weight_kind])
-    assert stacked.k_feasible >= 1
+    _, _, records = solve_matching_the_reference(problem, x0, control_kind)
+    assert any(i in outside for r in records for i in r.violated)
 
 
 @SETTINGS
@@ -562,39 +470,6 @@ def test_stored_normal_products_hold_on_other_kernels(coretype):
     assert out.returncode == 0, out.stderr
 
 
-def test_settled_cutters_record_zero_entries():
-    # Late in a cyclic run most active halfspaces hold: the step records
-    # them as (i, 0.0, 0.0, 0.0, 0.0) without calling their cutter.
-    dim, m = 4, 2 * STACKED_MIN_ROWS
-    problem, x0 = slater_pool(11, dim, m, sublevel_every=m + 1)
-    cfg = RunConfig(problem=problem, control=Intermittent([range(m)]),
-                    relaxation=ConstantRelaxation(1.0), overrelaxation=Harmonic(),
-                    phi=PhiOne(), weights=UniformOverActive(), x0=x0)
-    result = solve(cfg)
-    first = result.trace[0]
-    held = [e for i, e in zip(first.active, first.per_index) if i not in first.violated]
-    assert held and all(e == ZERO_ENTRY for e in held)
-
-
-def large_pool(seed, dim=32, m=FLOAT32_MIN_ENTRIES // 32):
-    """A random polyhedron of ``FLOAT32_MIN_ENTRIES`` entries around its
-    certified interior B(z, 2R), every third facet an affine sublevel set,
-    with a ball containing B(z, 2R), a zero row, at a middle position.  A
-    smaller ball would be the remotest set at the start, and its projection
-    feasible."""
-    pool, x0 = random_slater_polyhedron(seed, dim=dim, m=m - 1, interior_radius=0.5,
-                                        sublevel=False)
-    bodies = [pool.constraint(i).body for i in pool.indices()]
-    bodies = [Sublevel(Affine(b.a, b.b)) if i % 3 == 0 else b
-              for i, b in enumerate(bodies)]
-    z, big_r = pool.interior
-    u = np.random.default_rng(seed).standard_normal(dim)
-    bodies.insert(m // 2, Ball(z + 0.1 * u / np.linalg.norm(u), 2.0 * big_r + 3.0))
-    problem = Problem(dim, [Constraint(i, b) for i, b in enumerate(bodies)],
-                      interior=pool.interior)
-    return problem, x0
-
-
 def test_pools_from_the_size_threshold_on_are_stored_in_float32():
     dim = 64
     m = FLOAT32_MIN_ENTRIES // dim
@@ -647,13 +522,16 @@ def test_entries_past_float32_range_keep_float64(entry):
         assert decide_as_the_lazy_twin(big, x) is not None
 
 
-@pytest.mark.parametrize("control_kind", CONTROL_KINDS)
+@pytest.mark.parametrize("control_kind", ["remotest", "max_violation", "block"])
 def test_solve_on_float32_rows_matches_lazy_pool(control_kind):
+    # A cyclic run here is 3 s of scalar scans of 2,048 rows in the
+    # reference; test_solve_is_the_papers_iteration runs cyclic controls on
+    # float32 pools for a few steps.
     problem, x0 = large_pool(4)
     assert problem.affine_rows.A.dtype == np.float32
     problem.spot_check_interior(n_dirs=4)
-    stacked = solve_both(problem, x0, control_kind)
-    assert stacked.k_feasible >= 10
+    k_feasible, _, _ = solve_matching_the_reference(problem, x0, control_kind)
+    assert k_feasible >= 10
 
 
 @st.composite
@@ -724,106 +602,6 @@ def test_a_near_zero_remotest_step_rescores_few_rows():
     assert control._select(0, x, problem, p) == control._select(0, x, problem) == (j,)
 
 
-def solve_testing_every_iterate(cfg):
-    """The reference for ``solve``: its loop with the scalar feasibility
-    test (an explicit window) at every iterate, whether or not the step
-    before it moved x, and each step taken without a residual pass.  At
-    every iterate the step's violated rows are among the scalar
-    ``violated_indices``.  Returns (status, k_feasible, corrections, trace)."""
-    problem = cfg.problem
-    window = cfg.feas_window or tuple(problem.indices())
-    x = np.array(cfg.x0)
-    x.flags.writeable = False
-    trace, count, corrections, k = [], 0, 0, 0
-    while True:
-        feas = feasible(problem, x, window, cfg.feas_tol)
-        if feas or k >= cfg.max_iter:
-            trace.append(TraceRecord(
-                k=k, bracket_k=count, x=x, active=(), violated=(), per_index=(),
-                alpha_used=None, r_used=None, step_norm=0.0, corrected=False,
-                feasible_flag=feas))
-            return ("feasible" if feas else "max_iter", k if feas else None,
-                    corrections, trace)
-        x, corrected, record = step(cfg, x, k, count)
-        x.flags.writeable = False
-        assert set(record.violated) <= set(violated_indices(problem, record.x,
-                                                            record.active))
-        trace.append(record)
-        corrections += corrected
-        count += cfg.counter_mode == "raw" or corrected
-        k += 1
-
-
-@st.composite
-def runs(draw):
-    """A factory of fresh, equal run configurations on a random polyhedron
-    around B(0, 0.5): stacked or lazy pools, above or below
-    STACKED_MIN_ROWS rows, in the whole space or in a box that may clip the
-    steps; cyclic, repetitive, random, explicit, remotest or full-block
-    control; either counter; the whole pool or a window; tol 0 or not."""
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    dim = draw(st.integers(2, 5))
-    m = draw(st.sampled_from([6, STACKED_MIN_ROWS, 2 * STACKED_MIN_ROWS]))
-    control_kind = draw(st.sampled_from(["cyclic", "repetitive", "random_sets",
-                                         "explicit", "remotest", "block"]))
-    max_iter = draw(st.sampled_from([40, 400]))
-    problem, x0 = slater_pool(seed, dim, m)
-    box = draw(st.sampled_from([None, 1.0, 3.0]))
-    if box is not None:
-        cons = [problem.constraint(i) for i in problem.indices()]
-        problem = Problem(dim, cons, outer=OuterSet(Box(-box * np.ones(dim),
-                                                        box * np.ones(dim))),
-                          interior=problem.interior)
-        x0 = np.clip(x0, -box, box)
-    if draw(st.booleans()):
-        problem = lazy_twin(problem)
-    window = draw(st.one_of(st.none(), st.lists(st.integers(0, m - 1), min_size=1,
-                                                max_size=m, unique=True).map(tuple)))
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(m).tolist()
-    sets = [tuple(rng.choice(m, rng.integers(1, 4), replace=False).tolist())
-            for _ in range(max_iter)]
-    cuts = list(range(0, m, 3)) + [m]
-    atoms = [tuple(range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
-
-    def control():
-        return {"cyclic": lambda: Cyclic(order),
-                # each index twice in a row: the second visit follows a move
-                "repetitive": lambda: Repetitive(lambda k: (order[k // 2 % m],)),
-                "random_sets": lambda: RandomSets(
-                    [(a, 1.0 / len(atoms)) for a in atoms], seed=seed),
-                "explicit": lambda: Explicit(sets),
-                "remotest": RemotestSet,
-                "block": lambda: Intermittent([range(m)])}[control_kind]()
-
-    weights = UniformOverViolated if control_kind == "block" else UniformOverActive
-    counter_mode = draw(st.sampled_from(["bracketed", "raw"]))
-    alpha = draw(st.sampled_from([1.0, 1.5]))
-    tol = draw(st.sampled_from([0.0, 0.0, 1e-9, 0.05]))
-    return lambda: RunConfig(
-        problem=problem, control=control(), relaxation=ConstantRelaxation(alpha),
-        overrelaxation=Harmonic(), phi=PhiOne(), weights=weights(), x0=x0,
-        counter_mode=counter_mode, max_iter=max_iter, feas_window=window,
-        feas_tol=tol)
-
-
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(runs())
-def test_solve_tests_each_iterate_once_with_the_reference_verdicts(make):
-    # solve takes no pass and no test at an iterate a step left in place;
-    # the reference tests every iterate, and the runs must agree bit for bit.
-    result = solve(make())
-    status, k_feasible, corrections, trace = solve_testing_every_iterate(make())
-    assert (result.status, result.k_feasible, result.corrections) == \
-        (status, k_feasible, corrections)
-    assert result.steps == len(trace) - 1
-    assert [packed_entries(r) for r in result.trace] == [packed_entries(r) for r in trace]
-    dim = result.final.shape[0]
-    assert trace_csv_text(result.trace, dim).encode() == \
-        trace_csv_text(trace, dim).encode()
-
-
 def test_an_iterate_without_a_pass_gets_one_try():
     # Past the safe range of the rows (||x||_inf ||a_i||_1 near 2^1000)
     # at(x) is None and the scalar tests decide; feasible must not take
@@ -889,29 +667,16 @@ def test_vecdot_is_the_row_dot_bit_for_bit(seed, rows, dim, lo, hi):
             np.array([row.dot(row) for row in N]).tobytes()
 
 
-class PhiLog:
-    """A phi that varies by row and logs each call: (index, x bytes)."""
-
-    def __init__(self):
-        self.calls = []
-
-    def __call__(self, constraint, x):
-        self.calls.append((constraint.index, x.tobytes()))
-        return 1.0 + 0.5 * (constraint.index % 3)
-
-
 @st.composite
 def batched_steps(draw):
-    """A halfspace pool, a point x and an active set that holds ``cut``
-    rows x does not certainly satisfy: violated ones, ones x lies on
-    exactly (s = 0.0, never settled, not cut), ones violated by 1e-170
-    whose displacement underflows to zero, and in a quarter of the pools
-    with float64 rows one whose a.a is subnormal, so that s / a.a overflows
-    to inf, as it does silently in the scalar cut.  ``cut`` lies just below or
-    above CUT_MIN_ROWS, or at 32 and more; the rest of the active set, and
-    of the pool, x satisfies by a wide margin.  The rows are stored in
-    float64, in float32, or beside an affine sublevel row outside the
-    active set (a mixed pool)."""
+    """A halfspace pool, a point x and an active set that holds ``cut`` rows x
+    does not certainly satisfy: violated ones, ones x lies on exactly (s =
+    0.0, never settled, not cut), ones violated by 1e-170 whose displacement
+    underflows to zero, and in a quarter of the float64 pools one whose a.a
+    is subnormal, so that s / a.a overflows to inf, silently as in the
+    scalar cut.  ``cut`` lies just below or above CUT_MIN_ROWS, or at 32 and
+    more; x satisfies the other rows by a wide margin.  The rows are stored
+    in float64, in float32, or beside an affine sublevel row (a mixed pool)."""
     seed = draw(st.integers(0, 2 ** 32 - 1))
     dim = draw(st.integers(1, 40))
     cut = draw(st.sampled_from([CUT_MIN_ROWS - 1, CUT_MIN_ROWS, CUT_MIN_ROWS + 1,
@@ -957,255 +722,54 @@ def batched_steps(draw):
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(batched_steps(), st.sampled_from(sorted(WEIGHT_RULES)), st.booleans())
+@given(batched_steps(), st.sampled_from(["uniform_active", "uniform_violated", "table"]),
+       st.booleans())
 def test_batched_steps_match_the_lazy_pool(case, weight_kind, custom_phi):
-    # Three steps from x on the stacked pool and on its lazy twin, with the
-    # same active set each step, must give the same iterates, violated sets,
-    # per_index bytes and phi calls; the first step cuts as one batch
-    # exactly when its rows are float64 metric halfspaces, none other in
-    # the pool, and CUT_MIN_ROWS or more of them are unsettled.
+    # Three steps from x with the same active set each step must be the
+    # reference's: the same iterates, violated sets, per_index bytes and phi
+    # calls.  The first step cuts as one batch exactly when its rows are
+    # float64 metric halfspaces, none other in the pool, and CUT_MIN_ROWS or
+    # more of them are unsettled.
     problem, pool, x, active, cut = case
     rows = stacked_rows(problem, np.float32 if pool == "float32" else np.float64)
     assert (rows.aa is not None) == (pool == "float64")
-    scalar = lazy_twin(problem)
-    table = ExplicitTable({i: 1.0 + i % 3 for i in problem.indices()}, 1e-6)
-    weights = {**WEIGHT_RULES, "table": table}[weight_kind]
-    logs = []
+    vars(problem)["affine_rows"] = rows  # solve takes these rows
+    weights = {"uniform_active": UniformOverActive(),
+               "uniform_violated": UniformOverViolated(),
+               "table": ExplicitTable({i: 1.0 + i % 3 for i in problem.indices()}, 1e-6)}
 
-    def config(p):
-        phi = PhiCustom(PhiLog(), 0.5, 2.0) if custom_phi else PhiOne()
-        logs.append(phi.fn.calls if custom_phi else [])
-        return RunConfig(problem=p, control=Explicit([active] * 3),
+    def config():  # a phi that varies by row and logs each call
+        log = []
+        phi = PhiCustom(lambda c, x: log.append((c.index, x.tobytes())) or 1.0 + 0.5 * (
+            c.index % 3), 0.5, 2.0)
+        return RunConfig(problem=problem, control=Explicit([active] * 3),
                          relaxation=ConstantRelaxation(1.5), overrelaxation=Harmonic(),
-                         phi=phi, weights=weights, x0=x)
+                         phi=phi if custom_phi else PhiOne(), weights=weights[weight_kind],
+                         x0=x, max_iter=3), log
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cfg_stacked, cfg_scalar = config(problem), config(scalar)
-        x = np.array(x)
-        x.flags.writeable = False
-        count = 0
-        for k in range(3):
-            p = rows.at(x)
-            assert p is not None
-            with mock.patch.object(engine, "evaluate_cutter",
-                                   wraps=evaluate_cutter) as spy:
-                got = step(cfg_stacked, x, k, count, stacked=p)
-            want = step(cfg_scalar, x, k, count)
-            if k == 0:
-                unsettled = int((~p.settled[list(active)]).sum())
-                assert unsettled == cut
-                batched = pool == "float64" and cut >= CUT_MIN_ROWS
-                assert spy.call_count == (0 if batched else cut)
-            (x_got, corrected, rec), (x_want, corrected_want, rec_want) = got, want
-            assert x_got.tobytes() == x_want.tobytes()
-            assert corrected == corrected_want
-            assert rec.violated == rec_want.violated
-            assert packed_entries(rec) == packed_entries(rec_want)
-            assert float(rec.step_norm).hex() == float(rec_want.step_norm).hex()
-            assert logs[0] == logs[1]
-            if not np.isfinite(x_got).all():  # a subnormal a.a's step: NaN
-                break
-            x = x_got
-            x.flags.writeable = False
-            count += corrected
+        p = rows.at(x)
+        assert int((~p.settled[list(active)]).sum()) == cut
+        with mock.patch.object(engine, "evaluate_cutter", wraps=evaluate_cutter) as spy:
+            step(config()[0], x, 0, 0, stacked=p)
+        batched = pool == "float64" and cut >= CUT_MIN_ROWS
+        assert spy.call_count == (0 if batched else cut)
+        (cfg, log), (ref_cfg, ref_log) = config(), config()
+        assert observed(solve_observed, cfg) == observed(reference_solve, ref_cfg)
+        assert log == ref_log
 
 
 # ---------------------------------------------------------------------------
 # Quiet steps: solve emits the records of steps whose rows all leave x in place
 # ---------------------------------------------------------------------------
 
-def solve_calling_step_at_every_k(cfg, emit):
-    """The reference for the records ``solve`` emits itself: its loop with
-    one test per iterate and ``step`` called at every k, the records going
-    to ``emit`` and any error raised where ``step`` raises it."""
-    problem, rows = cfg.problem, cfg.problem.affine_rows
-    x = np.array(cfg.x0, dtype=np.float64)
-    x.flags.writeable = False
-    tested, count, k = None, 0, 0
-    while True:
-        if x is not tested:
-            stacked = rows.at(x) if rows is not None else None
-            window = cfg.feas_window or (problem.indices() if stacked is None else None)
-            feas = feasible(problem, x, window, cfg.feas_tol, stacked=stacked)
-            tested = x
-        if feas or k >= cfg.max_iter:
-            emit(TraceRecord(k, count, x, (), (), (), None, None, 0.0, False, feas))
-            return
-        x_next, corrected, record = step(cfg, x, k, count, stacked=stacked)
-        if x_next is not x:
-            x = x_next
-            x.flags.writeable = False
-        emit(record)
-        count += cfg.counter_mode == "raw" or corrected
-        k += 1
-
-
-def observed(run, cfg):
-    """Every record of a run, field by field (floats and iterates as bytes,
-    whether x is the previous record's array, and which entries are
-    ``ZERO_ENTRY`` itself), and the error it raised as (type, message), or
-    None."""
-    records, xs = [], []
-
-    def emit(r):
-        records.append((r.k, r.bracket_k, r.x.tobytes(), bool(xs) and r.x is xs[-1],
-                        r.active, r.violated,
-                        packed_entries(r), [e is ZERO_ENTRY for e in r.per_index],
-                        repr(r.alpha_used), repr(r.r_used), float(r.step_norm).hex(),
-                        r.corrected, r.feasible_flag))
-        xs.append(r.x)
-
-    try:
-        run(cfg, emit)
-    except Exception as e:  # compared with the reference's, type and message
-        return records, (type(e), str(e))
-    return records, None
-
-
-def solve_observed(cfg, emit):
-    solve(cfg, observers=[emit])
-
-
-def solve_kept(cfg, emit):
-    """The records of a kept trace, spans expanded by its iteration."""
-    for r in solve(cfg).trace:
-        emit(r)
-
-
-class Items(list):
-    """An observer that keeps what it gets, spans whole."""
-
-    takes_spans = True
-    __call__ = list.append
-
-
-def solve_spans(cfg, emit):
-    """The records of the items a span-aware observer got, expanded once
-    the run returned or raised; the run's own error comes after them, and
-    an item that raises on expansion fails the comparison."""
-    items = Items()
-    try:
-        solve(cfg, observers=[items])
-    finally:
-        try:
-            records = [r for item in items for r in item]
-        except Exception as e:
-            raise AssertionError(f"an item raised on expansion: {e!r}") from None
-        for r in records:
-            emit(r)
-
-
-def small_pool(seed):
-    """A scalar pool of ten rows, below STACKED_MIN_ROWS, around one interior
-    point: four halfspaces, a ball, a box, and sublevel rows of Affine,
-    AbsCoordMinusC (one metric, one subgradient cutter) and QuadCoordMinusC."""
-    pool, x0 = random_slater_polyhedron(seed, dim=3, m=4, interior_radius=0.5,
-                                        sublevel=False)
-    z, big_r = pool.interior
-    a = np.random.default_rng(seed).standard_normal(3)
-    slab = Sublevel(AbsCoordMinusC(axis=0, c=abs(float(z[0])) + 1.5))
-    cons = [pool.constraint(i) for i in pool.indices()] + [
-        Constraint(4, Ball(z, 2.0 * big_r + 1.0)),
-        Constraint(5, Box(z - 3.0, z + 4.0)),
-        Constraint(6, Sublevel(Affine(a, float(a @ z) + 1.0))),
-        Constraint(7, slab, cutter="metric"),
-        Constraint(8, slab),
-        Constraint(9, Sublevel(QuadCoordMinusC(axis=1, c=(abs(float(z[1])) + 1.0) ** 2)))]
-    return Problem(3, cons, interior=pool.interior), 3.0 * x0
-
-
-@functools.cache
-def quiet_pool(kind):
-    """(problem, start) for each pool of the quiet-step tests: a stacked
-    pool with a zero row (a ball) and sublevel rows, which the pass never
-    settles, of 24 float64 or 2,048 float32 rows; the 24 rows behind a lazy
-    ``pool=``; a scalar pool of every body kind; and the A.1 geometry at
-    y = 2^-538 = 1.11e-162, whose violated row 1 the cut does not move
-    (``model.norm``'s d.d underflows), from x on both sides of row 0."""
-    if kind in ("float64", "float32", "lazy"):
-        problem, x0 = large_pool(1, dim=4, m=24) if kind != "float32" else large_pool(1)
-        return lazy_twin(problem) if kind == "lazy" else problem, 3.0 * x0
-    if kind == "small":
-        return small_pool(1)
-    return a1_problem(), [1.0 if kind == "a1_tail_moving" else 0.0, 2.0 ** -538]
-
-
-QUIET_POOLS = ["float64", "float32", "lazy", "small", "a1_tail", "a1_tail_moving"]
-QUIET_CONTROLS = ["cyclic", "intermittent", "explicit", "random_sets", "repetitive",
-                  "remotest", "max_violation"]
-
-
-def quiet_overrelaxation(kind, fault_at):
-    """Harmonic r, or one that faults at count ``fault_at``: a FromFunction
-    r that turns negative, or a merged schedule whose a-input there is NaN
-    (the merge reads it where it fills the position of a_{fault_at})."""
-    if kind == "harmonic":
-        return Harmonic()
-    if kind == "from_function":
-        return FromFunction(lambda j: 1.0 / (j + 1) if j < fault_at else -1.0,
-                            divergent_sum=True)
-    return MergedDecreasing(lambda j: 1.0 / (j + 1) if j < fault_at else math.nan,
-                            lambda j: 2.0 ** -(j + 20))
-
-
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(QUIET_POOLS), st.sampled_from(QUIET_CONTROLS),
-       st.sampled_from(["bracketed", "raw"]), st.sampled_from(["uniform", "table", "gap"]),
-       st.booleans(), st.integers(0, 2 ** 32 - 1), st.integers(0, 600),
-       st.sampled_from(["harmonic", "from_function", "merged"]), st.integers(0, 300))
-def test_quiet_steps_match_a_step_at_every_k(pool, kind, mode, weight_kind, blocks, seed,
-                                             max_iter, r_kind, fault_at):
-    # Runs of steps that leave x in place, under every control and on
-    # stacked, lazy and scalar pools, end inside max_iter, an explicit
-    # list's end, a table without the weight of one index ("gap") or at a
-    # count where r faults, as often as between them.  A row is quiet where
-    # the pass settles it or where an earlier step at x cut it without
-    # moving x.  Each run gets fresh schedules and controls.
-    problem, x0 = quiet_pool(pool)
-    m = int(problem.m)
-    rows = problem.affine_rows
-    assert rows.A.dtype == pool if pool in ("float64", "float32") else rows is None
-    rng = np.random.default_rng(seed)
-    sets = [tuple(rng.choice(m, rng.integers(1, min(4, m + 1)), replace=False).tolist())
-            if blocks and rng.random() < 0.2 else (int(i),) for i in rng.permutation(m)]
-    order = rng.integers(len(sets), size=int(rng.integers(1, 50))).tolist()
-    listed = sets[:int(rng.integers(1, 2 * m))] * 2
-    control = {"cyclic": lambda: Cyclic([s[0] for s in sets]),
-               "intermittent": lambda: Intermittent(sets),
-               "explicit": lambda: Explicit(listed),
-               "random_sets": lambda: RandomSets([(s, 1.0 / m) for s in sets], seed),
-               "repetitive": lambda: Repetitive(lambda k: sets[order[k % len(order)]],
-                                                max_card=max(map(len, sets))),
-               "remotest": RemotestSet,
-               "max_violation": MaxViolation}[kind]
-    table = {i: 1.0 + (i % 3) for i in range(m)}
-    if weight_kind == "gap":
-        del table[int(rng.integers(m))]
-
-    def cfg():
-        weights = UniformOverActive() if weight_kind == "uniform" else ExplicitTable(table, 0.1)
-        return RunConfig(problem=problem, control=control(),
-                         relaxation=ConstantRelaxation(1.0),
-                         overrelaxation=quiet_overrelaxation(r_kind, fault_at),
-                         phi=PhiOne(), weights=weights,
-                         x0=x0, counter_mode=mode, max_iter=max_iter)
-
-    want = observed(solve_calling_step_at_every_k, cfg())
-    assert observed(solve_observed, cfg()) == want
-    assert observed(solve_spans, cfg()) == want
-    if want[1] is None:  # a kept trace exists only for a run that returns
-        assert observed(solve_kept, cfg()) == want
-
-
 @pytest.mark.parametrize("mode", ["bracketed", "raw"])
 @pytest.mark.parametrize("fault", ["weight", "r"])
 def test_a_fault_inside_a_quiet_stretch_comes_at_its_k(fault, mode):
-    # A weight table without row g, which the pass settles at x0 and the
-    # cyclic order meets after three other settled rows; and r turning
-    # negative at count 700 in the A.1 tail, whose both rows are quiet
-    # from step 540 on (in bracketed mode the count never gets there).
+    # A weight table without row g, which the pass settles at x0, met after
+    # three other settled rows; and r turning negative at count 700 in the
+    # A.1 tail, quiet from step 540 (bracketed, the count never gets there).
     if fault == "weight":
         problem, x0 = quiet_pool("float64")
         settled = problem.affine_rows.at(np.asarray(x0)).settled.nonzero()[0].tolist()
@@ -1215,36 +779,21 @@ def test_a_fault_inside_a_quiet_stretch_comes_at_its_k(fault, mode):
     else:
         problem, x0 = quiet_pool("a1_tail")
         control, weights, at = Cyclic([0, 1]), UniformOverActive(), 700
-        over = quiet_overrelaxation("from_function", 700)
+        over = FromFunction(lambda j: 1.0 / (j + 1) if j < 700 else -1.0, True)
 
     def cfg():
         return RunConfig(problem=problem, control=control, relaxation=ConstantRelaxation(1.0),
                          overrelaxation=over, phi=PhiOne(), weights=weights, x0=x0,
                          counter_mode=mode, max_iter=1000)
 
-    want = observed(solve_calling_step_at_every_k, cfg())
+    want = observed(reference_solve, cfg())
     for run in (solve_observed, solve_spans):
         assert observed(run, cfg()) == want
-    records, error = want
+    records, error, _ = want
     if fault == "weight" or mode == "raw":
         assert len(records) == at and error[0] is ConfigError
     else:
         assert len(records) == 1001 and error is None
-
-
-def test_quiet_steps_skip_step_on_a_stacked_cyclic_run():
-    problem, x0 = random_slater_polyhedron(3, dim=4, m=40, interior_radius=0.5,
-                                           sublevel=False)
-    cfg = RunConfig(problem=problem, control=Cyclic(range(40)),
-                    relaxation=ConstantRelaxation(1.0), overrelaxation=Harmonic(),
-                    phi=PhiOne(), weights=UniformOverActive(), x0=10 * x0)
-    with mock.patch.object(engine, "step", wraps=step) as spy:
-        got = observed(solve_observed, cfg)
-    assert got == observed(solve_calling_step_at_every_k, cfg)
-    records, error = got
-    moved = sum(a[2] != b[2] for a, b in zip(records, records[1:]))
-    assert error is None and records[-1][-1]  # feasible
-    assert 0 < moved <= spy.call_count < len(records) - 1
 
 
 @pytest.mark.parametrize("pool", ["float64", "lazy", "small"])
@@ -1256,37 +805,35 @@ def test_solve_takes_one_emission_per_k(pool):
     period = [int(i) for i in np.random.default_rng(0).integers(problem.m, size=7)]
 
     def cfg(calls, phis):
-        def phi(c, x):
-            phis.append((c.index, x.tobytes()))
-            return 1.0 + c.index % 2
-
         return RunConfig(problem=problem, control=Repetitive(
             lambda k: calls.append(k) or (period[k % 7],)),
             relaxation=ConstantRelaxation(1.0), overrelaxation=Harmonic(),
-            phi=PhiCustom(phi, 1.0, 2.0), weights=UniformOverActive(), x0=x0,
-            max_iter=400)
+            phi=PhiCustom(lambda c, x: phis.append((c.index, x.tobytes()))
+                          or 1.0 + c.index % 2, 1.0, 2.0),
+            weights=UniformOverActive(), x0=x0, max_iter=400)
 
     calls, phis, ref_calls, ref_phis = [], [], [], []
     with mock.patch.object(engine, "step", wraps=step) as spy:
         got = observed(solve_observed, cfg(calls, phis))
-    assert got == observed(solve_calling_step_at_every_k, cfg(ref_calls, ref_phis))
-    records, error = got
+    assert got == observed(reference_solve, cfg(ref_calls, ref_phis))
+    records, error, _ = got
     steps = len(records) - 1
-    moved = sum(a[2] != b[2] for a, b in zip(records, records[1:]))
+    moved = sum(a[0][2] != b[0][2] for a, b in zip(records, records[1:]))
     assert error is None and 0 < moved < spy.call_count < steps
     assert calls == ref_calls == list(range(steps))
     assert phis == ref_phis and len(phis) >= moved
 
 
 @pytest.mark.parametrize("kind", ["cyclic", "intermittent", "explicit", "random_sets"])
-@pytest.mark.parametrize("bad", [-1, 40])
+@pytest.mark.parametrize("bad", [None, -1, 40])
 def test_out_of_pool_indices_raise_where_each_step_would(kind, bad):
-    # The pass has no flag for an index outside the pool (settled[-1] would
-    # wrap to the last row): every step stays on step's path, which raises
-    # at the step emitting it.
+    # A fixed family in the pool skips step on its quiet steps.  The pass has
+    # no flag for an index outside the pool (settled[-1] would wrap to the
+    # last row): with one in the family, every step stays on step's path,
+    # which raises at the step emitting it.
     problem, x0 = random_slater_polyhedron(3, dim=4, m=40, interior_radius=0.5,
                                            sublevel=False)
-    order = list(range(39)) + [bad]
+    order = list(range(39)) + [39 if bad is None else bad]
     control = {"cyclic": lambda: Cyclic(order),
                "intermittent": lambda: Intermittent([(i,) for i in order]),
                "explicit": lambda: Explicit([(i,) for i in order * 3]),
@@ -1297,6 +844,13 @@ def test_out_of_pool_indices_raise_where_each_step_would(kind, bad):
                          relaxation=ConstantRelaxation(1.0), overrelaxation=Harmonic(),
                          phi=PhiOne(), weights=UniformOverActive(), x0=10 * x0)
 
-    got = observed(solve_observed, cfg())
-    assert got == observed(solve_calling_step_at_every_k, cfg())
-    assert got[1] == (feasik.PoolIndexError, f"index out of pool: {bad}")
+    with mock.patch.object(engine, "step", wraps=step) as spy:
+        got = observed(solve_observed, cfg())
+    assert got == observed(reference_solve, cfg())
+    records, error, _ = got
+    if bad is not None:
+        assert error == (feasik.PoolIndexError, f"index out of pool: {bad}")
+    else:
+        moved = sum(a[0][2] != b[0][2] for a, b in zip(records, records[1:]))
+        assert error is None and records[-1][0][-1]  # feasible
+        assert 0 < moved <= spy.call_count < len(records) - 1
