@@ -18,6 +18,7 @@ import hashlib
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import packed_entries
@@ -139,6 +140,28 @@ def outputs(tmp: Path) -> dict:
 def digests(tmp: Path) -> dict:
     return {name: hashlib.sha256(data).hexdigest()
             for name, data in outputs(tmp).items()}
+
+
+def test_random_sets_run_is_long_enough():
+    result = solve(random_sets_run())
+    assert result.status == "feasible" and result.k_feasible >= 200
+
+
+@pytest.mark.parametrize("name", ["block.per_index", "remotest.per_index",
+                                  "block_active.per_index",
+                                  "block_table.per_index"])
+def test_per_index_runs_stack_and_converge(name):
+    cfg = per_index_runs()[name]
+    assert cfg.problem.affine_rows is not None
+    result = solve(cfg)
+    assert result.status == "feasible" and result.k_feasible >= 5
+
+
+def test_remotest_2000_run_takes_the_float32_pass():
+    cfg = remotest_2000_run()
+    assert cfg.problem.affine_rows.A.dtype == np.float32
+    result = solve(cfg)
+    assert result.status == "feasible" and result.k_feasible >= 20
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,9 @@
-"""Run observers: the streamed CSV and descent certificate equal their replays
-over a kept trace, span-aware observers take a span as its records, ``solve
---output`` leaves no file behind a failed run, and a streamed run's memory
-stays flat (``tests/test_reference.py`` checks streamed against kept records)."""
+"""Run observers: a run that streams its records to observers sees exactly
+the records a recorded run keeps, the streamed CSV and descent certificate
+equal their replays over a kept trace, span-aware observers take a span as
+its records, ``solve --output`` leaves no file behind a failed run, and a
+streamed run's memory stays flat (``tests/test_reference.py`` checks both
+readings against the paper's iteration)."""
 
 import io
 import tracemalloc
@@ -40,6 +42,25 @@ CONFIGS = {
     "random_sets": lambda: config(RandomSets.uniform_singletons(24, 11)),
     "a2": lambda: build_a2_config("raw", 2000),
 }
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_streamed_records_equal_the_recorded_trace(name):
+    recorded = solve(CONFIGS[name]())
+    seen, again = [], []
+    streamed = solve(CONFIGS[name](), observers=[seen.append, again.append])
+    assert recorded.trace is not None and streamed.trace is None
+    assert [fields(r) for r in seen] == [fields(r) for r in recorded.trace]
+    assert [fields(r) for r in again] == [fields(r) for r in seen]
+    for result in (recorded, streamed):
+        assert result.steps == len(recorded.trace) - 1
+    assert (streamed.status, streamed.k_feasible, streamed.corrections,
+            streamed.final.tobytes()) == \
+        (recorded.status, recorded.k_feasible, recorded.corrections,
+         recorded.final.tobytes())
+    single = []
+    assert solve(CONFIGS[name](), observers=[single.append]).trace is None
+    assert [fields(r) for r in single] == [fields(r) for r in seen]
 
 
 def test_no_observers_keeps_nothing():

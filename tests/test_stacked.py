@@ -25,12 +25,14 @@ from hypothesis import strategies as st
 
 import feasik
 from conftest import affine_body, large_pool, quiet_pool, slater_pool, zero_entries
-from feasik import (Affine, Ball, ConfigError, ConstantRelaxation, Constraint, Cyclic,
-                    Explicit, ExplicitTable, FromFunction, Halfspace, Harmonic,
-                    Intermittent, MaxViolation, PhiCustom, PhiOne, Problem, RandomSets,
-                    RemotestSet, Repetitive, RunConfig, Sublevel, UniformOverActive,
-                    UniformOverViolated, engine, evaluate_cutter, feasible,
-                    random_slater_polyhedron, solve, step, violated_indices)
+from feasik import (Affine, Ball, Box, ConfigError, ConstantRelaxation, Constraint,
+                    Cyclic, Explicit, ExplicitTable, FromFunction, Halfspace, Harmonic,
+                    Intermittent, MaxViolation, MergedDecreasing, OuterSet, PhiCustom,
+                    PhiOne, Problem, RandomSets, RemotestSet, Repetitive, RunConfig,
+                    Sublevel, UniformOverActive, UniformOverViolated, engine,
+                    evaluate_cutter, feasible, random_slater_polyhedron, solve, step,
+                    violated_indices)
+from feasik.engine import ZERO_ENTRY
 from feasik.model import (CUT_MIN_ROWS, FLOAT32_MIN_ENTRIES, STACKED_MIN_ROWS,
                           AffineRows, ConvexFunction, RowPass, norm)
 from reference import (lazy_twin, observed, reference_solve, solve_kept, solve_observed,
@@ -358,18 +360,32 @@ def test_affine_rows_whose_square_underflows_are_zero_rows():
                 solve(cfg)
 
 
-def solve_matching_the_reference(problem, x0, control_kind):
-    """Solve with a fresh control of ``control_kind``, check that the run is
-    the reference's, record for record, with its trace CSV bytes and
+def make_control(control_kind, m):
+    """A fresh control over a pool of m rows; ``random_sets`` draws atoms of
+    one to five indices that cover the pool."""
+    if control_kind == "two_blocks":
+        return Intermittent([range(0, m, 2), range(1, m, 2)])
+    if control_kind == "random_sets":
+        cuts = [0, 1, 3, 6, 10, 15] + list(range(20, m, 5)) + [m]
+        atoms = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        return RandomSets([(s, 1.0 / len(atoms)) for s in atoms], seed=m)
+    return {"cyclic": Cyclic(range(m)), "remotest": RemotestSet(),
+            "max_violation": MaxViolation(), "block": Intermittent([range(m)])}[control_kind]
+
+
+def solve_matching_the_reference(problem, x0, control_kind, weights=None):
+    """Solve with a fresh control of ``control_kind`` and the weight rule
+    ``weights`` (by default uniform over the violated rows for the block
+    control, over the active ones otherwise), check that the run is the
+    reference's, record for record, with its trace CSV bytes and
     ``ZERO_ENTRY`` on the settled rows; return its ``k_feasible``, how many
     entries were ``ZERO_ENTRY`` and its records."""
     m = int(problem.m)
+    if weights is None:
+        weights = UniformOverViolated() if control_kind == "block" else UniformOverActive()
 
     def cfg():
-        control = {"cyclic": Cyclic(range(m)), "remotest": RemotestSet(),
-                   "max_violation": MaxViolation(), "block": Intermittent([range(m)])}
-        weights = UniformOverViolated() if control_kind == "block" else UniformOverActive()
-        return RunConfig(problem=problem, control=control[control_kind],
+        return RunConfig(problem=problem, control=make_control(control_kind, m),
                          relaxation=ConstantRelaxation(1.0), overrelaxation=Harmonic(),
                          phi=PhiOne(), weights=weights, x0=x0, max_iter=20_000)
 
@@ -411,6 +427,39 @@ def test_balls_among_stacked_rows_match_lazy_pool(seed, control_kind):
     assert problem.affine_rows.offset[outside].tolist() == [math.inf] * 3
     _, _, records = solve_matching_the_reference(problem, x0, control_kind)
     assert any(i in outside for r in records for i in r.violated)
+
+
+WEIGHT_RULES = {
+    "uniform_active": UniformOverActive(),
+    "uniform_violated": UniformOverViolated(),
+    "table": ExplicitTable({i: 1.0 + i % 3 for i in range(2 * STACKED_MIN_ROWS + 3)},
+                           0.005),
+}
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("control_kind", ["block", "two_blocks", "random_sets",
+                                          "remotest"])
+@pytest.mark.parametrize("weight_kind", sorted(WEIGHT_RULES))
+def test_mixed_pools_match_lazy_pool_under_every_weight_rule(
+        seed, control_kind, weight_kind):
+    # Halfspaces, affine sublevel sets and three balls, each containing
+    # B(z, 2R) = B(0, 0.5), at random positions of the pool.
+    dim, m = 6, 2 * STACKED_MIN_ROWS
+    pool, x0 = slater_pool(seed, dim, m)
+    rng = np.random.default_rng(seed + 200)
+    bodies = [pool.constraint(i).body for i in pool.indices()]
+    for _ in range(3):
+        u = rng.standard_normal(dim)
+        bodies.append(Ball(0.1 * u / np.linalg.norm(u), float(rng.uniform(0.7, 1.2))))
+    bodies = [bodies[j] for j in rng.permutation(len(bodies))]
+    problem = Problem(dim, [Constraint(i, b) for i, b in enumerate(bodies)],
+                      interior=pool.interior)
+    problem.spot_check_interior()
+    assert problem.affine_rows is not None
+    k_feasible, _, _ = solve_matching_the_reference(problem, x0, control_kind,
+                                                    WEIGHT_RULES[weight_kind])
+    assert k_feasible >= 1
 
 
 @SETTINGS
@@ -470,6 +519,18 @@ def test_stored_normal_products_hold_on_other_kernels(coretype):
     assert out.returncode == 0, out.stderr
 
 
+def test_settled_cutters_record_zero_entries():
+    # Late in a cyclic run most active halfspaces hold: the step records
+    # them as ZERO_ENTRY itself without calling their cutter.
+    dim, m = 4, 2 * STACKED_MIN_ROWS
+    problem, x0 = slater_pool(11, dim, m, sublevel_every=m + 1)
+    _, shared, records = solve_matching_the_reference(problem, x0, "block",
+                                                      UniformOverActive())
+    first = records[0]
+    held = [e for i, e in zip(first.active, first.per_index) if i not in first.violated]
+    assert held and all(e is ZERO_ENTRY for e in held) and shared >= len(held)
+
+
 def test_pools_from_the_size_threshold_on_are_stored_in_float32():
     dim = 64
     m = FLOAT32_MIN_ENTRIES // dim
@@ -522,11 +583,8 @@ def test_entries_past_float32_range_keep_float64(entry):
         assert decide_as_the_lazy_twin(big, x) is not None
 
 
-@pytest.mark.parametrize("control_kind", ["remotest", "max_violation", "block"])
+@pytest.mark.parametrize("control_kind", ["cyclic", "remotest", "max_violation", "block"])
 def test_solve_on_float32_rows_matches_lazy_pool(control_kind):
-    # A cyclic run here is 3 s of scalar scans of 2,048 rows in the
-    # reference; test_solve_is_the_papers_iteration runs cyclic controls on
-    # float32 pools for a few steps.
     problem, x0 = large_pool(4)
     assert problem.affine_rows.A.dtype == np.float32
     problem.spot_check_interior(n_dirs=4)
@@ -627,6 +685,75 @@ def test_an_iterate_without_a_pass_gets_one_try():
     assert result.status == "feasible" and result.steps == 3
     assert [id(x) for x, _ in passes] == [id(rec.x) for rec in result.trace]
     assert [rp is None for _, rp in passes] == [True, True, True, False]
+
+
+@st.composite
+def runs(draw):
+    """A factory of fresh, equal run configurations on a random polyhedron
+    around B(0, 0.5): stacked or lazy pools, above or below
+    STACKED_MIN_ROWS rows, in the whole space or in a box that may clip the
+    steps; cyclic, repetitive, random, explicit, remotest or full-block
+    control; either counter; the whole pool or a window; tol 0 or not."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    dim = draw(st.integers(2, 5))
+    m = draw(st.sampled_from([6, STACKED_MIN_ROWS, 2 * STACKED_MIN_ROWS]))
+    control_kind = draw(st.sampled_from(["cyclic", "repetitive", "random_sets",
+                                         "explicit", "remotest", "block"]))
+    max_iter = draw(st.sampled_from([40, 400]))
+    problem, x0 = slater_pool(seed, dim, m)
+    box = draw(st.sampled_from([None, 1.0, 3.0]))
+    if box is not None:
+        cons = [problem.constraint(i) for i in problem.indices()]
+        problem = Problem(dim, cons, outer=OuterSet(Box(-box * np.ones(dim),
+                                                        box * np.ones(dim))),
+                          interior=problem.interior)
+        x0 = np.clip(x0, -box, box)
+    if draw(st.booleans()):
+        problem = lazy_twin(problem)
+    window = draw(st.one_of(st.none(), st.lists(st.integers(0, m - 1), min_size=1,
+                                                max_size=m, unique=True).map(tuple)))
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(m).tolist()
+    sets = [tuple(rng.choice(m, rng.integers(1, 4), replace=False).tolist())
+            for _ in range(max_iter)]
+    cuts = list(range(0, m, 3)) + [m]
+    atoms = [tuple(range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+
+    def control():
+        return {"cyclic": lambda: Cyclic(order),
+                # each index twice in a row: the second visit follows a move
+                "repetitive": lambda: Repetitive(lambda k: (order[k // 2 % m],)),
+                "random_sets": lambda: RandomSets(
+                    [(a, 1.0 / len(atoms)) for a in atoms], seed=seed),
+                "explicit": lambda: Explicit(sets),
+                "remotest": RemotestSet,
+                "block": lambda: Intermittent([range(m)])}[control_kind]()
+
+    weights = UniformOverViolated if control_kind == "block" else UniformOverActive
+    counter_mode = draw(st.sampled_from(["bracketed", "raw"]))
+    alpha = draw(st.sampled_from([1.0, 1.5]))
+    tol = draw(st.sampled_from([0.0, 0.0, 1e-9, 0.05]))
+    return lambda: RunConfig(
+        problem=problem, control=control(), relaxation=ConstantRelaxation(alpha),
+        overrelaxation=Harmonic(), phi=PhiOne(), weights=weights(), x0=x0,
+        counter_mode=counter_mode, max_iter=max_iter, feas_window=window,
+        feas_tol=tol)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(runs())
+def test_solve_tests_each_iterate_once_with_the_reference_verdicts(make):
+    # solve takes no pass and no test at an iterate a step left in place;
+    # the reference tests every iterate, and the runs must agree bit for bit.
+    want = observed(reference_solve, make(), want_csv := io.StringIO())
+    csv = io.StringIO()
+    with mock.patch.object(engine, "feasible", wraps=feasible) as spy:
+        got = observed(lambda cfg, emit: solve_kept(cfg, emit, csv), make())
+    assert got == want and csv.getvalue() == want_csv.getvalue()
+    records, error, _ = got
+    assert error is None
+    assert spy.call_count == sum(not same_x for _, same_x in records)
 
 
 def wide_floats(rng, shape, lo, hi):
@@ -763,6 +890,95 @@ def test_batched_steps_match_the_lazy_pool(case, weight_kind, custom_phi):
 # ---------------------------------------------------------------------------
 # Quiet steps: solve emits the records of steps whose rows all leave x in place
 # ---------------------------------------------------------------------------
+
+QUIET_POOLS = ["float64", "float32", "lazy", "small", "a1_tail", "a1_tail_moving"]
+QUIET_CONTROLS = ["cyclic", "intermittent", "explicit", "random_sets", "repetitive",
+                  "remotest", "max_violation"]
+
+
+def quiet_overrelaxation(kind, fault_at):
+    """Harmonic r, or one that faults at count ``fault_at``: a FromFunction
+    r that turns negative, or a merged schedule whose a-input there is NaN
+    (the merge reads it where it fills the position of a_{fault_at})."""
+    if kind == "harmonic":
+        return Harmonic()
+    if kind == "from_function":
+        return FromFunction(lambda j: 1.0 / (j + 1) if j < fault_at else -1.0,
+                            divergent_sum=True)
+    return MergedDecreasing(lambda j: 1.0 / (j + 1) if j < fault_at else math.nan,
+                            lambda j: 2.0 ** -(j + 20))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(QUIET_POOLS), st.sampled_from(QUIET_CONTROLS),
+       st.sampled_from(["bracketed", "raw"]), st.sampled_from(["uniform", "table", "gap"]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1), st.integers(0, 600),
+       st.sampled_from(["harmonic", "from_function", "merged"]), st.integers(0, 300))
+def test_quiet_steps_match_a_step_at_every_k(pool, kind, mode, weight_kind, blocks, seed,
+                                             max_iter, r_kind, fault_at):
+    # Runs of steps that leave x in place, under every control and on
+    # stacked, lazy and scalar pools, end inside max_iter, an explicit
+    # list's end, a table without the weight of one index ("gap") or at a
+    # count where r faults, as often as between them.  A row is quiet where
+    # the pass settles it or where an earlier step at x cut it without
+    # moving x.  Each run gets fresh schedules and controls.  A reference
+    # step scans all 2,048 rows of the float32 pool, whose runs stop at 8.
+    problem, x0 = quiet_pool(pool)
+    m = int(problem.m)
+    rows = problem.affine_rows
+    assert rows.A.dtype == pool if pool in ("float64", "float32") else rows is None
+    max_iter = min(max_iter, 8) if m > 1000 else max_iter
+    rng = np.random.default_rng(seed)
+    sets = [tuple(rng.choice(m, rng.integers(1, min(4, m + 1)), replace=False).tolist())
+            if blocks and rng.random() < 0.2 else (int(i),) for i in rng.permutation(m)]
+    order = rng.integers(len(sets), size=int(rng.integers(1, 50))).tolist()
+    listed = sets[:int(rng.integers(1, 2 * m))] * 2
+    control = {"cyclic": lambda: Cyclic([s[0] for s in sets]),
+               "intermittent": lambda: Intermittent(sets),
+               "explicit": lambda: Explicit(listed),
+               "random_sets": lambda: RandomSets([(s, 1.0 / m) for s in sets], seed),
+               "repetitive": lambda: Repetitive(lambda k: sets[order[k % len(order)]],
+                                                max_card=max(map(len, sets))),
+               "remotest": RemotestSet,
+               "max_violation": MaxViolation}[kind]
+    table = {i: 1.0 + (i % 3) for i in range(m)}
+    if weight_kind == "gap":
+        del table[int(rng.integers(m))]
+
+    def cfg():
+        weights = UniformOverActive() if weight_kind == "uniform" else ExplicitTable(table, 0.1)
+        return RunConfig(problem=problem, control=control(),
+                         relaxation=ConstantRelaxation(1.0),
+                         overrelaxation=quiet_overrelaxation(r_kind, fault_at),
+                         phi=PhiOne(), weights=weights,
+                         x0=x0, counter_mode=mode, max_iter=max_iter)
+
+    want = observed(reference_solve, cfg())
+    for run in (solve_observed, solve_spans, solve_kept):
+        records = []
+        got = observed(lambda c, emit: run(c, lambda r: records.append(r) or emit(r)), cfg())
+        if run is solve_kept and want[1] is not None:  # a kept trace needs a return
+            assert got[1] == want[1]
+            continue
+        assert got == want
+        zero_entries(problem, records)
+
+
+def test_quiet_steps_skip_step_on_a_stacked_cyclic_run():
+    problem, x0 = random_slater_polyhedron(3, dim=4, m=40, interior_radius=0.5,
+                                           sublevel=False)
+    cfg = RunConfig(problem=problem, control=Cyclic(range(40)),
+                    relaxation=ConstantRelaxation(1.0), overrelaxation=Harmonic(),
+                    phi=PhiOne(), weights=UniformOverActive(), x0=10 * x0)
+    with mock.patch.object(engine, "step", wraps=step) as spy:
+        got = observed(solve_observed, cfg)
+    assert got == observed(reference_solve, cfg)
+    records, error, result = got
+    moved = sum(a[0][2] != b[0][2] for a, b in zip(records, records[1:]))
+    assert error is None and result[0] == "feasible"
+    assert 0 < moved <= spy.call_count < len(records) - 1
+
 
 @pytest.mark.parametrize("mode", ["bracketed", "raw"])
 @pytest.mark.parametrize("fault", ["weight", "r"])
