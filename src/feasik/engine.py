@@ -266,11 +266,12 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
         terms = [(weights[0] * betas[0]) * diffs[0]]
     else:
         terms = ()
-    x_next, corrected = x, False
     if len(terms):
         step_vec = alpha * compensated_sum(terms)
         x_next = problem.outer.project(x + step_vec)
         corrected = bool(step_vec.any())
+    else:
+        x_next, corrected = x, False
 
     # Positional, in field order: keywords cost every step about 0.5 us.
     record = TraceRecord(k, count, x, active, violated, tuple(per_index), alpha, r,
@@ -386,7 +387,8 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
     return RunResult(status, k if feas else None, x, items, corrections, k)
 
 
-# A fault of the weight rule, alpha or r makes a step loud, raised at its k.
+# A fault of the weight rule, alpha or r makes a step loud: step raises it at
+# its k.
 def _is_quiet(active: tuple, quiet: dict, stacked: Optional[RowPass], known: dict,
               cfg: RunConfig, weighed: set) -> bool:
     """Whether every row of ``active`` is settled by the pass at x or was cut
@@ -465,5 +467,6 @@ def write_trace_csv(trace, dim: int, fh) -> None:
 
 
 def trace_csv_text(trace, dim: int) -> str:
-    write_trace_csv(trace, dim, buf := io.StringIO())
+    buf = io.StringIO()
+    write_trace_csv(trace, dim, buf)
     return buf.getvalue()

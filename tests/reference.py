@@ -11,8 +11,10 @@ window row, the control's emission, alpha and r read at the count j,
 moves x), the weight rule, the term-by-term Neumaier loop over the terms of
 nonzero weight, and P_Q.  It has none of the engine's mechanisms: no
 stacked residual pass, settled rows, batched cuts, candidate rescoring,
-quiet spans or accumulate-form sum.  ``observed`` reads the records of the
-reference and of ``solve`` alike.
+quiet spans or accumulate-form sum.  Its window verdict is kept by the
+bytes of x, which is all it reads.  ``reference_step`` is one step of it,
+which tests also compare with ``engine.step`` from the same iterate.
+``observed`` reads the records of the reference and of ``solve`` alike.
 """
 
 import numpy as np
@@ -54,59 +56,71 @@ def reference_solve(cfg, emit):
     x = np.array(cfg.x0, dtype=np.float64)
     x.flags.writeable = False
     k = count = corrections = 0
+    verdicts = {}  # the window test reads x alone
     while True:
         finite = bool(np.isfinite(x).all())
-        feas = finite and problem.outer.member(x, cfg.feas_tol) and all(
-            problem.constraint(i).violation(x) <= cfg.feas_tol for i in window)
-        if feas or not finite or k >= cfg.max_iter:
+        if (key := x.tobytes()) not in verdicts:
+            verdicts[key] = finite and problem.outer.member(x, cfg.feas_tol) and all(
+                problem.constraint(i).violation(x) <= cfg.feas_tol for i in window)
+        if (feas := verdicts[key]) or not finite or k >= cfg.max_iter:
             emit(TraceRecord(k, count, x, (), (), (), None, None, 0.0, False, feas))
             status = "feasible" if feas else "max_iter" if finite else "nonfinite"
             return RunResult(status, k if feas else None, x, None, corrections, k)
-        active = cfg.control.indices(k, x, problem)
-        alpha = cfg.relaxation.alpha(count)
-        r = cfg.overrelaxation.r(count)
-        violated, diffs, betas, per_index = [], [], [], []
-        for i in active:
-            constraint = problem.constraint(i)
-            _, n, res, gg, d = evaluate_cutter(constraint, x)
-            b = rho = 0.0
-            if n > 0.0:
-                phi = cfg.phi.value(constraint, x, gg)
-                b, rho = beta(r, phi, n), r / phi
-                violated.append(i)
-                diffs.append(d)
-                betas.append(b)
-            per_index.append((res, n, b, rho))
-        violated = tuple(violated)
-        weights = cfg.weights.weights(active, violated)
-        terms = [(w * b) * d for w, b, d in zip(weights, betas, diffs) if w != 0.0]
-        x_next, corrected = x, False
-        if terms:
-            step = alpha * neumaier_loop(terms, problem.dim)
-            x_next = problem.outer.project(x + step)
-            x_next.flags.writeable = False
-            corrected = bool(step.any())
-        emit(TraceRecord(k, count, x, active, violated, tuple(per_index), alpha, r,
-                         0.0 if x_next is x else norm(x_next - x), corrected, False))
-        x = x_next
+        x, corrected, record = reference_step(cfg, problem, x, k, count)
+        emit(record)
         corrections += corrected
         count += cfg.counter_mode == "raw" or corrected
         k += 1
 
 
-def bits(values) -> bytes:
-    """The bytes of float64 ``values``, every NaN as one NaN (numpy's kernels
-    differ in which operand's NaN sign an add keeps)."""
+def reference_step(cfg, problem, x, k, count):
+    """Step k of the iteration from x on ``problem``: (x_{k+1}, whether the
+    step corrected x, the step's record)."""
+    active = cfg.control.indices(k, x, problem)
+    alpha = cfg.relaxation.alpha(count)
+    r = cfg.overrelaxation.r(count)
+    violated, diffs, betas, per_index = [], [], [], []
+    for i in active:
+        constraint = problem.constraint(i)
+        _, n, res, gg, d = evaluate_cutter(constraint, x)
+        b = rho = 0.0
+        if n > 0.0:
+            phi = cfg.phi.value(constraint, x, gg)
+            b, rho = beta(r, phi, n), r / phi
+            violated.append(i)
+            diffs.append(d)
+            betas.append(b)
+        per_index.append((res, n, b, rho))
+    violated = tuple(violated)
+    weights = cfg.weights.weights(active, violated)
+    terms = [(w * b) * d for w, b, d in zip(weights, betas, diffs) if w != 0.0]
+    x_next, corrected = x, False
+    if terms:
+        step = alpha * neumaier_loop(terms, problem.dim)
+        x_next = problem.outer.project(x + step)
+        x_next.flags.writeable = False
+        corrected = bool(step.any())
+    return x_next, corrected, TraceRecord(
+        k, count, x, active, violated, tuple(per_index), alpha, r,
+        0.0 if x_next is x else norm(x_next - x), corrected, False)
+
+
+def bits(values, exact=False) -> bytes:
+    """The bytes of float64 ``values``, every NaN as one NaN unless ``exact``:
+    the reference sums in another order than ``solve``, and numpy's kernels
+    differ in which operand's NaN sign an add keeps."""
     a = np.array(values, dtype=np.float64)
-    a[np.isnan(a)] = np.nan
+    if not exact:
+        a[np.isnan(a)] = np.nan
     return a.tobytes()
 
 
-def fields(r) -> tuple:
-    """A record's fields, floats and iterates as bits."""
-    return (r.k, r.bracket_k, bits(r.x), r.active, r.violated, bits(r.per_index),
-            repr(r.alpha_used), repr(r.r_used), float(r.step_norm).hex(), r.corrected,
-            r.feasible_flag)
+def fields(r, exact=False) -> tuple:
+    """A record's fields, floats and iterates as ``bits``; ``exact`` keeps
+    every NaN's sign and payload, for ``solve`` compared with itself."""
+    return (r.k, r.bracket_k, bits(r.x, exact), r.active, r.violated,
+            bits(r.per_index, exact), repr(r.alpha_used), repr(r.r_used),
+            float(r.step_norm).hex(), r.corrected, r.feasible_flag)
 
 
 def observed(run, cfg, csv=None):
@@ -165,6 +179,7 @@ def solve_spans(cfg, emit, csv=None):
             records = [r for item in items for r in item]
         except Exception as e:
             raise AssertionError(f"an item raised on expansion: {e!r}") from None
-        assert list(map(fields, plain)) == list(map(fields, records))
+        assert [fields(r, exact=True) for r in plain] == \
+            [fields(r, exact=True) for r in records]
         for r in records:
             emit(r)

@@ -30,8 +30,8 @@ from feasik import (Box, ConstantRelaxation, Constraint, Cyclic, Explicit, Expli
                     trace_csv_text)
 from feasik.certificates import build_a1_config
 from feasik.model import FLOAT32_MIN_ENTRIES, STACKED_MIN_ROWS, AffineRows, RowPass
-from reference import (lazy_twin, observed, reference_solve, solve_kept, solve_observed,
-                       solve_spans)
+from reference import (fields, lazy_twin, observed, reference_solve, solve_kept,
+                       solve_observed, solve_spans)
 from test_golden import (GOLDEN, per_index_bytes, per_index_runs, random_sets_run,
                          remotest_2000_run)
 
@@ -104,7 +104,7 @@ def slater_run_pool(seed):
 
 
 POOLS = ["slater", "halfspaces", "halfspaces", "halfspaces", "halfspaces", "facets32",
-         "float64", "float32", "lazy", "small", "a1_tail", "a1_tail_moving"]
+         "facets32", "float64", "float32", "lazy", "small", "a1_tail", "a1_tail_moving"]
 CONTROLS = ["cyclic", "intermittent", "block", "explicit", "random_sets", "repetitive",
             "remotest", "max_violation"]
 
@@ -120,18 +120,22 @@ def cases(draw):
                    "facets32": lambda seed: facet_pool32()}.get(
         pool, lambda seed: quiet_pool(pool))(seed)
     m = int(problem.m)
-    # The block controls are the ones that batch and sum many terms; a
-    # subgradient-norm phi faults at the first halfspace a step moves.
-    kind = draw(st.sampled_from(CONTROLS + ["block"] * 8 * (pool == "halfspaces")))
+    # The block controls are the ones that batch and sum many terms, and the
+    # maximal ones rescore the facets' near-ties; a subgradient-norm phi
+    # faults at the first halfspace a step moves.
+    kind = draw(st.sampled_from(CONTROLS + ["block"] * 8 * (pool == "halfspaces")
+                                + ["remotest"] * 8 * (pool == "facets32")))
     weight_kind = draw(st.sampled_from(["uniform_active", "uniform_violated", "table", "gap"]))
     phi_kind = draw(st.sampled_from(["one", "custom"] + (
         [] if pool in ("halfspaces", "facets32") else ["one", "subgrad_norm"])))
     r_kind = draw(st.sampled_from(["harmonic", "harmonic", "from_function", "merged"]))
     mode, alpha = draw(st.sampled_from(["bracketed", "raw"])), draw(st.sampled_from([1.0, 1.5, 0.5]))
-    # A reference step scans the whole pool; the pools of opposite facets
-    # never become feasible, and their block steps cut every row.
-    max_iter = min(draw(st.integers(0, 600)),
-                   8 if m > 1000 else 40 if pool == "halfspaces" else 600)
+    # A reference step of a block control cuts every row one by one, and one
+    # of a maximal control scores every row: the pools of facets may never
+    # become feasible under them, and 2,048 float32 rows never batch.
+    cap = 8 if pool == "facets32" or kind == "block" and m > 1000 else \
+        40 if pool == "halfspaces" else 600
+    max_iter = min(draw(st.integers(0, 600)), cap)
     fault_at = draw(st.integers(0, max_iter))
     window, tol = None, 0.0
     if m <= 40 and draw(st.booleans()):
@@ -182,9 +186,10 @@ def cases(draw):
 def test_solve_is_the_papers_iteration(make):
     # Records, iterate bytes, errors and their k, the trace CSV bytes and the
     # call logs are the reference's; ZERO_ENTRY is exactly the settled rows'.
+    # The readings of solve agree to the bit, NaNs too.
     cfg, want_log = make()
     want = observed(reference_solve, cfg, want_csv := io.StringIO())
-    spans_csv, kept_csv = io.StringIO(), io.StringIO()
+    spans_csv, kept_csv, readings = io.StringIO(), io.StringIO(), []
     for run, csv in ((solve_observed, None), (partial(solve_spans, csv=spans_csv), spans_csv),
                      (partial(solve_kept, csv=kept_csv), kept_csv)):
         (cfg, log), records = make(), []
@@ -195,6 +200,8 @@ def test_solve_is_the_papers_iteration(make):
         assert got == want and log == want_log
         assert csv is None or csv.getvalue() == want_csv.getvalue()
         zero_entries(cfg.problem, records)
+        readings.append([fields(r, exact=True) for r in records])
+    assert readings.count(readings[0]) == len(readings)
 
 
 def test_the_reference_runs_none_of_the_engines_mechanisms():
