@@ -151,8 +151,8 @@ class QuietSpan:
 
     __slots__ = ("cfg", "k", "n", "bracket_k", "x", "sets", "quiet")
 
-    def __init__(self, cfg, k, bracket_k, x, sets, quiet):
-        self.cfg, self.k, self.n, self.bracket_k = cfg, k, 0, bracket_k
+    def __init__(self, cfg, k, n, bracket_k, x, sets, quiet):
+        self.cfg, self.k, self.n, self.bracket_k = cfg, k, n, bracket_k
         self.x, self.sets, self.quiet = x, sets, quiet
 
     def __len__(self) -> int:
@@ -301,14 +301,17 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
     each active row is settled by the pass or was cut at x without moving
     it, and its weight rule, alpha and r raise nothing; any other step is
     ``step``'s, which raises what it raises at its k
-    (README, "Quiet spans").  A fixed family finds its next step that is
-    not quiet by position; the weight rule runs once per quiet set.
+    (README, "Quiet spans").  One loop takes a stretch of quiet steps: a
+    fixed family finds its end by position, another control is asked at
+    each k and its first set that is not quiet goes to ``step``.  The
+    weight rule runs once per quiet set.
     """
     problem, control = cfg.problem, cfg.control
     rows = problem.affine_rows
     x = np.array(cfg.x0, dtype=np.float64)
     x.flags.writeable = False
     raw = cfg.counter_mode == "raw"
+    alpha, r = cfg.relaxation.alpha, cfg.overrelaxation.r
     if observers is None:
         items = []
         emit = items.append
@@ -325,63 +328,76 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
              and control._range[1] < problem.m)
     count = corrections = k = 0
     nonfinite = False
-    # The iterate whose pass and failed test are at hand, and the open span.
-    tested = span = None
+    tested = None  # the iterate whose pass and failed test are at hand
     weighed = set()  # the sets whose weights, quiet, raised nothing
-    try:
-        while True:
-            if x is not tested:  # by identity: an equal copy is tested again
-                stacked = rows.at(x) if rows is not None else None
-                # With no pass at x the pool's scalar tests decide; given the
-                # window, feasible does not try the pass again.
-                window = cfg.feas_window or (problem.indices() if stacked is None else None)
-                feas = not nonfinite and feasible(problem, x, window, cfg.feas_tol,
-                                                  stacked=stacked)
-                # Row -> entry of the rows a step cut without moving x, None
-                # until one does (but singletons look for settled rows), and
-                # set -> whether it is quiet.
-                tested = x
-                quiet, known = ({}, {}) if stacked is not None and control.max_card == 1 \
-                    else (None, None)
-            if feas or nonfinite or k >= cfg.max_iter:
+
+    def is_quiet(s) -> bool:  # at the iterate's pass and quiet rows
+        return _is_quiet(s, quiet, stacked, known, cfg, weighed)
+
+    while True:
+        if x is not tested:  # by identity: an equal copy is tested again
+            stacked = rows.at(x) if rows is not None else None
+            # With no pass at x the pool's scalar tests decide; given the
+            # window, feasible does not try the pass again.
+            window = cfg.feas_window or (problem.indices() if stacked is None else None)
+            feas = not nonfinite and feasible(problem, x, window, cfg.feas_tol,
+                                              stacked=stacked)
+            # Row -> entry of the rows a step cut without moving x, None
+            # until one does (but singletons look for settled rows), and
+            # set -> whether it is quiet.
+            tested = x
+            quiet, known = ({}, {}) if stacked is not None and control.max_card == 1 \
+                else (None, None)
+        if feas or nonfinite or k >= cfg.max_iter:
+            break
+        active = (control.sets[control._position(k)] if fixed and quiet is not None
+                  else control.indices(k, x, problem, stacked))
+        if quiet is not None and is_quiet(active):
+            # Steps k, k + 1, ... are quiet up to the first that is not or
+            # max_iter: a fixed family finds it by position, another
+            # control is asked at each k; alpha and r read at each count.
+            end = (control._quiet_until(k + 1, cfg.max_iter, is_quiet) if fixed
+                   else cfg.max_iter)
+            k0, count0, sets = k, count, None if fixed else []
+            try:
+                while True:  # the set of step k is quiet
+                    if raw or k == k0:
+                        try:
+                            alpha(count), r(count)
+                        except Exception:  # step raises it, at its k
+                            break
+                    if sets is not None:
+                        sets.append(active)
+                    # A fixed family in bracketed mode reads once and jumps to end.
+                    k, count = k + 1 if raw or not fixed else end, count + raw
+                    # known answers a set seen at this x without a call.
+                    if k >= end or not fixed and not (known.get(active := control.indices(
+                            k, x, problem, stacked)) or is_quiet(active)):
+                        break
+            finally:  # the observers get the span, also when the control raised
+                if k > k0:
+                    emit(QuietSpan(cfg, k0, k - k0, count0, x, sets, quiet))
+            if k >= cfg.max_iter:
                 break
-            active = (control.sets[control._position(k)] if fixed and quiet is not None
-                      else control.indices(k, x, problem, stacked))
-            n = quiet is not None and _is_quiet(active, quiet, stacked, known, cfg, weighed)
-            if n and fixed:  # and the steps after k whose sets are quiet too
-                n = control._quiet_until(k + 1, cfg.max_iter, lambda s: _is_quiet(
-                    s, quiet, stacked, known, cfg, weighed)) - k
-            if n and (n := _reads(cfg, count, n)):
-                if span is None:
-                    span = QuietSpan(cfg, k, count, x, None if fixed else [], quiet)
-                if not fixed:
-                    span.sets.append(active)
-                span.n += n
-                k, count = k + n, count + raw * n
-                continue
-            if span is not None:
-                span, closed = None, span
-                emit(closed)
-            x_next, corrected, record = step(cfg, x, k, count, stacked, active)
-            if x_next is not x:  # a step that does not move returns x, read-only
-                x = x_next
-                x.flags.writeable = False
-                # A finite step norm implies a finite iterate; the norm of a finite
-                # but huge step can overflow, so only then are the coordinates read.
-                if not math.isfinite(record.step_norm):
-                    nonfinite = not np.isfinite(x).all()
-            else:  # the rows it cut without moving x are quiet at x
-                quiet, known = {} if quiet is None else quiet, {}
-                for i, e in zip(record.active, record.per_index):
-                    if e[1] == 0.0 and e is not ZERO_ENTRY:
-                        quiet[i] = e
-            emit(record)
-            corrections += corrected
-            count += raw or corrected
-            k += 1
-    finally:  # the open span, also when a schedule or the control raised
-        if span is not None:
-            emit(span)
+            if fixed:
+                active = control.sets[control._position(k)]
+        x_next, corrected, record = step(cfg, x, k, count, stacked, active)
+        if x_next is not x:  # a step that does not move returns x, read-only
+            x = x_next
+            x.flags.writeable = False
+            # A finite step norm implies a finite iterate; the norm of a finite
+            # but huge step can overflow, so only then are the coordinates read.
+            if not math.isfinite(record.step_norm):
+                nonfinite = not np.isfinite(x).all()
+        else:  # the rows it cut without moving x are quiet at x
+            quiet, known = {} if quiet is None else quiet, {}
+            for i, e in zip(record.active, record.per_index):
+                if e[1] == 0.0 and e is not ZERO_ENTRY:
+                    quiet[i] = e
+        emit(record)
+        corrections += corrected
+        count += raw or corrected
+        k += 1
     emit(TraceRecord(k, count, x, (), (), (), None, None, 0.0, False, feas))
     status = "feasible" if feas else "nonfinite" if nonfinite else "max_iter"
     return RunResult(status, k if feas else None, x, items, corrections, k)
@@ -409,17 +425,6 @@ def _is_quiet(active: tuple, quiet: dict, stacked: Optional[RowPass], known: dic
                 ok = False
         known[active] = ok
     return ok
-
-
-def _reads(cfg: RunConfig, count: int, n: int) -> int:
-    """How many of n quiet steps from ``count`` read alpha and r without a
-    fault: each count in raw mode, ``count`` once in bracketed mode."""
-    for j in range(count, count + n if cfg.counter_mode == "raw" else count + 1):
-        try:
-            cfg.relaxation.alpha(j), cfg.overrelaxation.r(j)
-        except Exception:
-            return j - count
-    return n
 
 
 # ---------------------------------------------------------------------------

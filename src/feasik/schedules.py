@@ -144,7 +144,8 @@ class MergedDecreasing(Overrelaxation):
     decreasing order; on ties the a-element precedes the b-element.
 
     ``source(j)`` reports which sequence supplied position j, so callers can
-    derive controls from the merge layout.  The values sit in an array and
+    derive controls from the merge layout: by bisection, or at once past the
+    last b-position, as a forward read falls.  The values sit in an array and
     only the b-positions in a list, so the a-positions keep no Python object.
     """
 
@@ -192,6 +193,8 @@ class MergedDecreasing(Overrelaxation):
         if j >= len(self._values):
             self._extend(j)
         bs = self._b_positions
+        if not bs or bs[-1] < j:
+            return ("a", j - len(bs))
         n = bisect_left(bs, j)  # b-elements before position j
         return ("b", n) if n < len(bs) and bs[n] == j else ("a", j - n)
 

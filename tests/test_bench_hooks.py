@@ -186,6 +186,38 @@ def test_tracer_counts_one_emission_per_k_and_a_step_per_unquiet_one(monkeypatch
     assert tr.calls["engine.step"] == expected + forward
 
 
+def test_tracer_sees_each_emission_of_a_repetitive_run_on_a_scalar_pool(monkeypatch):
+    # On a suite-sized scalar pool, a Repetitive run moves x and stands in
+    # quiet stretches; solve asks the control through Control.indices at
+    # every k, inside a stretch too, and calls engine.step only for the
+    # steps that are not quiet.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    problem, x0 = instances.random_slater_polyhedron(4, dim=3, m=8, interior_radius=0.5)
+    period = [5, 7, 7, 4, 7, 7, 7, 0, 3, 4, 2]
+
+    def cfg():
+        return engine.RunConfig(
+            problem=problem, control=controls.Repetitive(lambda k: (period[k % 11],)),
+            relaxation=sch.ConstantRelaxation(1.0), overrelaxation=sch.Harmonic(),
+            phi=sch.PhiOne(), weights=sch.UniformOverActive(), x0=3.0 * x0)
+
+    trace = engine.solve(cfg()).trace
+    spans = [len(item) for item in trace.items if isinstance(item, engine.QuietSpan)]
+    moved = sum(b.x is not a.x for a, b in zip(trace, trace[1:]))
+    assert problem.affine_rows is None and max(spans) > 1 and moved > 1
+    tr = tracer.Tracer()
+    patches = tracer.install(tr)
+    try:
+        result = engine.solve(cfg())
+    finally:
+        patches.undo()
+    assert result.status == "feasible" and result.steps == len(trace) - 1
+    assert tr.calls["controls.indices.repetitive"] == result.steps
+    assert tr.calls["engine.step"] == steps_not_quiet(trace) < result.steps
+
+
 def test_trace_report_runs_on_counterexamples():
     """``bench/run.py --trace 1`` on the reproductions, whose controls
     ``solve`` now calls itself and whose quiet steps never reach

@@ -112,9 +112,11 @@ CONTROLS = ["cyclic", "intermittent", "block", "explicit", "random_sets", "repet
 @st.composite
 def cases(draw):
     """A factory of fresh, equal run configurations, each with its log of phi
-    and ``Repetitive`` calls: a drawn pool, control, weight rule (``gap``
-    lacks one row's weight), phi, r (harmonic, or turning negative or NaN at
-    a drawn count), alpha, counter mode, max_iter, window and tol."""
+    and ``Repetitive`` calls: a drawn pool, control (a ``Repetitive`` one may
+    raise, or emit a row outside the pool or too many rows, at a drawn k),
+    weight rule (``gap`` lacks one row's weight), phi, r (harmonic, or
+    turning negative or NaN at a drawn count), alpha, counter mode, max_iter,
+    window and tol."""
     pool, seed = draw(st.sampled_from(POOLS)), draw(st.integers(0, 2 ** 32 - 1))
     problem, x0 = {"slater": slater_run_pool, "halfspaces": halfspace_pool,
                    "facets32": lambda seed: facet_pool32()}.get(
@@ -137,6 +139,8 @@ def cases(draw):
         40 if pool == "halfspaces" else 600
     max_iter = min(draw(st.integers(0, 600)), cap)
     fault_at = draw(st.integers(0, max_iter))
+    bad = draw(st.sampled_from([None, None, "raise", "index", "card"])) \
+        if kind == "repetitive" else None
     window, tol = None, 0.0
     if m <= 40 and draw(st.booleans()):
         window = tuple(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m,
@@ -150,6 +154,8 @@ def cases(draw):
     listed = sets[:int(rng.integers(1, 2 * m))] * 2
     gap = int(rng.integers(m)) if weight_kind == "gap" else None
     table = {i: 1.0 + (i % 3) for i in range(m) if i != gap}
+    faults = {"raise": lambda: 1 // 0, "index": lambda: (m,),
+              "card": lambda: tuple(range(width + 1))}
 
     def make():
         log = []
@@ -158,8 +164,9 @@ def cases(draw):
                    "block": lambda: Intermittent([range(m)]),
                    "explicit": lambda: Explicit(listed),
                    "random_sets": lambda: RandomSets([(s, 1.0 / m) for s in sets], seed),
-                   "repetitive": lambda: Repetitive(lambda k: log.append(k) or sets[
-                       order[k % len(order)]], max_card=width),
+                   "repetitive": lambda: Repetitive(lambda k: log.append(k) or (
+                       faults[bad]() if bad and k == fault_at else sets[order[k % len(order)]]),
+                       max_card=width),
                    "remotest": RemotestSet, "max_violation": MaxViolation}[kind]
         weights = {"uniform_active": UniformOverActive,
                    "uniform_violated": UniformOverViolated}.get(

@@ -100,16 +100,37 @@ def test_merged_decreasing_evaluates_each_element_once():
     sched = MergedDecreasing(a_fn, b_fn)
     got = [(sched.r(j), sched.source(j)) for j in range(1000)]
     assert calls["a"] + calls["b"] <= 1000 + 2
-    # The merge itself, spelled out.
+    assert got == spelled_out_merge(lambda k: 1.0 / (k + 1), lambda k: 2.0 ** -(k + 1), 1000)
+
+
+def spelled_out_merge(a_fn, b_fn, n) -> list:
+    """The first n (value, source) pairs of the merge itself, spelled out."""
     want, ai, bi = [], 0, 0
-    while len(want) < 1000:
-        if 1.0 / (ai + 1) >= 2.0 ** -(bi + 1):
-            want.append((1.0 / (ai + 1), ("a", ai)))
+    while len(want) < n:
+        if a_fn(ai) >= b_fn(bi):
+            want.append((a_fn(ai), ("a", ai)))
             ai += 1
         else:
-            want.append((2.0 ** -(bi + 1), ("b", bi)))
+            want.append((b_fn(bi), ("b", bi)))
             bi += 1
-    assert got == want
+    return want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0.5, 1.0, 3.0, 64.0]), st.lists(st.integers(0, 400), max_size=40))
+def test_merged_decreasing_source_reads_positions_in_any_order(scale, positions):
+    # source(j) past the last b-position takes no bisect; read forward,
+    # backward, each twice and in the drawn order, with r between, from a
+    # fresh merge each way, it is the spelled-out merge's.
+    def b_fn(k):
+        return scale * 2.0 ** -(k + 1)
+
+    want = spelled_out_merge(lambda k: 1.0 / (k + 1), b_fn, 401)
+    for order in (sorted(positions), sorted(positions, reverse=True),
+                  [j for j in positions for _ in range(2)], positions):
+        sched = MergedDecreasing(lambda k: 1.0 / (k + 1), b_fn)
+        for j in order:
+            assert sched.source(j) == want[j][1] and sched.r(j) == want[j][0]
 
 
 def test_merged_decreasing_rejects_increasing_input():

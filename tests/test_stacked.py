@@ -992,21 +992,52 @@ def test_quiet_steps_skip_step_on_a_stacked_cyclic_run():
 
 
 @pytest.mark.parametrize("mode", ["bracketed", "raw"])
-@pytest.mark.parametrize("fault", ["weight", "r"])
+@pytest.mark.parametrize("fault", ["weight", "r"] + [
+    f"{fault}-{pool}" for fault in ("schedule", "index", "card", "r")
+    for pool in ("float64", "lazy", "small")])
 def test_a_fault_inside_a_quiet_stretch_comes_at_its_k(fault, mode):
     # A weight table without row g, which the pass settles at x0, met after
     # three other settled rows; and r turning negative at count 700 in the
     # A.1 tail, quiet from step 540 (bracketed, the count never gets there).
+    # A Repetitive schedule, on each pool, faults at step `at` inside its
+    # longest quiet stretch: it raises, emits a row outside the pool or a
+    # 2-set above max_card 1; or r turns negative at that step's count, which
+    # a bracketed run does not advance in a stretch: its fault comes earlier,
+    # at the first step of that count.
     if fault == "weight":
         problem, x0 = quiet_pool("float64")
         settled = problem.affine_rows.at(np.asarray(x0)).settled.nonzero()[0].tolist()
         control, at = Cyclic(settled[:4] + [i for i in range(24) if i not in settled[:4]]), 3
         weights = ExplicitTable({i: 1.0 for i in range(24) if i != settled[3]}, 0.01)
-        over = Harmonic()
-    else:
+        over, raises = Harmonic(), ConfigError
+    elif fault == "r":
         problem, x0 = quiet_pool("a1_tail")
-        control, weights, at = Cyclic([0, 1]), UniformOverActive(), 700
+        control, weights, raises = Cyclic([0, 1]), UniformOverActive(), ConfigError
+        at = 700 if mode == "raw" else None
         over = FromFunction(lambda j: 1.0 / (j + 1) if j < 700 else -1.0, True)
+    else:
+        fault, pool = fault.split("-")
+        problem, x0 = quiet_pool(pool)
+        period = [int(i) for i in np.random.default_rng(0).integers(problem.m, size=7)]
+        control = Repetitive(lambda k: (period[k % 7],))
+        weights, over = UniformOverActive(), Harmonic()
+        trace = solve(RunConfig(problem=problem, control=control, x0=x0, max_iter=1000,
+                                relaxation=ConstantRelaxation(1.0), overrelaxation=over,
+                                phi=PhiOne(), weights=weights, counter_mode=mode)).trace
+        longest = max((item for item in trace.items if isinstance(item, engine.QuietSpan)),
+                      key=len)
+        at = longest.k + 5
+        assert len(longest) > 10
+        raises = {"schedule": ZeroDivisionError, "index": feasik.errors.PoolIndexError,
+                  "card": feasik.ControlError, "r": ConfigError}[fault]
+        if fault == "r":
+            c = trace[at].bracket_k
+            at = next(rec.k for rec in trace if rec.bracket_k >= c)
+            over = FromFunction(lambda j: 1.0 / (j + 1) if j < c else -1.0, True)
+        else:
+            bad = {"schedule": lambda: 1 // 0, "index": lambda: (problem.m,),
+                   "card": lambda: (0, 1)}[fault]
+            control = Repetitive(lambda k: bad() if k == at else (period[k % 7],))
 
     def cfg():
         return RunConfig(problem=problem, control=control, relaxation=ConstantRelaxation(1.0),
@@ -1017,10 +1048,10 @@ def test_a_fault_inside_a_quiet_stretch_comes_at_its_k(fault, mode):
     for run in (solve_observed, solve_spans):
         assert observed(run, cfg()) == want
     records, error, _ = want
-    if fault == "weight" or mode == "raw":
-        assert len(records) == at and error[0] is ConfigError
-    else:
+    if at is None:
         assert len(records) == 1001 and error is None
+    else:
+        assert len(records) == at and error[0] is raises
 
 
 @pytest.mark.parametrize("pool", ["float64", "lazy", "small"])
