@@ -28,7 +28,7 @@ from .errors import ConfigError, FeasikError
 from .model import (Problem, RowPass, Vector, as_integer, as_real, as_vector,
                     feasible, norm)
 from .operators import evaluate_cutter
-from .schedules import beta
+from .schedules import PhiOne, beta
 
 # The per_index entry of an active row that the residual pass settles: one
 # tuple, shared by every settled row of every pool and step.
@@ -226,10 +226,12 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
     ``stacked`` are I_k and the residual pass at x when the caller has
     taken them; the control scores with the pass, active metric halfspaces
     it settles skip their cutter, and ``AffineRows.cut_rows`` cuts the
-    others as one batch where it can.  One loop takes each row's cut, from
-    the batch or ``evaluate_cutter``, then its phi (only where the cut
-    moves), beta and rho.  x is never written; the record holds it, and a
-    step that does not move returns it.  No feasibility test.
+    others as one batch where it can, whose phi (1.0 for ``PhiOne``, else
+    one call per moved row, in order), beta and rho are taken in whole
+    arrays.  Other rows take one loop: the cut by ``evaluate_cutter``, then
+    phi (only where the cut moves), beta and rho.  x is never written; the
+    record holds it, and a step that does not move returns it.  No
+    feasibility test.
     """
     problem = cfg.problem
     active = active or cfg.control.indices(k, x, problem, stacked)
@@ -237,11 +239,16 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
     r = cfg.overrelaxation.r(count)
     violated, diffs, betas = [], [], []
     per_index = [ZERO_ENTRY] * len(active)  # kept by the rows the pass settles
-    todo = enumerate(active) if stacked is None else stacked.unsettled(active)
-    cuts = stacked.rows.cut_rows(todo, x) if stacked is not None and todo else None
+    todo, cut = enumerate(active), None
+    if stacked is not None and len(active) == 1:  # a singleton skips the gathers
+        todo = () if stacked.settled[active[0]] else todo
+    elif stacked is not None:
+        pos, idx = stacked.unsettled(active)
+        cut = stacked.rows.cut_rows(idx, x)
+        todo = () if cut is not None else zip(pos.tolist(), idx.tolist())
     for p, i in todo:
         constraint = problem.constraint(i)
-        _, n, res, gg, d = evaluate_cutter(constraint, x) if cuts is None else next(cuts)
+        _, n, res, gg, d = evaluate_cutter(constraint, x)
         if n > 0.0:
             phi_val = cfg.phi.value(constraint, x, gg)
             b, rho = beta(r, phi_val, n), r / phi_val
@@ -251,18 +258,33 @@ def step(cfg: RunConfig, x: Vector, k: int, count: int,
         else:
             b = rho = 0.0
         per_index[p] = (res, n, b, rho)
+    if cut is not None:  # the batch, in whole arrays
+        residual, n, D = cut
+        moved = n > 0.0
+        violated = idx[moved].tolist()
+        if type(cfg.phi) is PhiOne:  # rho = r / 1.0: the float r itself
+            rho, rhos = r, [r if m else 0.0 for m in moved.tolist()]
+        else:  # one call per moved row, in order, and rho = r / phi on floats
+            rho = np.zeros(len(n))
+            rho[moved] = [r / cfg.phi.value(problem.constraint(i), x, None) for i in violated]
+            rhos = rho.tolist()
+        with np.errstate(all="ignore"):  # Python's floats: inf / inf is NaN
+            b = np.where(moved, (rho + n) / n, 0.0)
+        for p, e in zip(pos.tolist(), zip(residual.tolist(), n.tolist(), b.tolist(), rhos)):
+            per_index[p] = e
+        diffs, betas = (D, b) if len(violated) == len(n) else (D[moved], b[moved])
 
     violated = tuple(violated)
     weights = cfg.weights.weights(active, violated)
     # The overshoot terms (w_i beta_i)(T_i(x) - x) of nonzero weight, summed.
     if len(diffs) > 1:
-        terms = np.asarray(diffs)  # a copy: scaling it writes no cut
+        terms = np.asarray(diffs)  # a fresh array: scaling it writes no cut
         coef = np.multiply(weights, betas)
         if 0.0 in weights:
             keep = np.array(weights) != 0.0
             terms, coef = terms[keep], coef[keep]
         terms *= coef[:, None]
-    elif betas and weights[0] != 0.0:
+    elif len(betas) and weights[0] != 0.0:
         terms = [(weights[0] * betas[0]) * diffs[0]]
     else:
         terms = ()
@@ -415,8 +437,8 @@ def _is_quiet(active: tuple, quiet: dict, stacked: Optional[RowPass], known: dic
         if len(active) == 1:
             ok = (i := active[0]) in quiet or bool(stacked and stacked.settled[i])
         else:
-            todo = enumerate(active) if stacked is None else stacked.unsettled(active)
-            ok = all(i in quiet for _, i in todo)
+            todo = active if stacked is None else stacked.unsettled(active)[1].tolist()
+            ok = all(i in quiet for i in todo)
         if ok and active not in weighed:
             try:
                 cfg.weights.weights(active, ())

@@ -13,8 +13,7 @@ import math
 import numbers
 import reprlib
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -661,7 +660,7 @@ FLOAT32_MIN_ENTRIES = 2 ** 16
 # Fewest unsettled float64 metric halfspace rows that ``AffineRows.cut_rows``
 # cuts as one batch, a measured crossover of a stacked step (CHANGES.md;
 # README, "Batched cuts"): below it Python's row loop is cheaper.
-CUT_MIN_ROWS = 4
+CUT_MIN_ROWS = 5
 
 _U = 2.0 ** -53             # unit roundoff of binary64
 _SUBNORMAL = 2.0 ** -1074   # smallest positive binary64
@@ -740,17 +739,17 @@ class AffineRows:
         # A zero row, with l1 = 0, has an infinite margin.
         self.offset = np.where(l1 > 0.0, offset, math.inf)
         self.b_max = float(abs_b.max())
+        self._last = ((), None)  # for ``index_array``
 
-    def cut_rows(self, todo: list, x) -> Optional[Iterator]:
-        """None below ``CUT_MIN_ROWS`` (position, index) pairs ``todo`` or
-        unless every row is a float64 metric halfspace; else ``Halfspace.cut``
-        at x of their rows as one batch, yielded row by row in the field
-        order of ``CutterEval``: (None, norm, residual, None, T(x) - x as a
-        row of one array), bit for bit as ``evaluate_cutter`` gives them, as
-        ``np.vecdot`` rounds as ``ndarray.dot`` bar a zero's sign at d = 1."""
-        if len(todo) < CUT_MIN_ROWS or self.aa is None:
+    def cut_rows(self, idx, x) -> Optional[tuple]:
+        """None below ``CUT_MIN_ROWS`` rows ``idx`` (an intp array) or unless
+        every row is a float64 metric halfspace; else ``Halfspace.cut`` at x
+        of their rows as one batch: the arrays (residual, displacement norm,
+        T(x) - x), row p of each that of ``idx[p]``, bit for bit as
+        ``evaluate_cutter`` gives them, as ``np.vecdot`` rounds as
+        ``ndarray.dot`` bar a zero's sign at d = 1."""
+        if len(idx) < CUT_MIN_ROWS or self.aa is None:
             return None
-        idx = np.array([i for _, i in todo], np.intp)
         N = self.A[idx]
         s = np.vecdot(N, x)
         s -= self.b[idx]
@@ -760,8 +759,14 @@ class AffineRows:
             coef, residual = v / self.aa[idx], v / self.norms[idx]
         D = x - coef[:, None] * N
         D -= x
-        return zip(repeat(None), np.sqrt(np.vecdot(D, D)).tolist(),
-                   residual.tolist(), repeat(None), D)
+        return residual, np.sqrt(np.vecdot(D, D)), D
+
+    def index_array(self, active: tuple):
+        """``active`` as an intp array, kept for the last set asked: a fixed
+        family's set is built once, and no emission is kept past the next."""
+        if (last := self._last)[0] is not active:
+            self._last = last = (active, np.fromiter(active, np.intp, len(active)))
+        return last[1]
 
     @classmethod
     def build(cls, problem: Problem) -> Optional["AffineRows"]:
@@ -826,7 +831,9 @@ class AffineRows:
 
 class RowPass:
     """One residual pass v = A @ x - b at an iterate x, with the certified
-    bound |v_i - s_i| <= margin_i on the scalar violations s_i."""
+    bound |v_i - s_i| <= margin_i on the scalar violations s_i.  ``open``
+    lists the rows, ascending, that x does not certainly satisfy: the
+    window of ``feasible`` and the rows ``candidates`` scores first."""
 
     def __init__(self, rows: AffineRows, v, margin):
         self.rows = rows
@@ -837,22 +844,32 @@ class RowPass:
         # residual, displacement, beta and rho all 0.0.
         self.satisfied = v < -margin
         self.settled = self.satisfied & rows.metric
+        self.open = (~self.satisfied).nonzero()[0]
 
-    def unsettled(self, active: tuple) -> list:
-        """(position, index) of the active rows that are not settled, in
-        order, from one gather of the flags at the active indices."""
-        if len(active) == 1:  # a singleton control's step skips the gather
-            return [] if self.settled[active[0]] else [(0, active[0])]
-        pos = (~self.settled[np.fromiter(active, np.intp, len(active))]).nonzero()[0]
-        return [(p, active[p]) for p in pos.tolist()]
+    def unsettled(self, active: tuple) -> tuple:
+        """(positions, indices) of the active rows that are not settled, in
+        order, as intp arrays, from one gather of the flags at the active
+        indices (``AffineRows.index_array``)."""
+        idx = self.rows.index_array(active)
+        pos = (~self.settled[idx]).nonzero()[0]
+        return pos, idx[pos]
 
     def candidates(self, score, spread) -> Optional[list]:
         """Pool positions, ascending, whose scalar score may be the largest,
         given stacked scores with |scalar - stacked| <= spread per row up to
         one rounding each, and a scalar score of exactly 0.0 on every row
-        the pass certainly satisfies.  None when the scores are not finite."""
+        the pass certainly satisfies, whose stacked score is at most its
+        finite spread.  None when the scores are not finite.  The open rows
+        are banded first: where their best lower bound is finite and
+        positive it is the pool's, as a satisfied row's is at most 0, and
+        the satisfied rows lose; else the whole pool is banded."""
         # 16u (score + spread) covers the roundings of score, lo and hi,
         # 2^-1060 their underflow.
+        if len(rows := self.open):
+            s, sp = score[rows], spread[rows]
+            band = sp + 16.0 * _U * (s + sp) + 2.0 ** -1060
+            if 0.0 < (top := float((s - band).max())) < math.inf:
+                return rows[s + band >= top].tolist()
         band = spread + 16.0 * _U * (score + spread) + 2.0 ** -1060
         lo = score - band
         top = float(lo.max())
@@ -890,8 +907,7 @@ def feasible(problem: Problem, x: Vector, window=None, tol: float = 0.0,
         if stacked is None and not tol and problem.affine_rows is not None:
             stacked = problem.affine_rows.at(x)
         # With a pass, the rows x does not certainly satisfy, in pool order.
-        window = (problem.indices() if stacked is None or tol
-                  else (~stacked.satisfied).nonzero()[0].tolist())
+        window = problem.indices() if stacked is None or tol else stacked.open.tolist()
     if not problem.outer.member(x, tol):
         return False
     for i in window:

@@ -16,7 +16,7 @@ from feasik import (AbsCoordMinusC, Affine, Box, ConfigError,
                     Sublevel, UniformOverActive, feasible,
                     random_slater_polyhedron, solve, step, trace_csv_text)
 from feasik.certificates import build_a2_config
-from feasik.engine import compensated_sum
+from feasik.engine import ZERO_ENTRY, compensated_sum
 from feasik.model import STACKED_MIN_ROWS
 from feasik.schedules import WeightRule
 from reference import neumaier_loop
@@ -161,14 +161,19 @@ class DropOneRow(WeightRule):
         return 0.0
 
 
+@pytest.mark.parametrize("phi_kind", ["one", "custom", "subgrad_norm"])
 @pytest.mark.parametrize("stacked", [False, True])
-def test_a_zero_weight_drops_its_term_bit_for_bit(stacked):
-    # Rows 0-4 of a halfspace pool are violated at x and row 2 has the
-    # weight 0.0: the step, by the scalar loop or by the residual pass and
-    # one batched cut, is bit for bit the step over the other four rows.  A
-    # lone moved row of weight 0.0 leaves x in place, uncorrected.  Row 2's
-    # a.a is subnormal, so its cut moves x by inf and its beta is NaN: a
-    # term scaled by 0.0 rather than dropped would make the step NaN.
+def test_a_zero_weight_drops_its_term_bit_for_bit(stacked, phi_kind):
+    # Rows 0-4 of a halfspace pool are violated at x, x lies on the facets
+    # of rows 5 and 6, and row 2 has the weight 0.0: the step, by the scalar
+    # loop or by the residual pass and one batched cut, is bit for bit the
+    # step over rows 0, 1, 3 and 4.  A lone moved row of weight 0.0 leaves x
+    # in place, uncorrected.  Row 2's a.a is subnormal, so its cut moves x
+    # by inf and its beta is NaN: a term scaled by 0.0 rather than dropped
+    # would make the step NaN.  Rows 5 and 6 are cut without moving x, and
+    # the pass settles rows 7 and 8: only these get ZERO_ENTRY itself.  A phi
+    # that varies by row is called once per moved row, in order, and the
+    # subgradient-norm phi, which needs sublevel sets, raises at the first.
     rng = np.random.default_rng(17)
     dim, m = 5, STACKED_MIN_ROWS
     x = rng.standard_normal(dim)
@@ -176,21 +181,37 @@ def test_a_zero_weight_drops_its_term_bit_for_bit(stacked):
     normals = rng.standard_normal((m, dim))
     normals[2] = 1e-160
     gaps = np.where(np.arange(m) < 5, -1.0, 1.0) * rng.uniform(0.5, 1.5, m)
+    gaps[5:7] = 0.0
     problem = Problem(dim, [Constraint(i, Halfspace(a, float(a @ x) + g))
                             for i, (a, g) in enumerate(zip(normals, gaps))])
     assert problem.affine_rows.aa is not None  # float64 halfspaces: batched
 
     def run(active):
+        log = []
+        phi = {"one": PhiOne(), "subgrad_norm": PhiSubgradNorm(),
+               "custom": PhiCustom(lambda c, y: log.append((c.index, y.tobytes()))
+                                   or 1.0 + 0.5 * (c.index % 3), 0.5, 2.0)}[phi_kind]
         cfg = RunConfig(problem=problem, control=Explicit([active]),
                         relaxation=ConstantRelaxation(1.5), overrelaxation=Harmonic(),
-                        phi=PhiOne(), weights=DropOneRow(2), x0=x)
-        return step(cfg, x, 0, 0, stacked=problem.affine_rows.at(x) if stacked else None)
+                        phi=phi, weights=DropOneRow(2), x0=x)
+        pass_ = problem.affine_rows.at(x) if stacked else None
+        out = step(cfg, x, 0, 0, stacked=pass_)
+        assert log == [(i, x.tobytes()) for i in out[2].violated] if phi_kind == "custom" \
+            else not log
+        return out
 
-    x_drop, corrected, rec = run((0, 1, 2, 3, 4))
+    if phi_kind == "subgrad_norm":
+        for active in [(0, 1, 2, 3, 4, 5, 6, 7, 8), (2,)]:
+            with pytest.raises(ConfigError, match="needs sublevel constraints"):
+                run(active)
+        return
+    x_drop, corrected, rec = run((0, 1, 2, 3, 4, 5, 6, 7, 8))
     x_want, corrected_want, rec_want = run((0, 1, 3, 4))
     assert rec.violated == (0, 1, 2, 3, 4) and rec_want.violated == (0, 1, 3, 4)
     assert x_drop.tobytes() == x_want.tobytes() and np.isfinite(x_drop).all()
     assert not math.isfinite(rec.per_index[2][1])
+    assert all(e == (0.0,) * 4 and e is not ZERO_ENTRY for e in rec.per_index[5:7])
+    assert all((e is ZERO_ENTRY) == stacked for e in rec.per_index[7:])
     assert corrected and corrected_want
     assert float(rec.step_norm).hex() == float(rec_want.step_norm).hex()
     x_lone, corrected, rec = run((2,))

@@ -15,8 +15,10 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -29,8 +31,8 @@ from conftest import affine_body, large_pool, quiet_pool, slater_pool, zero_entr
 from feasik import (Affine, Ball, Box, ConfigError, ConstantRelaxation, Constraint,
                     Cyclic, Explicit, ExplicitTable, FromFunction, Halfspace, Harmonic,
                     Intermittent, MaxViolation, MergedDecreasing, OuterSet, PhiCustom,
-                    PhiOne, Problem, RandomSets, RemotestSet, Repetitive, RunConfig,
-                    Sublevel, UniformOverActive, UniformOverViolated, engine,
+                    PhiOne, PhiSubgradNorm, Problem, RandomSets, RemotestSet, Repetitive,
+                    RunConfig, Sublevel, UniformOverActive, UniformOverViolated, engine,
                     evaluate_cutter, feasible, random_slater_polyhedron, solve, step,
                     violated_indices)
 from feasik.engine import ZERO_ENTRY
@@ -661,6 +663,57 @@ def test_a_near_zero_remotest_step_rescores_few_rows():
     assert control._select(0, x, problem, p) == control._select(0, x, problem) == (j,)
 
 
+def full_pool_candidates(p, score, spread):
+    """``RowPass.candidates`` banding the whole pool, as it did before it
+    banded the open rows first: the reference of the property below."""
+    band = spread + 16.0 * 2.0 ** -53 * (score + spread) + 2.0 ** -1060
+    top = float((score - band).max())
+    if not math.isfinite(top):
+        return None
+    keep = score + band >= top
+    if top > 0.0:
+        keep &= ~p.satisfied
+    return keep.nonzero()[0].tolist()
+
+
+SCORES = [0.0, 2.0 ** -1074, 1e-300, 1e-8, 0.5, 1.0, 3.0, 1e300, math.inf, math.nan]
+SPREADS = [0.0, 2.0 ** -1074, 1e-300, 1e-8, 0.5, 1.0, 1e300]
+
+
+@st.composite
+def scored_passes(draw):
+    """A pass over a few rows, and stacked scores and spreads as the maximal
+    controls give them: on a row the pass satisfies, a finite spread and a
+    score of at most it (0.0 in the controls); on an open row any score,
+    NaN and inf included; on a zero row 0.0 and an infinite spread.  An
+    eighth of the passes satisfy every row."""
+    m = draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.sampled_from(["satisfied", "open", "zero"]),
+                          min_size=m, max_size=m))
+    if draw(st.integers(0, 7)) == 0:
+        kinds = ["satisfied"] * m
+    spread = [math.inf if k == "zero" else draw(st.sampled_from(SPREADS)) for k in kinds]
+    score = [draw(st.sampled_from(SCORES)) if k == "open" else 0.0 if k == "zero"
+             else draw(st.sampled_from([v for v in SCORES if v <= sp]))
+             for k, sp in zip(kinds, spread)]
+    satisfied = np.array([k == "satisfied" for k in kinds])
+    p = RowPass(SimpleNamespace(metric=np.ones(m, bool)), np.where(satisfied, -2.0, 0.0),
+                np.ones(m))
+    assert (p.satisfied == satisfied).all()
+    return p, np.array(score), np.array(spread)
+
+
+@SETTINGS
+@given(scored_passes())
+def test_candidates_of_the_open_rows_are_the_full_pools(case):
+    # The open rows' band decides where its best lower bound is finite and
+    # positive; any other pass (every row satisfied, a bound of 0 or below,
+    # NaN or infinite scores, only zero rows open) takes the whole pool's.
+    p, score, spread = case
+    with np.errstate(all="ignore"):  # inf - inf in a band, as the pool's
+        assert p.candidates(score, spread) == full_pool_candidates(p, score, spread)
+
+
 def test_an_iterate_without_a_pass_gets_one_try():
     # Past the safe range of the rows (||x||_inf ||a_i||_1 near 2^1000)
     # at(x) is None and the scalar tests decide; feasible must not take
@@ -848,15 +901,27 @@ def batched_steps(draw):
     return problem, pool, x, tuple(active), cut
 
 
+def attempt(fn, *args, **kwargs):
+    """(what ``fn`` returns, None), or (None, (type, message)) of its error."""
+    try:
+        return fn(*args, **kwargs), None
+    except Exception as e:
+        return None, (type(e), str(e))
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(batched_steps(), st.sampled_from(sorted(WEIGHT_RULES)), st.booleans())
-def test_batched_steps_match_the_lazy_pool(case, weight_kind, custom_phi):
+@given(batched_steps(), st.sampled_from(sorted(WEIGHT_RULES)),
+       st.sampled_from(["one", "custom", "subgrad_norm"]))
+def test_batched_steps_match_the_lazy_pool(case, weight_kind, phi_kind):
     # Three steps from x, with the same active set each step, must be the
     # reference's steps from the same iterates: the same iterates, violated
-    # sets, per_index bytes (NaNs too) and phi calls.  The first step cuts as
-    # one batch exactly when its rows are float64 metric halfspaces, none
-    # other in the pool, and CUT_MIN_ROWS or more of them are unsettled.
+    # sets, per_index bytes (NaNs too) and phi calls, or the same error at
+    # the same k (the subgradient-norm phi refuses a halfspace it is called
+    # on).  The first step cuts as one batch exactly when its rows are
+    # float64 metric halfspaces, none other in the pool, and CUT_MIN_ROWS or
+    # more of them are unsettled.  Only rows the pass settles get
+    # ZERO_ENTRY itself; a row cut without moving x gets its own zeros.
     problem, pool, x, active, cut = case
     rows = stacked_rows(problem, np.float32 if pool == "float32" else np.float64)
     assert (rows.aa is not None) == (pool == "float64")
@@ -866,11 +931,12 @@ def test_batched_steps_match_the_lazy_pool(case, weight_kind, custom_phi):
 
     def config():  # a phi that varies by row and logs each call
         log = []
-        phi = PhiCustom(lambda c, x: log.append((c.index, x.tobytes())) or 1.0 + 0.5 * (
-            c.index % 3), 0.5, 2.0)
+        phi = {"one": PhiOne(), "subgrad_norm": PhiSubgradNorm(),
+               "custom": PhiCustom(lambda c, x: log.append((c.index, x.tobytes())) or (
+                   1.0 + 0.5 * (c.index % 3)), 0.5, 2.0)}[phi_kind]
         return RunConfig(problem=problem, control=Explicit([active] * 3),
                          relaxation=ConstantRelaxation(1.5), overrelaxation=Harmonic(),
-                         phi=phi if custom_phi else PhiOne(), weights=weights, x0=x), log
+                         phi=phi, weights=weights, x0=x), log
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -882,20 +948,72 @@ def test_batched_steps_match_the_lazy_pool(case, weight_kind, custom_phi):
             p = rows.at(x)
             assert p is not None
             with mock.patch.object(engine, "evaluate_cutter", wraps=evaluate_cutter) as spy:
-                x_got, corrected, rec = step(cfg, x, k, count, stacked=p)
-            x_want, corrected_want, rec_want = reference_step(ref_cfg, scalar, x, k, count)
+                got, error = attempt(step, cfg, x, k, count, stacked=p)
+            want, ref_error = attempt(reference_step, ref_cfg, scalar, x, k, count)
+            assert (error, log) == (ref_error, ref_log)
             if k == 0:
                 assert int((~p.settled[list(active)]).sum()) == cut
                 batched = pool == "float64" and cut >= CUT_MIN_ROWS
-                assert spy.call_count == (0 if batched else cut)
+                assert (spy.call_count == 0) == batched
+                assert error or spy.call_count == (0 if batched else cut)
+            if error:
+                break
+            (x_got, corrected, rec), (x_want, corrected_want, rec_want) = got, want
             assert (x_got.tobytes(), corrected, fields(rec, exact=True)) == \
                 (x_want.tobytes(), corrected_want, fields(rec_want, exact=True))
-            assert log == ref_log
+            assert [e is ZERO_ENTRY for e in rec.per_index] == p.settled[list(active)].tolist()
             if not np.isfinite(x_got).all():  # a subnormal a.a's step: NaN
                 break
             x = x_got
             x.flags.writeable = False
             count += corrected
+
+
+def full_block_run(control, max_iter, observers):
+    """A run of full-block steps on 21 float64 halfspaces in 2-D that no
+    point satisfies: three copies of x_0 <= -1 and two of x_0 >= 1, each
+    violated at every iterate, so that every step moves x by one batched
+    cut, and 16 rows x_1 <= 10 + i that every iterate holds."""
+    bodies = [Halfspace([1.0, 0.0], -1.0)] * 3 + [Halfspace([-1.0, 0.0], -1.0)] * 2 + [
+        Halfspace([0.0, 1.0], 10.0 + i) for i in range(16)]
+    problem = Problem(2, [Constraint(i, b) for i, b in enumerate(bodies)])
+    cfg = RunConfig(problem=problem, control=control(len(bodies)),
+                    relaxation=ConstantRelaxation(1.0), overrelaxation=Harmonic(),
+                    phi=PhiOne(), weights=UniformOverViolated(), x0=[0.0, 0.0],
+                    max_iter=max_iter)
+    return solve(cfg, observers=observers)
+
+
+def test_a_fresh_set_at_each_k_keeps_no_array_past_its_step():
+    # A Repetitive control emits a fresh tuple of the whole block at each k:
+    # its records are the fixed family's to the bit, and however long the
+    # run, the index arrays of its sets do not pile up.  Tracing makes a
+    # batched step several times slower, so the peaks are read at 200 and
+    # 2,000 steps: an array and a tuple kept per step would add some 0.9 MB.
+    def fresh(m):
+        return Repetitive(lambda k: tuple(range(m)), max_card=m)
+
+    def block(m):
+        return Intermittent([range(m)])
+
+    records = {}
+    for control in (fresh, block):
+        records[control] = out = []
+        result = full_block_run(control, 2_000, [lambda r: out.append(fields(r, exact=True))])
+        assert result.steps == result.corrections == 2_000
+    assert records[fresh] == records[block]
+    assert len({r[4] for r in records[fresh][:-1]}) == 1  # every step violates 0-4
+
+    def peak(max_iter):
+        tracemalloc.start()
+        try:
+            assert full_block_run(fresh, max_iter, [lambda r: None]).steps == max_iter
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(200), peak(2_000)
+    assert long <= 1.5 * short + 64 * 1024, (short, long)
 
 
 # ---------------------------------------------------------------------------
