@@ -116,6 +116,7 @@ def _sweep_one(payload):
 
 def cmd_sweep(args) -> int:
     grid = _load(args.config)
+    cfgmod._fields(grid, "grid", (), 0, "instances", "controls", "phis", "base")
     instances = cfgmod._list(grid.get("instances", []), "instances")
     controls = cfgmod._list(grid.get("controls", []), "controls")
     phis = cfgmod._list(grid.get("phis", ["one"]), "phis")

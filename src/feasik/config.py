@@ -109,6 +109,15 @@ def _read(doc, key: str, where: str, ftype: Field, dim: int):
     return ftype.read(value, f"{where}.{key}", dim)
 
 
+def _fields(doc, where: str, fields, dim: int, *others) -> list:
+    """The members ``fields`` of the object ``doc``, read in order; any
+    member but these and ``others``, which the caller reads, is an error."""
+    known = {*dict(fields), *others}
+    if unknown := [key for key in _object(doc, where) if key not in known]:
+        raise ConfigError(f"field '{where}.{unknown[0]}' is unknown")
+    return [_read(doc, key, where, ftype, dim) for key, ftype in fields]
+
+
 def _number(value, where: str, dim: int = 0) -> float:
     """A finite real number as a float (``as_real``)."""
     return as_real(value, f"field '{where}'")
@@ -159,8 +168,7 @@ def records(*fields) -> Field:
     """A list of objects with the members ``fields`` name, read into a
     tuple of tuples."""
     def read(items, where, dim):
-        return tuple(tuple(_read(item, key, f"{where}[{n}]", ftype, dim)
-                           for key, ftype in fields)
+        return tuple(tuple(_fields(item, f"{where}[{n}]", fields, dim))
                      for n, item in enumerate(_list(items, where)))
     return Field(read)
 
@@ -188,22 +196,25 @@ class Kinds:
     """One family's table ``kind -> (class, fields)``.  ``fields`` are
     (document key, field type) pairs in the order of the class's
     constructor arguments.  A document names its kind under ``key``, or,
-    where ``bare`` is set, may be the kind's name alone."""
+    where ``bare`` is set, may be the kind's name alone.  ``build`` takes
+    the members ``given`` that are not None in place of the document's,
+    where the kind reads them, and ``others`` that its caller reads."""
 
     def __init__(self, noun: str, key: str, table: dict, bare: bool = False):
         self.noun, self.key, self.table, self.bare = noun, key, table, bare
 
-    def build(self, doc, where: str, dim: int):
+    def build(self, doc, where: str, dim: int, *others, **given):
         if self.bare and isinstance(doc, str):
-            kind, path = doc, where
+            kind, path, doc = doc, where, {self.key: doc}
         else:
             kind, path = _need(doc, self.key, where), f"{where}.{self.key}"
         try:
             cls, fields = self.table[kind]
         except (KeyError, TypeError):
             raise ConfigError(f"field '{path}': unknown {self.noun} {kind!r}") from None
-        return _built(where, cls, *[_read(doc, key, where, ftype, dim)
-                                    for key, ftype in fields])
+        doc = {**doc, **{k: v for k, v in given.items()
+                         if v is not None and k in dict(fields)}}
+        return _built(where, cls, *_fields(doc, where, fields, dim, self.key, *others))
 
 
 FUNCTIONS = Kinds("function kind", "kind", {
@@ -263,9 +274,10 @@ WEIGHTS = Kinds("weight kind", "kind", {
 # ---------------------------------------------------------------------------
 
 def build_problem(doc: dict, where: str = "problem") -> Problem:
-    dim = _read(doc, "dim", where, INTEGER, 0)
+    dim, = _fields(doc, where, (("dim", INTEGER),), 0, "outer", "constraints", "interior")
     outer_doc = _object(doc.get("outer", {"type": "whole_space"}), where + ".outer")
     if outer_doc.get("type") == "whole_space":
+        _fields(outer_doc, where + ".outer", (), dim, "type")
         outer = OuterSet.whole_space()
     else:
         outer = _built(where + ".outer", OuterSet,
@@ -274,24 +286,24 @@ def build_problem(doc: dict, where: str = "problem") -> Problem:
     for pos, cdoc in enumerate(_list(_need(doc, "constraints", where),
                                      where + ".constraints")):
         path = f"{where}.constraints[{pos}]"
-        body = BODIES.build(cdoc, path, dim)
+        body = BODIES.build(cdoc, path, dim, "cutter")
         constraints.append(_built(path, Constraint, pos, body,
                                   _read(cdoc, "cutter", path, cutter, dim)))
     interior = None
     if "interior" in doc:
-        interior = (_read(doc["interior"], "z", where + ".interior", VECTOR, dim),
-                    _read(doc["interior"], "R", where + ".interior", NUMBER, dim))
+        interior = tuple(_fields(doc["interior"], where + ".interior",
+                                 (("z", VECTOR), ("R", NUMBER)), dim))
     return _built(where, Problem, dim, constraints, outer=outer, interior=interior)
 
 
 def build_run_config(doc: dict, seed_override: Optional[int] = None) -> RunConfig:
-    """Validate and build a full run from a parsed document."""
+    """Validate and build a full run from a parsed document;
+    ``seed_override`` replaces the seed of a control kind that reads one."""
+    _fields(doc, "run", (), 0, *RunConfig.__dataclass_fields__)
     problem = build_problem(_need(doc, "problem", "run"))
     dim = problem.dim
-    spec = _object(_need(doc, "control", "run"), "control")
-    if seed_override is not None:
-        spec = {**spec, "seed": seed_override}
-    control = CONTROLS.build(spec, "control", dim)
+    control = CONTROLS.build(_need(doc, "control", "run"), "control", dim,
+                             seed=seed_override)
     for path, group in control._family():
         problem.pool_indices(group, f"control.{path}")
     window = doc.get("feas_window")

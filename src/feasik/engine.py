@@ -48,6 +48,8 @@ def compensated_sum(vectors) -> Vector:
     ``np.add.accumulate`` computes in place in the same order
     (``np.add.reduce`` may not), so the stacked terms take a fixed number of
     numpy calls and the result is bit-identical, bar the sign of a NaN.
+    The order stays: TwoSum's error (s - (t - z)) + (v - z), z = t - s,
+    overflows in z at s = 0x1.ffffffffffffep+1021, v = -0x1.fffffffffffffp+1023.
     """
     if len(vectors) == 1:
         v = np.asarray(vectors[0], dtype=np.float64)
@@ -321,12 +323,13 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
     the cutters.  A step that leaves x in place returns x itself, and the
     next step reuses its pass and its failed verdict.  A step is quiet when
     each active row is settled by the pass or was cut at x without moving
-    it, and its weight rule, alpha and r raise nothing; any other step is
-    ``step``'s, which raises what it raises at its k
-    (README, "Quiet spans").  One loop takes a stretch of quiet steps: a
-    fixed family finds its end by position, another control is asked at
-    each k and its first set that is not quiet goes to ``step``.  The
-    weight rule runs once per quiet set.
+    it, and its weight rule, alpha and r raise nothing (``is_quiet``, whose
+    verdict on a set holds until x moves or a step adds quiet rows); any
+    other step is ``step``'s, which raises what it raises at its k (README,
+    "Quiet spans").  One loop takes a stretch of quiet steps: a fixed
+    family finds its end by position, another control is asked at each k
+    and its first set that is not quiet goes to ``step``.  The weight rule
+    runs once per quiet set.
     """
     problem, control = cfg.problem, cfg.control
     rows = problem.affine_rows
@@ -353,8 +356,24 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
     tested = None  # the iterate whose pass and failed test are at hand
     weighed = set()  # the sets whose weights, quiet, raised nothing
 
-    def is_quiet(s) -> bool:  # at the iterate's pass and quiet rows
-        return _is_quiet(s, quiet, stacked, known, cfg, weighed)
+    def is_quiet(active: tuple) -> bool:
+        """Whether each row of ``active`` is settled by the pass at x or in
+        ``quiet``, and the weight rule, which reads only the set, takes it;
+        a fault of the rule makes the step loud: step raises it at its k."""
+        if (ok := known.get(active)) is None:
+            if len(active) == 1:
+                ok = (i := active[0]) in quiet or bool(stacked and stacked.settled[i])
+            else:
+                todo = active if stacked is None else stacked.unsettled(active)[1].tolist()
+                ok = all(i in quiet for i in todo)
+            if ok and active not in weighed:
+                try:
+                    cfg.weights.weights(active, ())
+                    weighed.add(active)
+                except Exception:
+                    ok = False
+            known[active] = ok
+        return ok
 
     while True:
         if x is not tested:  # by identity: an equal copy is tested again
@@ -423,30 +442,6 @@ def solve(cfg: RunConfig, observers=None) -> RunResult:
     emit(TraceRecord(k, count, x, (), (), (), None, None, 0.0, False, feas))
     status = "feasible" if feas else "nonfinite" if nonfinite else "max_iter"
     return RunResult(status, k if feas else None, x, items, corrections, k)
-
-
-# A fault of the weight rule, alpha or r makes a step loud: step raises it at
-# its k.
-def _is_quiet(active: tuple, quiet: dict, stacked: Optional[RowPass], known: dict,
-              cfg: RunConfig, weighed: set) -> bool:
-    """Whether every row of ``active`` is settled by the pass at x or was cut
-    at x without moving it (``quiet``), and the weight rule takes the set;
-    ``known`` keeps the answer per set and state of ``quiet``, and
-    ``weighed`` the sets the rule took (it reads only the set)."""
-    if (ok := known.get(active)) is None:
-        if len(active) == 1:
-            ok = (i := active[0]) in quiet or bool(stacked and stacked.settled[i])
-        else:
-            todo = active if stacked is None else stacked.unsettled(active)[1].tolist()
-            ok = all(i in quiet for i in todo)
-        if ok and active not in weighed:
-            try:
-                cfg.weights.weights(active, ())
-                weighed.add(active)
-            except Exception:
-                ok = False
-        known[active] = ok
-    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -857,28 +857,21 @@ class RowPass:
     def candidates(self, score, spread) -> Optional[list]:
         """Pool positions, ascending, whose scalar score may be the largest,
         given stacked scores with |scalar - stacked| <= spread per row up to
-        one rounding each, and a scalar score of exactly 0.0 on every row
-        the pass certainly satisfies, whose stacked score is at most its
-        finite spread.  None when the scores are not finite.  The open rows
-        are banded first: where their best lower bound is finite and
-        positive it is the pool's, as a satisfied row's is at most 0, and
-        the satisfied rows lose; else the whole pool is banded."""
+        one rounding each, scalar scores >= 0, and a scalar score of exactly
+        0.0 on every row the pass certainly satisfies.  Only the open rows
+        are banded; None when their best lower bound is NaN or +inf.  A
+        positive maximum lies in an open row whose upper bound reaches that
+        bound, and the first index of a zero maximum is row 0, which leads
+        the list unless the bound is positive."""
         # 16u (score + spread) covers the roundings of score, lo and hi,
         # 2^-1060 their underflow.
-        if len(rows := self.open):
-            s, sp = score[rows], spread[rows]
-            band = sp + 16.0 * _U * (s + sp) + 2.0 ** -1060
-            if 0.0 < (top := float((s - band).max())) < math.inf:
-                return rows[s + band >= top].tolist()
-        band = spread + 16.0 * _U * (score + spread) + 2.0 ** -1060
-        lo = score - band
-        top = float(lo.max())
-        if not math.isfinite(top):
+        rows = self.open
+        s, sp = score[rows], spread[rows]
+        band = sp + 16.0 * _U * (s + sp) + 2.0 ** -1060
+        if not (top := float((s - band).max(initial=-math.inf))) < math.inf:
             return None
-        keep = score + band >= top
-        if top > 0.0:  # some score is positive: a satisfied row's 0.0 loses
-            keep &= ~self.satisfied
-        return keep.nonzero()[0].tolist()
+        keep = rows[s + band >= top]
+        return keep.tolist() if top > 0.0 else [0] + keep[keep > 0].tolist()
 
 
 def violated_indices(problem: Problem, x: Vector, window=None) -> tuple:

@@ -143,6 +143,45 @@ def test_malformed_json_diagnostic():
             build_run_config(doc)
 
 
+def test_a_member_that_no_object_reads_is_refused(tmp_path):
+    # Each of these used to be dropped: max_iters ran with max_iter 1000.
+    def run_doc(control=None):  # a constraint with a cutter and pieces
+        doc = two_halfspace_doc(phi={"kind": "one"}, control=control or {
+            "kind": "cyclic", "order": [0, 1]})
+        doc["problem"]["constraints"].append({"type": "sublevel", "cutter": "metric", "f": {
+            "kind": "max_affine", "pieces": [{"a": [1.0, 0.0], "b": 1.0}]}})
+        return doc
+
+    def random_sets():
+        return {"kind": "random_sets", "seed": 1, "atoms": [{"indices": [0], "p": 1.0}]}
+
+    for doc in (run_doc(), run_doc(random_sets())):
+        build_run_config(doc)
+    for path, control in [
+            ("run.max_iters", None), ("problem.dims", None), ("problem.outer.lo", None),
+            ("problem.interior.Z", None), ("problem.constraints[0].b_typo", None),
+            ("problem.constraints[2].cuter", None), ("problem.constraints[2].f.piece", None),
+            ("problem.constraints[2].f.pieces[0].c", None), ("control.oder", None),
+            ("control.seed", None), ("control.atoms[0].q", random_sets()),
+            ("relaxation.r", None), ("phi.c", None), ("weights.floor", None)]:
+        *keys, member = [int(k) if k.isdigit() else k
+                         for k in re.findall(r"\w+", path.removeprefix("run."))]
+        doc = parent = run_doc(control)
+        for key in keys:
+            parent = parent[key]
+        parent[member] = 0
+        with pytest.raises(ConfigError, match=re.escape(f"field '{path}' is unknown")):
+            build_run_config(doc)
+    # --seed and FEASIK_SEED give a seed only to a kind that reads one.
+    assert build_run_config(run_doc(), seed_override=7).control.kind == "cyclic"
+    assert build_run_config(run_doc(random_sets()), seed_override=7).control.seed == 7
+    grid = sweep_doc()
+    grid["instance"] = grid.pop("instances")
+    with pytest.raises(ConfigError, match=re.escape("field 'grid.instance' is unknown")):
+        cli.cmd_sweep(cli.build_parser().parse_args(
+            ["sweep", "--config", write_doc(tmp_path, grid, "grid.json")]))
+
+
 # One document per kind of every kind table.
 FUNCTION_DOCS = {
     "affine": {"kind": "affine", "a": [1.0, 2.0], "b": 0.5},

@@ -419,6 +419,10 @@ def test_compensated_sum_matches_fsum():
 SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
                   5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
                   1e308, -1e308, 1.7976931348623157e308]
+# Near 2^1023: two of a kind overflow, a pair of opposites cancels exactly,
+# and equal magnitudes tie.
+EDGE_FLOATS = [2.0 ** 1023, 1.5 * 2.0 ** 1023, 1.7976931348623157e308, 2.0 ** 1022,
+               2.0 ** 971, 2.0 ** 970, 1.0, 5e-324]
 TERM_ENTRIES = st.one_of(
     st.sampled_from(SPECIAL_FLOATS), st.floats(),
     st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0),
@@ -441,15 +445,17 @@ def test_compensated_sum_is_the_neumaier_loop_bit_for_bit(rows):
 @settings(max_examples=400, deadline=None)
 @given(st.integers(2, 40), st.integers(1, 64),
        st.lists(TERM_ENTRIES, min_size=1, max_size=16),
-       st.integers(0, 2 ** 32 - 1), st.booleans())
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(["mixed", "swamped", "edge"]))
 def test_compensated_sum_is_the_neumaier_loop_bit_for_bit_on_long_sums(
-        n, dim, palette, seed, swamped):
+        n, dim, palette, seed, mode):
     """2-40 terms in up to 64 dimensions.  Half the entries come from a small
     drawn palette, negated at random, so magnitude ties, signed zeros,
     infinities and NaN meet; the rest are fresh at random scales.  A swamped
     sum opens with 2^1000 and closes with -2^1000, so the result is the fold
     of the compensation terms alone, where a reordered fold (as
-    ``np.add.reduce`` makes of a single column) changes the rounding.
+    ``np.add.reduce`` makes of a single column) changes the rounding.  An
+    edge sum draws every entry from ``EDGE_FLOATS``, negated at random, so
+    partial sums overflow mid-column and cancel exactly.
 
     A NaN is compared as a NaN: which operand's sign numpy's add keeps
     depends on its kernel, so the loop itself gives either sign at these
@@ -461,9 +467,12 @@ def test_compensated_sum_is_the_neumaier_loop_bit_for_bit_on_long_sums(
         picked *= rng.choice([-1.0, 1.0], (n, dim))
         fresh = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-300, 300, (n, dim))
         rows = np.where(rng.random((n, dim)) < 0.5, picked, fresh)
-        if swamped:
+        if mode == "swamped":
             big = np.full((1, dim), 2.0 ** 1000)
             rows = np.concatenate([big, rng.standard_normal((n - 2, dim)), -big])
+        elif mode == "edge":
+            rows = (np.array(EDGE_FLOATS)[rng.integers(0, len(EDGE_FLOATS), (n, dim))]
+                    * rng.choice([-1.0, 1.0], (n, dim)))
         got = compensated_sum(list(rows))
         want = neumaier_loop(list(rows), dim)
     nan = np.isnan(want)

@@ -665,7 +665,7 @@ def test_a_near_zero_remotest_step_rescores_few_rows():
 
 def full_pool_candidates(p, score, spread):
     """``RowPass.candidates`` banding the whole pool, as it did before it
-    banded the open rows first: the reference of the property below."""
+    banded the open rows alone: the reference of the property below."""
     band = spread + 16.0 * 2.0 ** -53 * (score + spread) + 2.0 ** -1060
     top = float((score - band).max())
     if not math.isfinite(top):
@@ -704,14 +704,30 @@ def scored_passes(draw):
 
 
 @SETTINGS
-@given(scored_passes())
-def test_candidates_of_the_open_rows_are_the_full_pools(case):
-    # The open rows' band decides where its best lower bound is finite and
-    # positive; any other pass (every row satisfied, a bound of 0 or below,
-    # NaN or infinite scores, only zero rows open) takes the whole pool's.
+@given(scored_passes(), st.data())
+def test_candidates_of_the_open_rows_are_the_full_pools(case, data):
+    # Where the open rows' best lower bound is finite and positive, their
+    # band is the whole pool's.  Elsewhere the list holds row 0, the first
+    # index of a zero maximum, and the open rows that may beat it, and
+    # rescoring it gives the full scan's argmax for any scalar scores the
+    # stacked ones allow.
     p, score, spread = case
     with np.errstate(all="ignore"):  # inf - inf in a band, as the pool's
-        assert p.candidates(score, spread) == full_pool_candidates(p, score, spread)
+        got, want = p.candidates(score, spread), full_pool_candidates(p, score, spread)
+        s, sp = score[p.open], spread[p.open]
+        band = sp + 16.0 * 2.0 ** -53 * (s + sp) + 2.0 ** -1060
+        top = float((s - band).max(initial=-math.inf))
+    if 0.0 < top < math.inf:
+        assert got == want
+    elif want is None:
+        assert got is None or got == list(range(len(score)))
+    else:
+        assert got == sorted(set(got)) and set(got) <= set(want) and got[0] == 0
+    if got is not None:
+        scalar = [0.0 if sat else data.draw(st.floats(max(0.0, v - d), v + d))
+                  for v, d, sat in zip(score.tolist(), spread.tolist(), p.satisfied)]
+        assert (max(got, key=scalar.__getitem__)
+                == max(range(len(scalar)), key=scalar.__getitem__))
 
 
 def test_an_iterate_without_a_pass_gets_one_try():
